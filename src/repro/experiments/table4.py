@@ -23,9 +23,8 @@ from repro.core.workloads import benchmark_queries, build_query
 from repro.experiments import common
 from repro.model.predictor import ModelSuite
 from repro.moo.objectives import CompileTimeObjectives
-from repro.runtime.optimizer import OnlineOptimizer
-from repro.simspark.executor import run_query
-from repro.tuner import compile_hmooc3, run_default, run_mo_ws, submit_conf
+from repro.tuner import (compile_hmooc3, run_default, run_hmooc3, run_hmooc3_plus,
+                         run_mo_ws)
 
 WEIGHTS = (0.9, 0.1)
 
@@ -62,11 +61,8 @@ def run_table4(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
         mw = run_mo_ws(dag, suite, WEIGHTS, noise_seed=noise, seed=seed,
                        objectives=obj)
         res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=obj)
-        _, qc = res.recommend(WEIGHTS)
-        conf = submit_conf(qc, dag)
-        run3 = run_query(dag, conf, aqe=True, noise_seed=noise)
-        rt = OnlineOptimizer(dag, suite, qc.theta_c, WEIGHTS, seed=seed)
-        run3p = run_query(dag, conf, aqe=True, noise_seed=noise, runtime_opt=rt)
+        h3 = run_hmooc3(dag, res, WEIGHTS, noise_seed=noise)
+        h3p = run_hmooc3_plus(dag, suite, res, WEIGHTS, noise_seed=noise)
 
         per_q.append(dict(
             query=q, n_subqs=dag.n_subqs(),
@@ -74,14 +70,14 @@ def run_table4(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
             methods={
                 "mo-ws": dict(latency=mw.latency_s, cost=mw.cost_usd,
                               solve=mw.solving_time_s),
-                "hmooc3": dict(latency=run3.latency_s, cost=run3.cost_usd,
-                               solve=res.solving_time_s),
-                "hmooc3+": dict(latency=run3p.latency_s, cost=run3p.cost_usd,
-                                solve=res.solving_time_s + rt.time_spent_s,
-                                lqp_requests=run3p.lqp_requests,
-                                lqp_opps=run3p.lqp_request_opportunities,
-                                qs_requests=run3p.qs_requests,
-                                qs_opps=run3p.qs_request_opportunities),
+                "hmooc3": dict(latency=h3.latency_s, cost=h3.cost_usd,
+                               solve=h3.solving_time_s),
+                "hmooc3+": dict(latency=h3p.latency_s, cost=h3p.cost_usd,
+                                solve=h3p.solving_time_s,
+                                lqp_requests=h3p.run.lqp_requests,
+                                lqp_opps=h3p.run.lqp_request_opportunities,
+                                qs_requests=h3p.run.qs_requests,
+                                qs_opps=h3p.run.qs_request_opportunities),
             }))
 
     summary: dict = {}

@@ -60,18 +60,8 @@ class MLPRegressor:
             ep_loss = 0.0
             for s in range(0, n, batch):
                 bi = idx[s:s + batch]
-                xb, tb = Xn[bi], t[bi]
-                # forward
-                acts = [xb]
-                h = xb
-                pre = []
-                for i, (W, bb) in enumerate(zip(self.W, self.b)):
-                    z = h @ W + bb
-                    pre.append(z)
-                    h = np.maximum(z, 0.0) if i < len(self.W) - 1 else z
-                    acts.append(h)
-                pred = h[:, 0]
-                err = pred - tb
+                pred, acts = self._forward(Xn[bi])
+                err = pred - t[bi]
                 ep_loss += float((err**2).sum())
                 # backward
                 g = (2.0 * err / len(bi))[:, None]
@@ -80,8 +70,8 @@ class MLPRegressor:
                 for i in range(len(self.W) - 1, -1, -1):
                     gW[i] = acts[i].T @ g + weight_decay * self.W[i]
                     gb[i] = g.sum(axis=0)
-                    if i > 0:
-                        g = (g @ self.W[i].T) * (pre[i - 1] > 0)
+                    if i > 0:  # ReLU: acts[i] > 0 exactly where its input is
+                        g = (g @ self.W[i].T) * (acts[i] > 0)
                 # adam
                 step += 1
                 for i in range(len(self.W)):

@@ -8,7 +8,9 @@ in sync or the models silently mispredict):
 * **QS** (runtime): embedding over *true* stats ‖ join-algorithm one-hot ‖
   (θc, θs) vector (θp dropped — already determined) ‖ α true ‖ β ‖ γ;
 * **LQP̄** (runtime, collapsed plan): whole-plan embedding over true stats ‖
-  19-knob vector ‖ α totals ‖ β mean ‖ γ.
+  19-knob vector ‖ α totals ‖ β mean ‖ γ. This model is trained and
+  evaluated for Table 3 only: the runtime optimizer scores its θp
+  candidates with the QS model on the join's stage, not with LQP̄.
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
 """

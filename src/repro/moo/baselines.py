@@ -14,28 +14,16 @@ import time
 
 import numpy as np
 
-from repro.moo.hmooc import MOOResult, QueryConfig, _lhs_unit
+from repro.moo.hmooc import MOOResult, QueryConfig
 from repro.moo.objectives import D_C, D_PS, CompileTimeObjectives
 from repro.moo.pareto import normalize, pareto_indices
-from repro.params import C_IDS, P_IDS, S_IDS, from_vector
+from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refine_unit
 
 
 def _decode(obj: CompileTimeObjectives, U: np.ndarray, *, fine: bool) -> QueryConfig:
     """Turn a decision vector into a QueryConfig (shared or per-subQ θp/θs)."""
-    if not fine:
-        conf = from_vector(U, C_IDS + P_IDS + S_IDS)
-        qc = QueryConfig(theta_c={k: conf[k] for k in C_IDS})
-        for sq in obj.sq_ids:
-            qc.theta_p[sq] = {k: conf[k] for k in P_IDS}
-            qc.theta_s[sq] = {k: conf[k] for k in S_IDS}
-        return qc
-    qc = QueryConfig(theta_c=from_vector(U[:D_C], C_IDS))
-    for j, sq in enumerate(obj.sq_ids):
-        lo = D_C + j * D_PS
-        ps = from_vector(U[lo:lo + D_PS], P_IDS + S_IDS)
-        qc.theta_p[sq] = {k: ps[k] for k in P_IDS}
-        qc.theta_s[sq] = {k: ps[k] for k in S_IDS}
-    return qc
+    u_ps = U[D_C:].reshape(obj.m, D_PS) if fine else [U[D_C:]] * obj.m
+    return QueryConfig.decode(U[:D_C], u_ps, obj.sq_ids)
 
 
 def _dims(obj: CompileTimeObjectives, fine: bool) -> int:
@@ -45,11 +33,8 @@ def _dims(obj: CompileTimeObjectives, fine: bool) -> int:
 def _sample(obj: CompileTimeObjectives, n: int, fine: bool,
             rng: np.random.Generator) -> np.ndarray:
     """LHS candidates mapped into the refined per-knob search ranges."""
-    from repro.params import refine_unit
-
-    d = _dims(obj, fine)
     ids = C_IDS + (P_IDS + S_IDS) * (obj.m if fine else 1)
-    return refine_unit(_lhs_unit(n, d, rng), ids)
+    return refine_unit(lhs_unit(n, _dims(obj, fine), rng), ids)
 
 
 def _evaluate(obj: CompileTimeObjectives, U: np.ndarray, fine: bool) -> np.ndarray:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.moo.objectives import D_C, D_PS, CompileTimeObjectives
-from repro.moo.pareto import pareto_indices, wun_select
-from repro.params import C_IDS, P_IDS, S_IDS, from_vector
+from repro.moo.pareto import normalize, pareto_indices, wun_select
+from repro.params import C_IDS, P_IDS, S_IDS, from_vector, lhs_unit, refine_unit
 
 
 @dataclass
@@ -34,6 +34,16 @@ class QueryConfig:
     theta_c: dict
     theta_p: dict[int, dict] = field(default_factory=dict)  # sq_id -> θp
     theta_s: dict[int, dict] = field(default_factory=dict)  # sq_id -> θs
+
+    @classmethod
+    def decode(cls, u_c: np.ndarray, u_ps, sq_ids: list[int]) -> "QueryConfig":
+        """Decode normalized θc plus one normalized θp‖θs row per subQ."""
+        qc = cls(theta_c=from_vector(u_c, C_IDS))
+        for sq, u in zip(sq_ids, u_ps):
+            ps = from_vector(u, P_IDS + S_IDS)
+            qc.theta_p[sq] = {k: ps[k] for k in P_IDS}
+            qc.theta_s[sq] = {k: ps[k] for k in S_IDS}
+        return qc
 
 
 @dataclass
@@ -104,20 +114,14 @@ class _EffectiveSet:
     sols: dict[int, list[tuple[np.ndarray, np.ndarray]]]
 
 
-def _lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T
-            + rng.random((n, d))) / n
-
-
 def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
                            n_clusters: int = 14, n_p: int = 256,
                            enrich: bool = True, seed: int = 0) -> _EffectiveSet:
     """Algorithm 1: effective per-subQ solution sets under shared θc."""
-    from repro.params import refine_unit
     rng = np.random.default_rng(seed)
-    Uc = refine_unit(_lhs_unit(n_c, D_C, rng), C_IDS)
+    Uc = refine_unit(lhs_unit(n_c, D_C, rng), C_IDS)
     labels, rep_idx, centers = _kmeans(Uc, n_clusters, seed=seed)
-    pool = refine_unit(_lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
+    pool = refine_unit(lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
 
     # optimize_p_moo: local Pareto θp⊗θs per (representative, subQ)
     opt_idx: dict[tuple[int, int], np.ndarray] = {}
@@ -193,8 +197,7 @@ def aggregate_ws(sq_sols: list[tuple[np.ndarray, list]], n_weights: int = 11):
         total = np.zeros(2)
         combo: list = []
         for F, I in sq_sols:
-            lo, hi = F.min(axis=0), F.max(axis=0)
-            Fn = (F - lo) / np.where(hi > lo, hi - lo, 1.0)
+            Fn, _, _ = normalize(F)
             j = int((Fn * wv).sum(axis=1).argmin())
             total = total + F[j]
             combo = combo + I[j]
@@ -247,14 +250,7 @@ def hmooc(dag, suite, *, agg: str = "boundary", n_c: int = 128, n_clusters: int 
     F = np.concatenate(all_F, axis=0)
     keep = pareto_indices(F)
 
-    configs = []
-    for i in keep:
-        ci, combo = all_cfg[i]
-        qc = QueryConfig(theta_c=from_vector(eff.Uc[ci], C_IDS))
-        for j, sq in enumerate(obj.sq_ids):
-            ps = from_vector(eff.pool[combo[j]], P_IDS + S_IDS)
-            qc.theta_p[sq] = {k: ps[k] for k in P_IDS}
-            qc.theta_s[sq] = {k: ps[k] for k in S_IDS}
-        configs.append(qc)
+    configs = [QueryConfig.decode(eff.Uc[ci], eff.pool[combo], obj.sq_ids)
+               for ci, combo in (all_cfg[i] for i in keep)]
     return MOOResult(F=F[keep], configs=configs,
                      solving_time_s=time.perf_counter() - t0, method=f"hmooc-{agg}")

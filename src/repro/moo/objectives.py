@@ -19,10 +19,9 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.params import GB, denormalize_matrix
-from repro.simspark.costmodel import DEFAULT_COSTS, CostParams
+from repro.params import D_C, D_P, D_S, denormalize_matrix
+from repro.simspark.costmodel import DEFAULT_COSTS, CostParams, resource_rate_h
 
-D_C, D_P, D_S = 8, 9, 2
 D_PS = D_P + D_S
 D_FULL = D_C + D_PS
 
@@ -48,11 +47,8 @@ class CompileTimeObjectives:
 
     def resource_rate(self, M_nat: np.ndarray) -> np.ndarray:
         """$ per second held (executors + driver/cluster occupancy)."""
-        cores = M_nat[:, _K1] * M_nat[:, _K3]
-        mem_gb = M_nat[:, _K2] / GB * M_nat[:, _K3]
-        return (cores * self.costs.price_core_h
-                + mem_gb * self.costs.price_mem_gb_h
-                + self.costs.price_driver_h) / 3600.0
+        return resource_rate_h(M_nat[:, _K1], M_nat[:, _K2], M_nat[:, _K3],
+                               self.costs) / 3600.0
 
     def subq_batch(self, sq_id: int, U_full: np.ndarray) -> np.ndarray:
         """(n, 2) predicted [analytical latency (s), cloud cost ($)]."""

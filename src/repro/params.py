@@ -148,26 +148,17 @@ def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict[str, floa
     return {i: KNOB_BY_ID[i].denormalize(float(u)) for i, u in zip(ids, vec)}
 
 
+def lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Latin Hypercube Sampling of ``n`` points in [0, 1]^d: one point per
+    1/n stratum in every dimension."""
+    return (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T
+            + rng.random((n, d))) / n
+
+
 def lhs_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
     """Latin Hypercube Sampling over the named knobs (paper §6: LHS [31])."""
-    rng = np.random.default_rng(seed)
-    d = len(ids)
-    u = (rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T + rng.random((n, d))) / n
-    return [from_vector(u[i], ids) for i in range(n)]
-
-
-def random_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
-    """Uniform random sampling in the normalized space."""
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, len(ids)))
-    return [from_vector(u[i], ids) for i in range(n)]
-
-
-def grid_sample(points_per_dim: int, ids: list[str]) -> list[dict[str, float]]:
-    """Grid sampling (used to initialize θc candidates; §5.1.1)."""
-    axes = [np.linspace(0.0, 1.0, points_per_dim) for _ in ids]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(ids))
-    return [from_vector(row, ids) for row in mesh]
+    u = lhs_unit(n, len(ids), np.random.default_rng(seed))
+    return [from_vector(row, ids) for row in u]
 
 
 def _bounds(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -188,22 +179,6 @@ def denormalize_matrix(U: np.ndarray, ids: list[str]) -> np.ndarray:
     logv = 10 ** (np.log10(lo_s) + U * (np.log10(hi_s) - np.log10(lo_s)))
     M = np.where(is_log, logv, lin)
     return np.where(is_int, np.round(M), M)
-
-
-def normalize_matrix(M: np.ndarray, ids: list[str]) -> np.ndarray:
-    """Vectorized natural units → [0,1]^d."""
-    M = np.asarray(M, dtype=np.float64)
-    lo, hi, is_log, is_int = _bounds(ids)
-    M = np.clip(M, lo, hi)
-    lin = (M - lo) / np.where(hi > lo, hi - lo, 1.0)
-    lo_s, hi_s = np.where(is_log, lo, 1.0), np.where(is_log, hi, 2.0)
-    logv = (np.log10(np.maximum(M, 1e-12)) - np.log10(lo_s)) / (np.log10(hi_s) - np.log10(lo_s))
-    return np.where(is_log, logv, lin)
-
-
-def confs_to_matrix(confs: list[dict], ids: list[str]) -> np.ndarray:
-    """Stack configuration dicts into a natural-unit matrix."""
-    return np.array([[c[i] for i in ids] for c in confs], dtype=np.float64)
 
 
 # Refined search ranges for optimization-time candidate generation

@@ -1,19 +1,24 @@
 """OPT's runtime optimizer — the AQE plugin of §5.2.
 
-Runs inside the (simulated) Spark driver's AQE loop. On each collapsed
-plan it may re-tune θp using *true* statistics and the runtime LQP̄ model;
-on each new query stage it may re-tune θs using the QS model. Request
-pruning (§C.2.2) keeps the call volume down:
+Runs inside the (simulated) Spark driver's AQE loop, on *true* statistics.
+Both kinds of request are scored with the QS model (the LQP̄ model is
+trained and evaluated for Table 3 only):
+
+* on each collapsed plan headed by a join, θp is re-tuned by scoring five
+  candidates on the join's stage: keep the current θp, or one of four
+  *threshold-targeted* variants with ``s4``/``s3`` placed just above or
+  below the observed build size, so the optimizer can deliberately enable
+  a BHJ/SHJ for this join (or avoid a catastrophic broadcast) the way
+  Fig. 3(b)'s runtime plan surgery does;
+* on each new query stage, θs is re-tuned over a small (s10, s11) grid.
+
+Request pruning (§C.2.2) keeps the call volume down:
 
 * LQP̄ requests are bypassed for non-join collapse points and deferred
   until every input of the join has actual statistics;
 * QS requests skip scan stages and stages whose input is below the
   advisory partition size (nothing to re-partition).
 
-θp candidates combine a sampled pool with *threshold-targeted* variants —
-``s4``/``s3`` placed just above or below the observed build size, so the
-optimizer can deliberately enable a BHJ/SHJ for this join (or avoid a
-catastrophic broadcast) the way Fig. 3(b)'s runtime plan surgery does.
 Also provides ``aggregate_theta`` — the §C.2.1 rule collapsing the
 compile-time per-subQ θp/θs into the single copy Spark accepts at submit.
 """
@@ -25,12 +30,13 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.model.features import (alpha_features, beta_features,
-                                  derived_partition_features, gamma_features)
+from repro.model.features import (beta_features, derived_partition_features,
+                                  gamma_features)
 from repro.moo.hmooc import QueryConfig
-from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, to_vector
-from repro.simspark.costmodel import (DEFAULT_COSTS, SMJ,
-                                      choose_join_algorithm)
+from repro.moo.pareto import normalize
+from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS, to_vector
+from repro.simspark.costmodel import (DEFAULT_COSTS, SMJ, choose_join_algorithm,
+                                      resource_rate_h)
 from repro.simspark.executor import join_sides
 
 
@@ -68,27 +74,17 @@ class OnlineOptimizer:
     RuntimeOptimizer protocol)."""
 
     def __init__(self, dag: SubQDag, suite: P.ModelSuite, theta_c: dict,
-                 weights, *, n_pool: int = 32, seed: int = 0,
-                 costs=DEFAULT_COSTS):
+                 weights, *, costs=DEFAULT_COSTS):
         self.dag = dag
         self.suite = suite
         self.theta_c = dict(theta_c)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.costs = costs
         self.time_spent_s = 0.0
-        # LQP̄-model context (true statistics — this is runtime)
-        self._emb_plan = P.embed_plan(dag, true_stats=True)
-        leaf = [i for i, s in dag.subqs.items() if s.kind == "scan"]
-        root = dag.roots()[0]
-        self._alpha_q = alpha_features(
-            sum(dag.input_rows(i, true=True) for i in leaf),
-            sum(dag.input_bytes(i, true=True) for i in leaf),
-            dag.output_rows(root, true=True), dag.output_bytes(root, true=True))
-        self._beta_q = beta_features(float(np.mean([dag.skew(i) for i in dag.subqs])))
-        self._gamma_q = gamma_features(1, 0.0, 0.0)
+        self._rate_s = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"],
+                                       costs) / 3600.0
         self._emb_qs = {i: P.embed_subq(dag, i, true_stats=True) for i in dag.subqs}
-        mem = theta_c["k2"] * theta_c["k8"] * costs.mem_safety
-        self._mem_exec = mem
+        self._mem_exec = theta_c["k2"] * theta_c["k8"] * costs.mem_safety
         # θs candidate grid
         s10s = np.linspace(0.1, 0.8, 4)
         s11s = np.array([1 * MB, 4 * MB, 16 * MB, 64 * MB])
@@ -96,15 +92,8 @@ class OnlineOptimizer:
                               for a in s10s for b in s11s]
 
     # -- helpers ---------------------------------------------------------------
-    def _rate(self) -> float:
-        c = self.theta_c
-        return (c["k1"] * c["k3"] * self.costs.price_core_h
-                + c["k2"] / GB * c["k3"] * self.costs.price_mem_gb_h
-                + self.costs.price_driver_h) / 3600.0
-
     def _pick_weighted(self, F: np.ndarray) -> int:
-        lo, hi = F.min(axis=0), F.max(axis=0)
-        Fn = (F - lo) / np.where(hi > lo, hi - lo, 1.0)
+        Fn, _, _ = normalize(F)
         return int((Fn * self.weights).sum(axis=1).argmin())
 
     # -- LQP̄ re-optimization ----------------------------------------------------
@@ -155,7 +144,7 @@ class OnlineOptimizer:
             X = P.qs_feature_rows(self._emb_qs[sq_id], a, alpha, beta, gamma,
                                   U_cs[mask], derived[mask])
             lat, io_mb = self.suite.qs.predict(X)
-            cost = (np.maximum(lat, 1e-4) * self._rate()
+            cost = (np.maximum(lat, 1e-4) * self._rate_s
                     + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb)
             F[mask] = np.stack([lat, cost], axis=1)
         best = self._pick_weighted(F)
@@ -196,7 +185,7 @@ class OnlineOptimizer:
         X = P.qs_feature_rows(self._emb_qs[sq_id], alg, alpha, beta, gamma,
                               U_cs, derived)
         lat, io_mb = self.suite.qs.predict(X)
-        cost = np.maximum(lat, 1e-4) * self._rate() + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb
+        cost = np.maximum(lat, 1e-4) * self._rate_s + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb
         F = np.stack([lat, cost], axis=1)
         best = self._pick_weighted(F)
         # keep the submitted θs unless the model predicts a clear win

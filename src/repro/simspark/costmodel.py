@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.params import MB
+from repro.params import GB, MB
 
 SMJ, SHJ, BHJ = "SMJ", "SHJ", "BHJ"
 
@@ -63,6 +63,13 @@ class CostParams:
 
 
 DEFAULT_COSTS = CostParams()
+
+
+def resource_rate_h(k1, k2, k3, costs: CostParams = DEFAULT_COSTS):
+    """$ per hour the cluster is held: executor cores and memory (θc's
+    k1·k3 cores, k2·k3 bytes) plus the driver. Scalars or arrays."""
+    return (k1 * k3 * costs.price_core_h + k2 / GB * k3 * costs.price_mem_gb_h
+            + costs.price_driver_h)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from repro.core.plan import SubQDag
 from repro.params import GB
 from repro.simspark.costmodel import (
     BHJ, DEFAULT_COSTS, SMJ, CostParams, StageMetrics,
-    choose_join_algorithm, stage_cost,
+    choose_join_algorithm, resource_rate_h, stage_cost,
 )
 
 
@@ -246,9 +246,6 @@ def run_query(
     run.latency_s = latency * q_noise
     run.analytical_latency_s = total_task_sec / total_cores
     run.io_gb = total_io / GB
-    mem_gb = theta_c["k2"] / GB
-    rate = (theta_c["k1"] * theta_c["k3"] * costs.price_core_h
-            + mem_gb * theta_c["k3"] * costs.price_mem_gb_h
-            + costs.price_driver_h)
+    rate = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"], costs)
     run.cost_usd = run.latency_s / 3600.0 * rate + run.io_gb * costs.price_io_gb
     return run

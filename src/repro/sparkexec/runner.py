@@ -109,7 +109,3 @@ def count_exchanges(plan: str) -> int:
     return (p.count("Exchange hashpartitioning")
             + p.count("Exchange rangepartitioning")
             + p.count("Exchange SinglePartition"))
-
-
-def shuffle_partition_count(spark: SparkSession) -> int:
-    return int(spark.conf.get("spark.sql.shuffle.partitions"))

@@ -11,8 +11,12 @@ Methods compared in the paper's end-to-end evaluation (Tables 4 & 5):
   per-subQ θp/θs collapsed to one submission copy via §C.2.1;
 * ``run_hmooc3_plus``— HMOOC3 + the runtime optimizer plugin (HMOOC3+).
 
-Every method executes on the same simulated cluster with the same noise
-seed, so latency/cost deltas are paired.
+HMOOC3's Pareto set does not depend on the preference, so it is compiled
+once (``compile_hmooc3``) and the resulting ``MOOResult`` is run under
+each preference by ``run_hmooc3``/``run_hmooc3_plus``; HMOOC3+ is a plugin
+on top of the same recommendation, so its extra solving time is exactly
+the runtime optimizer's. Every method executes on the same simulated
+cluster with the same noise seed, so latency/cost deltas are paired.
 """
 from __future__ import annotations
 
@@ -52,6 +56,19 @@ def submit_conf(qc: QueryConfig, dag: SubQDag) -> dict:
     return merge_conf(qc.theta_c, theta_p, theta_s)
 
 
+def _execute(method: str, dag: SubQDag, res: MOOResult, weights, *, noise_seed: int,
+             plugin_suite: ModelSuite | None = None) -> TunedOutcome:
+    """Recommend from ``res`` for ``weights``, submit, and run under AQE —
+    with the runtime optimizer plugged in when ``plugin_suite`` is given."""
+    _, qc = res.recommend(weights)
+    conf = submit_conf(qc, dag)
+    rt = (None if plugin_suite is None
+          else OnlineOptimizer(dag, plugin_suite, qc.theta_c, weights))
+    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed, runtime_opt=rt)
+    solving_time_s = res.solving_time_s + (0.0 if rt is None else rt.time_spent_s)
+    return TunedOutcome(method, solving_time_s, conf, run)
+
+
 def run_default(dag: SubQDag, *, noise_seed: int = 0) -> TunedOutcome:
     conf = default_conf()
     run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
@@ -64,20 +81,17 @@ def run_mo_ws(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
     obj = objectives or CompileTimeObjectives(dag, suite)
     res = weighted_sum(obj, n_samples=n_samples, n_weights=n_weights,
                        fine=False, seed=seed)
-    _, qc = res.recommend(weights)
-    conf = submit_conf(qc, dag)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("mo-ws", res.solving_time_s, conf, run)
+    return _execute("mo-ws", dag, res, weights, noise_seed=noise_seed)
 
 
 def run_so_fw(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
               n_samples: int = 4096, seed: int = 0,
               objectives: CompileTimeObjectives | None = None) -> TunedOutcome:
     obj = objectives or CompileTimeObjectives(dag, suite)
-    qc, _, solve_t = so_fixed_weights(obj, weights, n_samples=n_samples, seed=seed)
-    conf = submit_conf(qc, dag)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("so-fw", solve_t, conf, run)
+    qc, F, solve_t = so_fixed_weights(obj, weights, n_samples=n_samples, seed=seed)
+    # the single optimum as a one-point Pareto set: WUN returns it
+    res = MOOResult(F=F[None, :], configs=[qc], solving_time_s=solve_t, method="so-fw")
+    return _execute("so-fw", dag, res, weights, noise_seed=noise_seed)
 
 
 def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *, seed: int = 0,
@@ -88,23 +102,14 @@ def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *, seed: int = 0,
     return res, obj
 
 
-def run_hmooc3(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
-               seed: int = 0, objectives: CompileTimeObjectives | None = None,
-               **hmooc_kw) -> TunedOutcome:
-    res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=objectives, **hmooc_kw)
-    _, qc = res.recommend(weights)
-    conf = submit_conf(qc, dag)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed)
-    return TunedOutcome("hmooc3", res.solving_time_s, conf, run)
+def run_hmooc3(dag: SubQDag, res: MOOResult, weights, *,
+               noise_seed: int = 0) -> TunedOutcome:
+    """Run the compiled HMOOC3 result's recommendation for ``weights``."""
+    return _execute("hmooc3", dag, res, weights, noise_seed=noise_seed)
 
 
-def run_hmooc3_plus(dag: SubQDag, suite: ModelSuite, weights, *,
-                    noise_seed: int = 0, seed: int = 0,
-                    objectives: CompileTimeObjectives | None = None,
-                    **hmooc_kw) -> TunedOutcome:
-    res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=objectives, **hmooc_kw)
-    _, qc = res.recommend(weights)
-    conf = submit_conf(qc, dag)
-    rt = OnlineOptimizer(dag, suite, qc.theta_c, weights, seed=seed)
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed, runtime_opt=rt)
-    return TunedOutcome("hmooc3+", res.solving_time_s + rt.time_spent_s, conf, run)
+def run_hmooc3_plus(dag: SubQDag, suite: ModelSuite, res: MOOResult, weights, *,
+                    noise_seed: int = 0) -> TunedOutcome:
+    """``run_hmooc3`` with the runtime optimizer plugged into AQE."""
+    return _execute("hmooc3+", dag, res, weights, noise_seed=noise_seed,
+                    plugin_suite=suite)

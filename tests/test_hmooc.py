@@ -9,6 +9,7 @@ from repro.core.workloads import build_query
 from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
+from repro.params import lhs_unit
 
 
 def _sols(rng, n, m):
@@ -128,7 +129,7 @@ def test_crossover_enrich_preserves_domain():
 
 def test_lhs_unit_stratified():
     rng = np.random.default_rng(3)
-    U = H._lhs_unit(16, 4, rng)
+    U = lhs_unit(16, 4, rng)
     assert U.shape == (16, 4)
     assert np.all((U >= 0) & (U <= 1))
     for j in range(4):

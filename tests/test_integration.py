@@ -24,7 +24,8 @@ def test_trained_models_usable(small_suite, tiny_traces):
 def test_hmooc3_beats_default(small_suite, q):
     dag = partition_subqs(build_query("tpch", q, sf=100.0))
     d = tuner.run_default(dag, noise_seed=42)
-    h = tuner.run_hmooc3(dag, small_suite, W, noise_seed=42, seed=0)
+    res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    h = tuner.run_hmooc3(dag, res, W, noise_seed=42)
     assert h.latency_s < d.latency_s
 
 
@@ -34,15 +35,17 @@ def test_hmooc3_plus_close_to_or_better_than_hmooc3(small_suite):
     ratios = []
     for qi, q in enumerate(["q3", "q9", "q14", "q18"]):
         dag = partition_subqs(build_query("tpch", q, sf=100.0))
-        h3 = tuner.run_hmooc3(dag, small_suite, W, noise_seed=qi, seed=0)
-        h3p = tuner.run_hmooc3_plus(dag, small_suite, W, noise_seed=qi, seed=0)
+        res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+        h3 = tuner.run_hmooc3(dag, res, W, noise_seed=qi)
+        h3p = tuner.run_hmooc3_plus(dag, small_suite, res, W, noise_seed=qi)
         ratios.append(h3p.latency_s / h3.latency_s)
     assert np.mean(ratios) < 1.15
 
 
 def test_hmooc3_faster_solving_than_mo_ws(small_suite):
     dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
-    h = tuner.run_hmooc3(dag, small_suite, W, noise_seed=0, seed=0)
+    res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    h = tuner.run_hmooc3(dag, res, W, noise_seed=0)
     m = tuner.run_mo_ws(dag, small_suite, W, noise_seed=0, seed=0)
     assert h.solving_time_s < m.solving_time_s
 

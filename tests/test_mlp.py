@@ -73,3 +73,40 @@ def test_constant_feature_no_nan(toy):
     m = MLPRegressor(6, seed=0)
     m.fit(X, y, epochs=3)
     assert np.all(np.isfinite(m.predict(X[:5])))
+
+
+def test_fit_step_follows_finite_difference_gradient():
+    """One full-batch Adam step (no weight decay) moves every parameter by
+    about lr against the sign of the log-target MSE gradient, computed here
+    by central differences through ``_forward``."""
+    rng = np.random.default_rng(4)
+    X = rng.random((40, 3))
+    y = 5.0 * X[:, 0] + X[:, 1] * X[:, 2]
+    m = MLPRegressor(3, hidden=(5, 4), seed=2)
+    Xn = (X - X.mean(axis=0)) / X.std(axis=0)
+    t = np.log1p(y)
+
+    def loss():
+        return float(((m._forward(Xn)[0] - t) ** 2).mean())
+
+    params = m.W + m.b
+    before = [p.copy() for p in params]
+    grads = []
+    h = 1e-6
+    for p in params:
+        g = np.zeros_like(p)
+        for i in np.ndindex(p.shape):
+            p[i] += h
+            up = loss()
+            p[i] -= 2 * h
+            g[i] = (up - loss()) / (2 * h)
+            p[i] += h
+        grads.append(g)
+    lr = 1e-3
+    m.fit(X, y, epochs=1, batch=len(X), lr=lr, weight_decay=0.0)
+    for p, p0, g in zip(m.W + m.b, before, grads):
+        moved = p - p0
+        live = np.abs(g) > 1e-6
+        assert live.any()
+        np.testing.assert_array_equal(np.sign(moved[live]), -np.sign(g[live]))
+        np.testing.assert_allclose(np.abs(moved[live]), lr, rtol=2e-2)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
-from repro.moo.hmooc import _lhs_unit
 from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
+from repro.params import lhs_unit
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def test_dims():
 
 def test_subq_batch_shape(obj):
     rng = np.random.default_rng(0)
-    U = _lhs_unit(16, D_FULL, rng)
+    U = lhs_unit(16, D_FULL, rng)
     F = obj.subq_batch(obj.sq_ids[0], U)
     assert F.shape == (16, 2)
     assert np.all(F > 0)
@@ -28,7 +28,7 @@ def test_subq_batch_shape(obj):
 
 def test_query_shared_is_sum_of_subqs(obj):
     rng = np.random.default_rng(1)
-    U = _lhs_unit(4, D_FULL, rng)
+    U = lhs_unit(4, D_FULL, rng)
     total = sum(obj.subq_batch(sq, U) for sq in obj.sq_ids)
     np.testing.assert_allclose(obj.query_shared_batch(U), total)
 
@@ -37,7 +37,7 @@ def test_query_fine_equals_shared_when_replicated(obj):
     """A fine-grained vector replicating one (θp, θs) for every subQ must
     produce the same objectives as the shared evaluation."""
     rng = np.random.default_rng(2)
-    U = _lhs_unit(3, D_FULL, rng)
+    U = lhs_unit(3, D_FULL, rng)
     U_big = np.concatenate([U[:, :D_C]] + [U[:, D_C:]] * obj.m, axis=1)
     np.testing.assert_allclose(obj.query_fine_batch(U_big),
                                obj.query_shared_batch(U))

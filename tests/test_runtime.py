@@ -65,7 +65,7 @@ def test_aggregate_covers_all_knobs(dag):
 @pytest.fixture(scope="module")
 def opt(dag, fake_suite):
     theta_c, _, _ = split_conf(default_conf())
-    return OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1), seed=0)
+    return OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
 
 
 def test_pruning_non_join_collapse(dag, opt):
@@ -118,7 +118,7 @@ def test_end_to_end_pruning_rate(dag, fake_suite):
     """The pruning rules must drop a large share of opportunities
     (paper: 86% TPC-H / 92% TPC-DS)."""
     theta_c, _, _ = split_conf(default_conf())
-    opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1), seed=0)
+    opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
     r = run_query(dag, default_conf(), runtime_opt=opt, noisy=False)
     opps = r.lqp_request_opportunities + r.qs_request_opportunities
     reqs = r.lqp_requests + r.qs_requests
@@ -131,7 +131,7 @@ def test_threshold_targeted_candidates(dag, fake_suite):
     (s4 above the observed build size) when the build fits memory."""
     theta_c, theta_p, _ = split_conf(default_conf())
     theta_c = dict(theta_c, k2=32 * GB, k8=0.9)
-    opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1), seed=0)
+    opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
     join_sq = next(i for i, s in dag.subqs.items() if s.boundary_type == "join")
     known = {d: {"rows": 1, "bytes": 1} for d in dag.subqs[join_sq].deps}
     out = opt.on_collapsed_lqp(dag, join_sq, known, theta_p)

@@ -59,11 +59,3 @@ def test_determinism(spark):
     assert a.equals(b)
     c = sd.lineitem(spark, sf=0.001, seed=6).toPandas()
     assert not a.equals(c)
-
-
-def test_zipf_more_skewed_than_uniform(spark):
-    z = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-    u = sd.uniform_keys(spark, n=5000, n_keys=100).toPandas()
-    z_top = z["k"].value_counts().iloc[0]
-    u_top = u["k"].value_counts().iloc[0]
-    assert z_top > 3 * u_top
