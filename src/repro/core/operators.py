@@ -122,13 +122,6 @@ class LogicalPlan:
             visit(i)
         return order
 
-    def parents(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {i: [] for i in self.ops}
-        for i, op in self.ops.items():
-            for ch in op.children:
-                out[ch].append(i)
-        return out
-
     def n_joins(self) -> int:
         return sum(1 for op in self.ops.values() if op.op_type == "join")
 

@@ -1,16 +1,25 @@
-"""Model suite: subQ / QS / LQP̄ predictors and their feature layouts.
+"""Model suite: subQ / QS / LQP̄ predictors and the one owner of their inputs.
 
-Feature layouts (shared by the trace generator and the MOO solvers — keep
-in sync or the models silently mispredict):
+This module is the only place that lays out model inputs. Trace
+generation, the compile-time objectives and the runtime plugin all build
+their rows here, so the models score exactly the rows they were trained
+on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
 
-* **subQ** (compile time): GTN embedding of the subQ's operators over
-  *estimated* stats ‖ full 19-knob vector ‖ α_cbo ‖ β=0 ‖ γ=0;
+* **subQ** (compile time): embedding of the subQ's operators over
+  *estimated* stats ‖ full 19-knob vector ‖ α_cbo ‖ β=0 ‖ γ=0 ‖ derived
+  partitioning;
 * **QS** (runtime): embedding over *true* stats ‖ join-algorithm one-hot ‖
-  (θc, θs) vector (θp dropped — already determined) ‖ α true ‖ β ‖ γ;
+  (θc, θs) vector (θp dropped — already determined) ‖ α true ‖ β ‖ γ ‖
+  derived partitioning;
 * **LQP̄** (runtime, collapsed plan): whole-plan embedding over true stats ‖
   19-knob vector ‖ α totals ‖ β mean ‖ γ. This model is trained and
   evaluated for Table 3 only: the runtime optimizer scores its θp
   candidates with the QS model on the join's stage, not with LQP̄.
+
+:class:`StageFeatures` holds what is fixed for one stage under one
+statistics view; its ``subq_rows``/``qs_rows`` append a batch of knob
+rows. ``lqp_rows`` builds the whole-plan rows, and
+``TargetModels.objectives`` turns predictions into (latency, cost).
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
 """
@@ -30,6 +39,7 @@ from repro.model.features import (
 from repro.model.gtn import EMB_DIM, GTNEmbedder
 from repro.model.mlp import MLPRegressor
 from repro.params import C_IDS, P_IDS, S_IDS, to_vector
+from repro.simspark.costmodel import DEFAULT_COSTS
 
 FULL_IDS = C_IDS + P_IDS + S_IDS
 QS_IDS = C_IDS + S_IDS  # θp dropped at QS time
@@ -40,6 +50,9 @@ SUBQ_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM + DERIVED_
 QS_DIM = (EMB_DIM + len(JOIN_ALGS) + CONF_DIM_QS + ALPHA_DIM + BETA_DIM
           + GAMMA_DIM + DERIVED_DIM)
 LQP_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM
+
+# γ of a runtime request: the plugin observes no sibling-stage contention.
+IDLE_GAMMA = gamma_features(1, 0.0, 0.0)
 
 _GTN: GTNEmbedder | None = None
 
@@ -54,70 +67,95 @@ def shared_gtn() -> GTNEmbedder:
     return _GTN
 
 
-def embed_ops(dag: SubQDag, op_ids: list[int], *, true_stats: bool) -> np.ndarray:
+def _embed(dag: SubQDag, op_ids: list[int], true_stats: bool) -> np.ndarray:
     X = op_feature_matrix(dag, op_ids, true_stats=true_stats)
     return shared_gtn().embed(X, local_edges(dag, op_ids))
 
 
-def embed_subq(dag: SubQDag, sq_id: int, *, true_stats: bool) -> np.ndarray:
-    return embed_ops(dag, dag.subqs[sq_id].op_ids, true_stats=true_stats)
+def encode_confs(confs: list[dict], ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Configuration dicts → (normalized knob rows over ``ids``,
+    natural-unit 19-knob rows in ``FULL_IDS`` order)."""
+    return (np.array([to_vector(c, ids) for c in confs]),
+            np.array([[c[i] for i in FULL_IDS] for c in confs]))
 
 
-def embed_plan(dag: SubQDag, *, true_stats: bool) -> np.ndarray:
-    return embed_ops(dag, dag.plan.topological(), true_stats=true_stats)
+def observed_gamma(stage_run) -> np.ndarray:
+    """γ a simulated stage run observed: its parallel stages, their tasks
+    and their work."""
+    return gamma_features(stage_run.n_parallel, stage_run.parallel_tasks,
+                          stage_run.parallel_work_s)
 
 
-# -- feature row assembly -----------------------------------------------------
-# All builders are batched: fixed per-stage context ‖ per-row knob vectors.
+@dataclass(frozen=True)
+class StageFeatures:
+    """The model inputs fixed for one stage under one statistics view:
+    CBO estimates at compile time, actual statistics at runtime."""
 
-def subq_feature_rows(emb: np.ndarray, alpha: np.ndarray, conf_mat: np.ndarray,
-                      derived: np.ndarray) -> np.ndarray:
-    """subQ features: compile-time context (β=γ=0) + normalized 19-knob rows."""
-    n = conf_mat.shape[0]
-    ctx = np.concatenate([alpha, np.zeros(BETA_DIM + GAMMA_DIM)])
-    return np.concatenate(
-        [np.tile(emb, (n, 1)), conf_mat, np.tile(ctx, (n, 1)), derived], axis=1)
+    emb: np.ndarray      # GTN embedding of the stage's operators
+    alpha: np.ndarray    # input/output rows and bytes
+    beta: np.ndarray     # partition-size distribution implied by the skew
+    kind: str            # 'scan' | 'shuffle'
+    input_bytes: float
+    skew: float
+
+    @classmethod
+    def of(cls, dag: SubQDag, sq_id: int, *, true_stats: bool) -> "StageFeatures":
+        sq = dag.subqs[sq_id]
+        in_bytes = dag.input_bytes(sq_id, true=true_stats)
+        skew = dag.skew(sq_id)
+        return cls(
+            emb=_embed(dag, sq.op_ids, true_stats),
+            alpha=alpha_features(dag.input_rows(sq_id, true=true_stats), in_bytes,
+                                 dag.output_rows(sq_id, true=true_stats),
+                                 dag.output_bytes(sq_id, true=true_stats)),
+            beta=beta_features(skew), kind=sq.kind, input_bytes=in_bytes, skew=skew)
+
+    def _derived(self, M_nat: np.ndarray, input_bytes: float) -> np.ndarray:
+        return derived_partition_features(self.kind, input_bytes, M_nat, FULL_IDS,
+                                          self.skew)
+
+    def subq_rows(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
+        """subQ model rows for normalized 19-knob rows ``U_full`` and the
+        same configurations in natural units ``M_nat`` (β = γ = 0)."""
+        n = len(U_full)
+        ctx = np.concatenate([self.alpha, np.zeros(BETA_DIM + GAMMA_DIM)])
+        return np.concatenate(
+            [np.tile(self.emb, (n, 1)), U_full, np.tile(ctx, (n, 1)),
+             self._derived(M_nat, self.input_bytes)], axis=1)
+
+    def qs_rows(self, join_algs: list[str], U_qs: np.ndarray, M_nat: np.ndarray,
+                gamma: np.ndarray, *, input_bytes: float | None = None) -> np.ndarray:
+        """QS model rows: one join algorithm, (θc, θs) row and natural-unit
+        19-knob row per candidate. ``input_bytes`` replaces the stage's
+        statistics with the bytes a runtime request observed."""
+        n = len(U_qs)
+        hot = {a: join_alg_onehot(a) for a in set(join_algs)}
+        tail = np.concatenate([self.alpha, self.beta, gamma])
+        in_bytes = self.input_bytes if input_bytes is None else input_bytes
+        return np.concatenate(
+            [np.tile(self.emb, (n, 1)), np.array([hot[a] for a in join_algs]), U_qs,
+             np.tile(tail, (n, 1)), self._derived(M_nat, in_bytes)], axis=1)
 
 
-def qs_feature_rows(emb: np.ndarray, alg: str, alpha: np.ndarray, beta: np.ndarray,
-                    gamma: np.ndarray, conf_mat_cs: np.ndarray,
-                    derived: np.ndarray) -> np.ndarray:
-    n = conf_mat_cs.shape[0]
-    head = np.concatenate([emb, join_alg_onehot(alg)])
+def lqp_rows(dag: SubQDag, U_full: np.ndarray, stage_runs) -> np.ndarray:
+    """LQP̄ model rows for the collapsed plan after one execution: α over
+    the scans' input and the root's output, β the mean skew, γ the peak
+    parallelism and the total tasks and task seconds of ``stage_runs``."""
+    stage_runs = list(stage_runs)
+    scans = [i for i, s in dag.subqs.items() if s.kind == "scan"]
+    root = dag.roots()[0]
+    alpha = alpha_features(sum(dag.input_rows(i, true=True) for i in scans),
+                           sum(dag.input_bytes(i, true=True) for i in scans),
+                           dag.output_rows(root, true=True),
+                           dag.output_bytes(root, true=True))
+    beta = beta_features(float(np.mean([dag.skew(i) for i in dag.subqs])))
+    gamma = gamma_features(max(s.n_parallel for s in stage_runs),
+                           sum(s.metrics.n_tasks for s in stage_runs),
+                           sum(s.metrics.task_sec_total for s in stage_runs))
+    n = len(U_full)
     tail = np.concatenate([alpha, beta, gamma])
-    return np.concatenate(
-        [np.tile(head, (n, 1)), conf_mat_cs, np.tile(tail, (n, 1)), derived], axis=1)
-
-
-def lqp_feature_rows(emb: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                     gamma: np.ndarray, conf_mat: np.ndarray) -> np.ndarray:
-    n = conf_mat.shape[0]
-    tail = np.concatenate([alpha, beta, gamma])
-    return np.concatenate([np.tile(emb, (n, 1)), conf_mat, np.tile(tail, (n, 1))], axis=1)
-
-
-def conf_to_vec_full(conf: dict) -> np.ndarray:
-    return to_vector(conf, FULL_IDS)
-
-
-def conf_to_vec_qs(conf: dict) -> np.ndarray:
-    return to_vector(conf, QS_IDS)
-
-
-def stage_alpha(dag: SubQDag, sq_id: int, *, true: bool) -> np.ndarray:
-    """α for one subQ/QS: input and output rows/bytes at the chosen view."""
-    return alpha_features(
-        dag.input_rows(sq_id, true=true), dag.input_bytes(sq_id, true=true),
-        dag.output_rows(sq_id, true=true), dag.output_bytes(sq_id, true=true))
-
-
-def stage_derived(dag: SubQDag, sq_id: int, M_nat_full: np.ndarray, *, true: bool) -> np.ndarray:
-    """Partitioning hints for one stage across a batch of natural-unit
-    19-knob configuration rows."""
-    sq = dag.subqs[sq_id]
-    return derived_partition_features(
-        sq.kind, dag.input_bytes(sq_id, true=true), M_nat_full, FULL_IDS,
-        dag.skew(sq_id))
+    emb = _embed(dag, dag.plan.topological(), True)
+    return np.concatenate([np.tile(emb, (n, 1)), U_full, np.tile(tail, (n, 1))], axis=1)
 
 
 # -- trained model bundles ----------------------------------------------------
@@ -131,6 +169,16 @@ class TargetModels:
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.latency.predict(X), self.io.predict(X)
+
+    def objectives(self, X: np.ndarray, rate_s, *, clamp_latency: bool) -> np.ndarray:
+        """(n, 2) predicted [latency (s), cloud cost ($)] at ``rate_s`` $ per
+        second held. Cost always uses the latency clamped at 1e-4 s; F
+        holds the clamped latency only if ``clamp_latency`` (compile time
+        clamps, the runtime plugin keeps the raw prediction)."""
+        lat, io_mb = self.predict(X)
+        held = np.maximum(lat, 1e-4)
+        cost = held * rate_s + np.maximum(io_mb, 0.0) / 1024.0 * DEFAULT_COSTS.price_io_gb
+        return np.stack([held if clamp_latency else lat, cost], axis=1)
 
 
 @dataclass

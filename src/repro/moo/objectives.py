@@ -8,7 +8,8 @@ modeling constraint of compile time). Cloud cost decomposes per subQ as
     cost_i = ana_latency_i * resource_rate(θc) + io_i * io_price
 
 so query-level objectives are sums of subQ-level ones — the property the
-whole HMOOC DAG-aggregation machinery relies on (Λ = sum).
+whole HMOOC DAG-aggregation machinery relies on (Λ = sum). Feature rows
+and the cost formula come from ``repro.model.predictor``.
 
 Everything is vectorized over normalized knob matrices ``U`` whose columns
 follow ``FULL_IDS`` (θc ‖ θp ‖ θs).
@@ -20,7 +21,7 @@ import numpy as np
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
 from repro.params import D_C, D_P, D_S, denormalize_matrix
-from repro.simspark.costmodel import DEFAULT_COSTS, CostParams, resource_rate_h
+from repro.simspark.costmodel import resource_rate_h
 
 D_PS = D_P + D_S
 D_FULL = D_C + D_PS
@@ -32,14 +33,12 @@ _K1, _K2, _K3 = 0, 1, 2
 class CompileTimeObjectives:
     """Batched (latency, cost) predictions for one query's subQ DAG."""
 
-    def __init__(self, dag: SubQDag, suite: P.ModelSuite,
-                 costs: CostParams = DEFAULT_COSTS):
+    def __init__(self, dag: SubQDag, suite: P.ModelSuite):
         self.dag = dag
         self.suite = suite
-        self.costs = costs
         self.sq_ids = sorted(dag.subqs)
-        self._emb = {i: P.embed_subq(dag, i, true_stats=False) for i in self.sq_ids}
-        self._alpha = {i: P.stage_alpha(dag, i, true=False) for i in self.sq_ids}
+        self._stages = {i: P.StageFeatures.of(dag, i, true_stats=False)
+                        for i in self.sq_ids}
 
     @property
     def m(self) -> int:
@@ -47,20 +46,15 @@ class CompileTimeObjectives:
 
     def resource_rate(self, M_nat: np.ndarray) -> np.ndarray:
         """$ per second held (executors + driver/cluster occupancy)."""
-        return resource_rate_h(M_nat[:, _K1], M_nat[:, _K2], M_nat[:, _K3],
-                               self.costs) / 3600.0
+        return resource_rate_h(M_nat[:, _K1], M_nat[:, _K2], M_nat[:, _K3]) / 3600.0
 
     def subq_batch(self, sq_id: int, U_full: np.ndarray) -> np.ndarray:
         """(n, 2) predicted [analytical latency (s), cloud cost ($)]."""
         U_full = np.atleast_2d(U_full)
         M_nat = denormalize_matrix(U_full, P.FULL_IDS)
-        derived = P.stage_derived(self.dag, sq_id, M_nat, true=False)
-        X = P.subq_feature_rows(self._emb[sq_id], self._alpha[sq_id], U_full, derived)
-        lat, io_mb = self.suite.subq.predict(X)
-        lat = np.maximum(lat, 1e-4)
-        io_gb = np.maximum(io_mb, 0.0) / 1024.0
-        cost = lat * self.resource_rate(M_nat) + io_gb * self.costs.price_io_gb
-        return np.stack([lat, cost], axis=1)
+        X = self._stages[sq_id].subq_rows(U_full, M_nat)
+        return self.suite.subq.objectives(X, self.resource_rate(M_nat),
+                                          clamp_latency=True)
 
     def query_shared_batch(self, U_full: np.ndarray) -> np.ndarray:
         """Query-level objectives when one (θc, θp, θs) is shared by all

@@ -204,11 +204,6 @@ def refine_unit(U: np.ndarray, ids: list[str]) -> np.ndarray:
     return lo + U * (hi - lo)
 
 
-def total_cores(theta_c: dict[str, float]) -> float:
-    """k1 * k3 — the resource total that θp's shuffle partitioning correlates with."""
-    return theta_c["k1"] * theta_c["k3"]
-
-
 def spark_conf_items(conf: dict[str, float]) -> dict[str, str]:
     """Render knob values as ``spark.conf`` strings (integers for byte/count knobs)."""
     out: dict[str, str] = {}

@@ -12,6 +12,12 @@ trained and evaluated for Table 3 only):
   Fig. 3(b)'s runtime plan surgery does;
 * on each new query stage, θs is re-tuned over a small (s10, s11) grid.
 
+Both hooks share one scoring path: candidate configurations → QS rows
+from each stage's :class:`~repro.model.predictor.StageFeatures` (built once
+per stage at construction; γ is the idle ``IDLE_GAMMA``) → predicted
+(latency, cost) → the WUN-weighted pick, which replaces the current θ
+only if it beats it by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``).
+
 Request pruning (§C.2.2) keeps the call volume down:
 
 * LQP̄ requests are bypassed for non-join collapse points and deferred
@@ -30,11 +36,9 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.model.features import (beta_features, derived_partition_features,
-                                  gamma_features)
 from repro.moo.hmooc import QueryConfig
 from repro.moo.pareto import normalize
-from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS, to_vector
+from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS
 from repro.simspark.costmodel import (DEFAULT_COSTS, SMJ, choose_join_algorithm,
                                       resource_rate_h)
 from repro.simspark.executor import join_sides
@@ -69,22 +73,27 @@ def aggregate_theta(qc: QueryConfig, dag: SubQDag) -> tuple[dict, dict]:
     return theta_p, theta_s
 
 
+# Deviate from the submitted θp / θs only when the weighted score of the
+# model's pick beats keeping them by this factor.
+THETA_P_MARGIN = 0.98
+THETA_S_MARGIN = 0.97
+
+
 class OnlineOptimizer:
     """Model-driven runtime re-tuning of θp / θs (implements the executor's
     RuntimeOptimizer protocol)."""
 
-    def __init__(self, dag: SubQDag, suite: P.ModelSuite, theta_c: dict,
-                 weights, *, costs=DEFAULT_COSTS):
+    def __init__(self, dag: SubQDag, suite: P.ModelSuite, theta_c: dict, weights):
         self.dag = dag
         self.suite = suite
         self.theta_c = dict(theta_c)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.costs = costs
         self.time_spent_s = 0.0
-        self._rate_s = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"],
-                                       costs) / 3600.0
-        self._emb_qs = {i: P.embed_subq(dag, i, true_stats=True) for i in dag.subqs}
-        self._mem_exec = theta_c["k2"] * theta_c["k8"] * costs.mem_safety
+        self._rate_s = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"]) / 3600.0
+        # scan stages are never scored: both hooks prune them
+        self._stages = {i: P.StageFeatures.of(dag, i, true_stats=True)
+                        for i, s in dag.subqs.items() if s.kind != "scan"}
+        self._mem_exec = theta_c["k2"] * theta_c["k8"] * DEFAULT_COSTS.mem_safety
         # θs candidate grid
         s10s = np.linspace(0.1, 0.8, 4)
         s11s = np.array([1 * MB, 4 * MB, 16 * MB, 64 * MB])
@@ -95,6 +104,25 @@ class OnlineOptimizer:
     def _pick_weighted(self, F: np.ndarray) -> int:
         Fn, _, _ = normalize(F)
         return int((Fn * self.weights).sum(axis=1).argmin())
+
+    def _choose(self, sq_id: int, confs: list[dict], algs: list[str], margin: float,
+                *, input_bytes: float | None = None) -> int:
+        """Index of the candidate to run: the QS model scores every
+        configuration (one prediction per distinct join algorithm), the
+        weighted pick wins only if it beats candidate 0, the current one,
+        by ``margin``."""
+        U_qs, M_nat = P.encode_confs(confs, P.QS_IDS)
+        X = self._stages[sq_id].qs_rows(algs, U_qs, M_nat, P.IDLE_GAMMA,
+                                        input_bytes=input_bytes)
+        F = np.zeros((len(confs), 2))
+        for a in sorted(set(algs)):
+            mask = np.array([x == a for x in algs])
+            F[mask] = self.suite.qs.objectives(X[mask], self._rate_s, clamp_latency=False)
+        best = self._pick_weighted(F)
+        score = (F * self.weights).sum(axis=1)
+        if best != 0 and score[best] > margin * score[0]:
+            best = 0
+        return best
 
     # -- LQP̄ re-optimization ----------------------------------------------------
     def on_collapsed_lqp(self, dag: SubQDag, sq_id: int, known: dict[int, dict],
@@ -124,34 +152,10 @@ class OnlineOptimizer:
         # stage: the join-algorithm one-hot each candidate's thresholds
         # induce (under AQE's demote-only rule) is a sharp, stage-local
         # signal — the whole-plan LQP̄ model barely resolves one join.
-        alpha = P.stage_alpha(dag, sq_id, true=True)
-        beta = beta_features(dag.skew(sq_id))
-        gamma = gamma_features(1, 0.0, 0.0)
-        in_b = dag.input_bytes(sq_id, true=True)
-        rows_cs, nat_full, algs = [], [], []
-        for c in cands:
-            conf = {**self.theta_c, **c, "s10": 0.2, "s11": 1 * MB}
-            algs.append(choose_join_algorithm(
-                bb, pb, conf, rows_build=br, runtime=True, compile_alg=SMJ))
-            rows_cs.append(to_vector(conf, P.QS_IDS))
-            nat_full.append([conf[i] for i in P.FULL_IDS])
-        U_cs = np.array(rows_cs)
-        derived = derived_partition_features("shuffle", in_b, np.array(nat_full),
-                                             P.FULL_IDS, dag.skew(sq_id))
-        F = np.zeros((len(cands), 2))
-        for a in sorted(set(algs)):
-            mask = np.array([x == a for x in algs])
-            X = P.qs_feature_rows(self._emb_qs[sq_id], a, alpha, beta, gamma,
-                                  U_cs[mask], derived[mask])
-            lat, io_mb = self.suite.qs.predict(X)
-            cost = (np.maximum(lat, 1e-4) * self._rate_s
-                    + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb)
-            F[mask] = np.stack([lat, cost], axis=1)
-        best = self._pick_weighted(F)
-        # only deviate from the submitted θp on a clear predicted win
-        score = (F * self.weights).sum(axis=1)
-        if best != 0 and score[best] > 0.98 * score[0]:
-            best = 0
+        confs = [{**self.theta_c, **c, "s10": 0.2, "s11": 1 * MB} for c in cands]
+        algs = [choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
+                                      compile_alg=SMJ) for conf in confs]
+        best = self._choose(sq_id, confs, algs, THETA_P_MARGIN)
         self.time_spent_s += time.perf_counter() - t0
         return cands[best]
 
@@ -169,28 +173,8 @@ class OnlineOptimizer:
             bb, pb, br = join_sides(dag, sq_id, true=True)
             alg = choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
                                         compile_alg=None)
-        alpha = P.stage_alpha(dag, sq_id, true=True)
-        beta = beta_features(dag.skew(sq_id))
-        gamma = gamma_features(1, 0.0, 0.0)
         grid = [{"s10": conf["s10"], "s11": conf["s11"]}] + self._theta_s_grid
-        rows_cs, nat_full = [], []
-        for ts in grid:
-            full = {**conf, **ts}
-            rows_cs.append(to_vector(full, P.QS_IDS))
-            nat_full.append([full[i] for i in P.FULL_IDS])
-        U_cs = np.array(rows_cs)
-        derived = derived_partition_features(sq.kind, input_bytes,
-                                             np.array(nat_full), P.FULL_IDS,
-                                             dag.skew(sq_id))
-        X = P.qs_feature_rows(self._emb_qs[sq_id], alg, alpha, beta, gamma,
-                              U_cs, derived)
-        lat, io_mb = self.suite.qs.predict(X)
-        cost = np.maximum(lat, 1e-4) * self._rate_s + np.maximum(io_mb, 0.0) / 1024.0 * self.costs.price_io_gb
-        F = np.stack([lat, cost], axis=1)
-        best = self._pick_weighted(F)
-        # keep the submitted θs unless the model predicts a clear win
-        score = (F * self.weights).sum(axis=1)
-        if best != 0 and score[best] > 0.97 * score[0]:
-            best = 0
+        best = self._choose(sq_id, [{**conf, **ts} for ts in grid], [alg] * len(grid),
+                            THETA_S_MARGIN, input_bytes=input_bytes)
         self.time_spent_s += time.perf_counter() - t0
         return dict(grid[best])

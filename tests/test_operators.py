@@ -139,15 +139,6 @@ def test_topological_children_first():
     assert order.index(j) < order.index(a)
 
 
-def test_parents():
-    b = PlanBuilder("tpch", "par", sf=1.0, seed=0)
-    x = b.scan("orders")
-    f = b.filter(x, 0.5)
-    plan = b.build(f)
-    assert plan.parents()[x] == [f]
-    assert plan.parents()[f] == []
-
-
 def test_n_joins():
     b = PlanBuilder("tpch", "nj", sf=1.0, seed=0)
     x, y, z = b.scan("orders"), b.scan("customer"), b.scan("nation")

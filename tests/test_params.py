@@ -94,10 +94,6 @@ def test_matrix_matches_scalar():
             assert M[r, j] == pytest.approx(conf[kid], rel=1e-9), kid
 
 
-def test_total_cores():
-    assert P.total_cores({"k1": 4, "k3": 8}) == 32
-
-
 def test_spark_conf_items_rendering():
     items = P.spark_conf_items(P.default_conf())
     assert items["spark.executor.cores"] == "2"

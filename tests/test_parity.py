@@ -1,0 +1,91 @@
+"""Train/serve parity: compile time and the runtime plugin score the same
+feature rows the models were trained on (paper §4.3, §5.1, §5.2).
+
+A spy suite records every matrix the subQ and QS latency models receive;
+the rows are compared with the ones ``trace_rows`` writes for the same
+query, variant and configuration.
+"""
+import numpy as np
+import pytest
+
+from repro.core.plan import partition_subqs
+from repro.core.workloads import build_query
+from repro.model.features import DERIVED_DIM, GAMMA_DIM, JOIN_ALGS
+from repro.model.gtn import EMB_DIM
+from repro.model.predictor import FULL_IDS, QS_DIM, ModelSuite, TargetModels
+from repro.model.traces import trace_rows
+from repro.moo.objectives import CompileTimeObjectives
+from repro.params import C_IDS, lhs_sample, to_vector
+from repro.runtime.optimizer import OnlineOptimizer
+
+QUERIES = [("tpch", "q9"), ("tpcds", "q17")]
+VARIANT = 1
+SF = 100.0  # the scale trace_rows builds its plans at
+CONFS = lhs_sample(3, FULL_IDS, seed=11)
+
+
+class SpyRegressor:
+    """Delegating regressor that keeps a copy of every input matrix."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen: list[np.ndarray] = []
+
+    def predict(self, X):
+        self.seen.append(np.array(X, copy=True))
+        return self.inner.predict(X)
+
+
+@pytest.fixture
+def spy_suite(fake_suite):
+    def spied(tm):
+        return TargetModels(SpyRegressor(tm.latency), tm.io)
+    return ModelSuite(spied(fake_suite.subq), spied(fake_suite.qs), fake_suite.lqp)
+
+
+def _trace_feats(bench, template, kind, conf, conf_id):
+    return {r["sq_id"]: np.asarray(r["feats"])
+            for r in trace_rows(bench, template, VARIANT, conf, conf_id, sf=SF)
+            if r["kind"] == kind}
+
+
+@pytest.mark.parametrize("bench,template", QUERIES)
+def test_subq_rows_match_compile_time(bench, template, spy_suite):
+    dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))
+    obj = CompileTimeObjectives(dag, spy_suite)
+    spy = spy_suite.subq.latency
+    for ci, conf in enumerate(CONFS):
+        rows = _trace_feats(bench, template, "subq", conf, ci)
+        assert sorted(rows) == obj.sq_ids
+        U = to_vector(conf, FULL_IDS)[None, :]
+        for sq_id, feats in rows.items():
+            spy.seen.clear()
+            obj.subq_batch(sq_id, U)
+            (X,) = spy.seen
+            # compile time re-decodes the knobs from U, so the derived
+            # partition columns may differ in the last bits
+            np.testing.assert_allclose(X[0], feats, rtol=1e-9)
+
+
+@pytest.mark.parametrize("bench,template", QUERIES)
+def test_qs_keep_current_row_matches_trace(bench, template, spy_suite):
+    dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))
+    spy = spy_suite.qs.latency
+    # The join algorithm and the contention γ are inputs of each request.
+    same = np.ones(QS_DIM, dtype=bool)
+    same[EMB_DIM:EMB_DIM + len(JOIN_ALGS)] = False
+    g0 = QS_DIM - DERIVED_DIM - GAMMA_DIM
+    same[g0:g0 + GAMMA_DIM] = False
+    served = 0
+    for ci, conf in enumerate(CONFS):
+        rows = _trace_feats(bench, template, "qs", conf, ci)
+        opt = OnlineOptimizer(dag, spy_suite, {k: conf[k] for k in C_IDS}, (0.5, 0.5))
+        for sq_id, feats in rows.items():
+            spy.seen.clear()
+            if opt.on_query_stage(dag, sq_id, dag.input_bytes(sq_id, true=True),
+                                  conf) is None:
+                continue  # pruned request: nothing scored
+            (X,) = spy.seen
+            np.testing.assert_array_equal(X[0][same], feats[same])
+            served += 1
+    assert served > 0

@@ -5,9 +5,12 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model import predictor as P
-from repro.model.features import beta_features, gamma_features
+from repro.model.features import DERIVED_DIM, JOIN_ALGS
+from repro.model.gtn import EMB_DIM
 from repro.model.mlp import MLPRegressor
 from repro.params import default_conf
+from repro.simspark.costmodel import DEFAULT_COSTS
+from repro.simspark.executor import run_query
 
 
 @pytest.fixture(scope="module")
@@ -17,44 +20,72 @@ def dag():
 
 def test_dims_consistent(dag):
     conf = default_conf()
-    U = P.conf_to_vec_full(conf)[None, :]
-    M = np.array([[conf[i] for i in P.FULL_IDS]])
+    U, M = P.encode_confs([conf], P.FULL_IDS)
+    U_qs, _ = P.encode_confs([conf], P.QS_IDS)
     sq = min(dag.subqs)
-    emb = P.embed_subq(dag, sq, true_stats=False)
-    a = P.stage_alpha(dag, sq, true=False)
-    d = P.stage_derived(dag, sq, M, true=False)
-    row = P.subq_feature_rows(emb, a, U, d)
+    row = P.StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
     assert row.shape == (1, P.SUBQ_DIM)
 
-    emb_r = P.embed_subq(dag, sq, true_stats=True)
-    qs_row = P.qs_feature_rows(emb_r, "SMJ", a, beta_features(0.3),
-                               gamma_features(2, 10, 5.0),
-                               P.conf_to_vec_qs(conf)[None, :], d)
+    qs_row = P.StageFeatures.of(dag, sq, true_stats=True).qs_rows(
+        ["SMJ"], U_qs, M, P.IDLE_GAMMA)
     assert qs_row.shape == (1, P.QS_DIM)
 
-    lqp_row = P.lqp_feature_rows(P.embed_plan(dag, true_stats=True), a,
-                                 beta_features(0.3), gamma_features(2, 10, 5.0), U)
+    r = run_query(dag, conf, noisy=False)
+    lqp_row = P.lqp_rows(dag, U, r.stages.values())
     assert lqp_row.shape == (1, P.LQP_DIM)
 
 
 def test_batched_rows_tile_context(dag):
     conf = default_conf()
-    U = np.tile(P.conf_to_vec_full(conf), (4, 1))
-    M = np.tile([[conf[i] for i in P.FULL_IDS]], (4, 1))
-    sq = min(dag.subqs)
-    emb = P.embed_subq(dag, sq, true_stats=False)
-    a = P.stage_alpha(dag, sq, true=False)
-    d = P.stage_derived(dag, sq, M, true=False)
-    rows = P.subq_feature_rows(emb, a, U, d)
+    U, M = P.encode_confs([conf] * 4, P.FULL_IDS)
+    U_qs, _ = P.encode_confs([conf] * 4, P.QS_IDS)
+    sq = max(dag.subqs)
+    rows = P.StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
     assert rows.shape == (4, P.SUBQ_DIM)
     assert np.allclose(rows[0], rows[3])
+    # one join algorithm per QS row; everything else is shared context
+    algs = ["SMJ", "BHJ", "SMJ", ""]
+    qs = P.StageFeatures.of(dag, sq, true_stats=True).qs_rows(algs, U_qs, M, P.IDLE_GAMMA)
+    hot = qs[:, EMB_DIM:EMB_DIM + len(JOIN_ALGS)]
+    assert [JOIN_ALGS[i] for i in hot.argmax(axis=1)] == algs
+    assert np.array_equal(qs[0], qs[2])
 
 
 def test_embed_views_differ(dag):
     sq = max(dag.subqs)  # deep stage: est != true
-    e1 = P.embed_subq(dag, sq, true_stats=True)
-    e2 = P.embed_subq(dag, sq, true_stats=False)
+    e1 = P.StageFeatures.of(dag, sq, true_stats=True).emb
+    e2 = P.StageFeatures.of(dag, sq, true_stats=False).emb
     assert not np.allclose(e1, e2)
+
+
+def test_runtime_request_bytes_override_stage_stats(dag):
+    conf = default_conf()
+    U_qs, M = P.encode_confs([conf], P.QS_IDS)
+    sq = max(dag.subqs)
+    st = P.StageFeatures.of(dag, sq, true_stats=True)
+    same = st.qs_rows([""], U_qs, M, P.IDLE_GAMMA, input_bytes=st.input_bytes)
+    assert np.array_equal(same, st.qs_rows([""], U_qs, M, P.IDLE_GAMMA))
+    bigger = st.qs_rows([""], U_qs, M, P.IDLE_GAMMA, input_bytes=100 * st.input_bytes)
+    assert not np.array_equal(same[:, -DERIVED_DIM:], bigger[:, -DERIVED_DIM:])
+    assert np.array_equal(same[:, :-DERIVED_DIM], bigger[:, :-DERIVED_DIM])
+
+
+def test_objectives_clamp_latency_only_where_asked():
+    class Const:
+        def __init__(self, v):
+            self.v = v
+
+        def predict(self, X):
+            return np.full(len(X), self.v)
+
+    tm = P.TargetModels(Const(-0.5), Const(2048.0))
+    X = np.zeros((3, 4))
+    clamped = tm.objectives(X, 2.0, clamp_latency=True)
+    raw = tm.objectives(X, 2.0, clamp_latency=False)
+    assert np.all(clamped[:, 0] == 1e-4) and np.all(raw[:, 0] == -0.5)
+    # the cost always prices the clamped latency plus 2 GB of IO
+    np.testing.assert_array_equal(clamped[:, 1], raw[:, 1])
+    np.testing.assert_allclose(raw[:, 1], 1e-4 * 2.0 + 2.0 * DEFAULT_COSTS.price_io_gb)
 
 
 def test_shared_gtn_singleton():
