@@ -1,7 +1,7 @@
 """Shared experiment plumbing: trace generation, model training, caching.
 
 Heavy artifacts (traces, trained models, table results) are cached under
-``results/`` at the repo root so benchmarks re-run cheaply; delete the
+``results/`` at the repo root so tables re-run cheaply; delete the
 directory to regenerate from scratch.
 """
 from __future__ import annotations
@@ -42,15 +42,14 @@ def models_dir(benchmark: str) -> str:
     return os.path.dirname(d)
 
 
-def get_traces(spark, benchmark: str, *, n_variants: int = N_VARIANTS,
-               n_confs: int = N_CONFS, force: bool = False) -> pd.DataFrame:
+def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
     """Load cached traces or generate them with the Spark pipeline."""
     path = traces_path(benchmark)
     if os.path.exists(path) and not force:
         return pd.read_parquet(path)
     traces = generate_traces_spark(
         spark, benchmark, benchmark_queries(benchmark),
-        n_variants=n_variants, n_confs=n_confs, seed=17)
+        n_variants=N_VARIANTS, n_confs=N_CONFS, seed=17)
     traces.to_parquet(path)
     return traces
 
@@ -67,12 +66,12 @@ def train_suite(traces: pd.DataFrame, *, epochs: int = TRAIN_EPOCHS,
     return ModelSuite(**parts)
 
 
-def get_suite(spark, benchmark: str, *, force: bool = False) -> ModelSuite:
+def get_suite(spark, benchmark: str) -> ModelSuite:
     """Cached trained models for a benchmark (trains on first use)."""
     d = models_dir(benchmark)
-    if ModelSuite.exists(d) and not force:
+    if ModelSuite.exists(d):
         return ModelSuite.load(d)
-    traces = get_traces(spark, benchmark, force=force)
+    traces = get_traces(spark, benchmark)
     suite = train_suite(traces)
     suite.save(d)
     return suite

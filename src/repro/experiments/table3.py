@@ -28,10 +28,10 @@ PAPER_TABLE3 = {
 }
 
 
-def run_table3(spark, benchmark: str, *, force: bool = False) -> dict:
+def run_table3(spark, benchmark: str) -> dict:
     """Train (or load) the suite and evaluate on the held-out test split."""
-    traces = common.get_traces(spark, benchmark, force=force)
-    suite = common.get_suite(spark, benchmark, force=force)
+    traces = common.get_traces(spark, benchmark)
+    suite = common.get_suite(spark, benchmark)
     out: dict = {"benchmark": benchmark, "targets": {}}
     for kind in ("subq", "qs", "lqp"):
         _, _, (Xte, y_lat, y_io) = split_traces(traces, kind)
@@ -71,3 +71,19 @@ def format_table3(results: dict) -> str:
             f"{p[6]:.3f}→{t['io']['p90']:.3f}   "
             f"{p[7]:.2f}→{t['io']['corr']:.2f}")
     return "\n".join(lines)
+
+
+def check_table3(results: dict) -> list[str]:
+    """Failed gates: every latency model is accurate, tracks the truth and
+    is fast enough to score runtime requests. An empty list passes."""
+    out = []
+    for kind in ("subq", "qs", "lqp"):
+        t = results["targets"][kind]
+        lat = t["latency"]
+        if not lat["wmape"] < 0.5:
+            out.append(f"{kind} latency WMAPE {lat['wmape']:.3f} not < 0.5")
+        if not lat["corr"] > 0.8:
+            out.append(f"{kind} latency Corr {lat['corr']:.3f} not > 0.8")
+        if not t["xput_k_per_s"] > 10:
+            out.append(f"{kind} throughput {t['xput_k_per_s']:.1f} K/s not > 10 K/s")
+    return out

@@ -89,3 +89,26 @@ def format_table5(results: dict) -> str:
             cells.append(f"{pl:+.0%}/{pc:+.0%} → {ml:+.0%}/{mc:+.0%}")
         lines.append(f"{key:16s} {cells[0]:>40s} {cells[1]:>40s}")
     return "\n".join(lines)
+
+
+def check_table5(results: dict) -> list[str]:
+    """Failed gates on R4/R5; an empty list passes."""
+    rows = {pref: results["prefs"][f"{pref[0]:.1f},{pref[1]:.1f}"] for pref in PREFS}
+    cost_corner, speed_corner = rows[(0.0, 1.0)]["hmooc3+"], rows[(1.0, 0.0)]["hmooc3+"]
+    strong = rows[(0.9, 0.1)]
+    gates = [
+        # R5: HMOOC3+ latency reduction grows as preference shifts to speed
+        (speed_corner[0] < cost_corner[0] + 0.02,
+         f"R5: HMOOC3+ Δlat at (1,0) {speed_corner[0]:+.1%} not < "
+         f"Δlat at (0,1) {cost_corner[0]:+.1%} + 2 pts"),
+        # cost-preferring corner actually saves cost vs the speed corner
+        (cost_corner[1] < speed_corner[1] + 0.02,
+         f"R5: HMOOC3+ Δcost at (0,1) {cost_corner[1]:+.1%} not < "
+         f"Δcost at (1,0) {speed_corner[1]:+.1%} + 2 pts"),
+        # R4: with the strong speed preference, HMOOC3+ cuts latency far more
+        # than SO-FW
+        (strong["hmooc3+"][0] < strong["so-fw"][0] + 0.05,
+         f"R4: at (0.9,0.1) HMOOC3+ Δlat {strong['hmooc3+'][0]:+.1%} not < "
+         f"SO-FW Δlat {strong['so-fw'][0]:+.1%} + 5 pts"),
+    ]
+    return [msg for ok, msg in gates if not ok]

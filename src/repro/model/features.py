@@ -98,11 +98,12 @@ ALPHA_DIM, BETA_DIM, GAMMA_DIM, DERIVED_DIM = 4, 3, 3, 3
 
 def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
                                ids: list[str], skew: float) -> np.ndarray:
-    """(n, 2) physical-partitioning hints per configuration row.
+    """(n, DERIVED_DIM) physical-partitioning hints per configuration row:
+    task count, bytes per task and total executor cores (log-scaled).
 
     These are properties of the physical stage Spark itself derives from
     the knobs — the task count and bytes-per-task that dominate stage
-    latency. Computed with the exact partitioning formulas of the cost
+    latency, and the cores that run those tasks. Computed with the exact partitioning formulas of the cost
     model (``repro.simspark.costmodel``) so features stay consistent
     between training traces and optimization-time prediction.
     """

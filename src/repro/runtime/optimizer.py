@@ -39,7 +39,7 @@ from repro.model import predictor as P
 from repro.moo.hmooc import QueryConfig
 from repro.moo.pareto import normalize
 from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS
-from repro.simspark.costmodel import (DEFAULT_COSTS, SMJ, choose_join_algorithm,
+from repro.simspark.costmodel import (SMJ, choose_join_algorithm, exec_mem,
                                       resource_rate_h)
 from repro.simspark.executor import join_sides
 
@@ -93,7 +93,7 @@ class OnlineOptimizer:
         # scan stages are never scored: both hooks prune them
         self._stages = {i: P.StageFeatures.of(dag, i, true_stats=True)
                         for i, s in dag.subqs.items() if s.kind != "scan"}
-        self._mem_exec = theta_c["k2"] * theta_c["k8"] * DEFAULT_COSTS.mem_safety
+        self._mem_exec = exec_mem(theta_c)
         # θs candidate grid
         s10s = np.linspace(0.1, 0.8, 4)
         s11s = np.array([1 * MB, 4 * MB, 16 * MB, 64 * MB])

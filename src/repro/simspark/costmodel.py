@@ -65,9 +65,10 @@ class CostParams:
 DEFAULT_COSTS = CostParams()
 
 
-def resource_rate_h(k1, k2, k3, costs: CostParams = DEFAULT_COSTS):
+def resource_rate_h(k1, k2, k3):
     """$ per hour the cluster is held: executor cores and memory (θc's
     k1·k3 cores, k2·k3 bytes) plus the driver. Scalars or arrays."""
+    costs = DEFAULT_COSTS
     return (k1 * k3 * costs.price_core_h + k2 / GB * k3 * costs.price_mem_gb_h
             + costs.price_driver_h)
 
@@ -170,12 +171,9 @@ def choose_join_algorithm(build_bytes: float, probe_bytes: float, conf: dict, *,
     return SMJ
 
 
-def _exec_mem_per_task(conf: dict, costs: CostParams) -> float:
-    return conf["k2"] * conf["k8"] * costs.mem_safety / max(conf["k1"], 1.0)
-
-
-def _exec_mem(conf: dict, costs: CostParams) -> float:
-    return conf["k2"] * conf["k8"] * costs.mem_safety
+def exec_mem(conf: dict) -> float:
+    """Usable execution memory of one executor: k2·k8 times ``mem_safety``."""
+    return conf["k2"] * conf["k8"] * DEFAULT_COSTS.mem_safety
 
 
 def stage_cost(
@@ -192,9 +190,9 @@ def stage_cost(
     build_bytes: float = 0.0,
     probe_bytes: float = 0.0,
     aqe: bool = True,
-    costs: CostParams = DEFAULT_COSTS,
 ) -> StageMetrics:
     """Cost one stage under configuration ``conf``; pure function of stats."""
+    costs = DEFAULT_COSTS
     input_bytes = max(input_bytes, 1.0)
     input_rows = max(input_rows, 1.0)
     output_bytes = max(output_bytes, 0.0)
@@ -238,8 +236,8 @@ def stage_cost(
 
     broadcast_bytes = 0.0
     k3 = max(conf["k3"], 1.0)
-    mem_task = _exec_mem_per_task(conf, costs)
-    mem_exec = _exec_mem(conf, costs)
+    mem_exec = exec_mem(conf)
+    mem_task = mem_exec / max(conf["k1"], 1.0)
     mem_need = input_bytes / p * 0.5  # pipeline working set
 
     if join_alg:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.plan import SubQDag
 from repro.params import GB
 from repro.simspark.costmodel import (
-    BHJ, DEFAULT_COSTS, SMJ, CostParams, StageMetrics,
+    BHJ, DEFAULT_COSTS, SMJ, StageMetrics,
     choose_join_algorithm, resource_rate_h, stage_cost,
 )
 
@@ -131,12 +131,12 @@ def run_query(
     runtime_opt: RuntimeOptimizer | None = None,
     noise_seed: int = 0,
     noisy: bool = True,
-    costs: CostParams = DEFAULT_COSTS,
 ) -> QueryRun:
     """Simulate one execution of ``dag`` under the 19-knob ``conf``."""
     from repro.params import split_conf
 
     theta_c, theta_p, theta_s = split_conf(conf)
+    costs = DEFAULT_COSTS
     total_cores = max(1.0, theta_c["k1"] * theta_c["k3"])
     rng = np.random.default_rng(noise_seed + 104729 * (hash(dag.plan.name) % 9973))
 
@@ -206,7 +206,6 @@ def run_query(
                 build_bytes=bb,
                 probe_bytes=pb,
                 aqe=aqe,
-                costs=costs,
             )
             lat_noise = float(np.exp(rng.normal(0.0, 0.12))) if noisy else 1.0
             io_noise = float(np.exp(rng.normal(0.0, 0.015))) if noisy else 1.0
@@ -246,6 +245,6 @@ def run_query(
     run.latency_s = latency * q_noise
     run.analytical_latency_s = total_task_sec / total_cores
     run.io_gb = total_io / GB
-    rate = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"], costs)
+    rate = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"])
     run.cost_usd = run.latency_s / 3600.0 * rate + run.io_gb * costs.price_io_gb
     return run

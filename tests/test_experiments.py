@@ -41,7 +41,7 @@ def test_table4_format_contains_paper_numbers(fake_suite):
 
 def test_table4_solving_time_budget(fake_suite):
     """HMOOC must fit the 1-2 s cloud budget on every query. (The
-    HMOOC-faster-than-MO-WS ordering is asserted in bench_table4 with the
+    HMOOC-faster-than-MO-WS ordering is gated by ``check_table4`` with the
     real trained models, whose inference cost dominates MO-WS's 10k-sample
     sweeps; the fake analytic models here are too cheap to show it.)"""
     res = run_table4("tpch", fake_suite, queries=QUERIES, seed=0)
