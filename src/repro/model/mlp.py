@@ -4,6 +4,12 @@ Trains with Adam on the MSE of ``log1p(target)`` — latencies and IO span
 orders of magnitude, and the paper's WMAPE metric is relative. Inputs are
 standardized internally. ``save``/``load`` round-trip to ``.npz`` so
 benchmark harnesses can cache trained models.
+
+``fold`` fixes some input columns at given values and returns the same
+function over the remaining columns (the fixed part moves into the first
+layer's bias); ``astype`` casts the weights, and ``predict`` computes in
+the weights' dtype. Compile-time inference uses both: per subQ, one fold
+of a float32 copy (``repro.moo.objectives``).
 """
 from __future__ import annotations
 
@@ -30,9 +36,10 @@ class MLPRegressor:
         acts = [X]
         h = X
         for i, (W, b) in enumerate(zip(self.W, self.b)):
-            h = h @ W + b
+            h = h @ W
+            h += b
             if i < len(self.W) - 1:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             acts.append(h)
         return h[:, 0], acts
 
@@ -91,11 +98,39 @@ class MLPRegressor:
         return losses
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets on the natural (expm1) scale."""
-        X = np.asarray(X, dtype=np.float64)
+        """Predict targets on the natural (expm1) scale, computing in the
+        weights' dtype; the result is float64."""
+        X = np.asarray(X, dtype=self.W[0].dtype)
         Xn = (X - self.x_mean) / self.x_std
         out, _ = self._forward(Xn)
-        return np.expm1(np.clip(out, -20.0, 30.0))
+        return np.expm1(np.clip(np.asarray(out, dtype=np.float64), -20.0, 30.0))
+
+    # -- derived models ----------------------------------------------------------
+    def _derive(self, W: list, b: list, x_mean, x_std) -> "MLPRegressor":
+        m = object.__new__(type(self))   # no fresh random init
+        m.d_in, m.hidden, m._seed = len(x_mean), self.hidden, self._seed
+        m.W, m.b, m.x_mean, m.x_std = W, b, x_mean, x_std
+        return m
+
+    def fold(self, cols, values) -> "MLPRegressor":
+        """The same function with input columns ``cols`` fixed at ``values``:
+        a regressor over the remaining columns, in their order, whose first
+        bias absorbs ``((values - x_mean[cols]) / x_std[cols]) @ W0[cols]``
+        (summed in float64). Layers after the first are shared with this
+        model, not copied, so many folds of one model stay small; do not
+        ``fit`` a fold."""
+        cols = np.asarray(cols, dtype=np.int64)
+        keep = np.setdiff1d(np.arange(self.d_in), cols)
+        fixed = (np.asarray(values, dtype=np.float64) - self.x_mean[cols]) / self.x_std[cols]
+        b0 = np.asarray(self.b[0] + fixed @ self.W[0][cols], dtype=self.b[0].dtype)
+        return self._derive([self.W[0][keep], *self.W[1:]], [b0, *self.b[1:]],
+                            self.x_mean[keep], self.x_std[keep])
+
+    def astype(self, dtype) -> "MLPRegressor":
+        """A copy whose weights and input scaling are ``dtype``."""
+        return self._derive([w.astype(dtype) for w in self.W],
+                            [bb.astype(dtype) for bb in self.b],
+                            self.x_mean.astype(dtype), self.x_std.astype(dtype))
 
     # -- persistence -----------------------------------------------------------
     def save(self, path: str) -> None:

@@ -18,7 +18,9 @@ on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
 
 :class:`StageFeatures` holds what is fixed for one stage under one
 statistics view; its ``subq_rows``/``qs_rows`` append a batch of knob
-rows. ``lqp_rows`` builds the whole-plan rows, and
+rows. Compile time folds a stage's fixed subQ columns (``subq_fixed``,
+at ``SUBQ_FIXED_COLS``) into the models and passes only the varying ones
+(``subq_varying``). ``lqp_rows`` builds the whole-plan rows, and
 ``TargetModels.objectives`` turns predictions into (latency, cost).
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
@@ -50,6 +52,12 @@ SUBQ_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM + DERIVED_
 QS_DIM = (EMB_DIM + len(JOIN_ALGS) + CONF_DIM_QS + ALPHA_DIM + BETA_DIM
           + GAMMA_DIM + DERIVED_DIM)
 LQP_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM
+
+# subQ row columns fixed per stage: the embedding and α ‖ β ‖ γ. The rest,
+# the 19 knobs and the derived partitioning, vary with the configuration.
+_SUBQ_CTX0 = EMB_DIM + CONF_DIM_FULL
+SUBQ_FIXED_COLS = np.r_[0:EMB_DIM, _SUBQ_CTX0:_SUBQ_CTX0 + ALPHA_DIM + BETA_DIM + GAMMA_DIM]
+_SUBQ_VARYING_COLS = np.setdiff1d(np.arange(SUBQ_DIM), SUBQ_FIXED_COLS)
 
 # γ of a runtime request: the plugin observes no sibling-stage contention.
 IDLE_GAMMA = gamma_features(1, 0.0, 0.0)
@@ -114,14 +122,21 @@ class StageFeatures:
         return derived_partition_features(self.kind, input_bytes, M_nat, FULL_IDS,
                                           self.skew)
 
+    def subq_fixed(self) -> np.ndarray:
+        """The ``SUBQ_FIXED_COLS`` of every subQ row of this stage (β = γ = 0)."""
+        return np.concatenate([self.emb, self.alpha, np.zeros(BETA_DIM + GAMMA_DIM)])
+
+    def subq_varying(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
+        """The other subQ row columns, in order, for normalized 19-knob rows
+        ``U_full`` and the same configurations in natural units ``M_nat``."""
+        return np.concatenate([U_full, self._derived(M_nat, self.input_bytes)], axis=1)
+
     def subq_rows(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
-        """subQ model rows for normalized 19-knob rows ``U_full`` and the
-        same configurations in natural units ``M_nat`` (β = γ = 0)."""
-        n = len(U_full)
-        ctx = np.concatenate([self.alpha, np.zeros(BETA_DIM + GAMMA_DIM)])
-        return np.concatenate(
-            [np.tile(self.emb, (n, 1)), U_full, np.tile(ctx, (n, 1)),
-             self._derived(M_nat, self.input_bytes)], axis=1)
+        """Full subQ model rows: the fixed and the varying columns."""
+        X = np.empty((len(U_full), SUBQ_DIM))
+        X[:, SUBQ_FIXED_COLS] = self.subq_fixed()
+        X[:, _SUBQ_VARYING_COLS] = self.subq_varying(U_full, M_nat)
+        return X
 
     def qs_rows(self, join_algs: list[str], U_qs: np.ndarray, M_nat: np.ndarray,
                 gamma: np.ndarray, *, input_bytes: float | None = None) -> np.ndarray:

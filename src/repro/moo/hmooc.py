@@ -7,7 +7,9 @@ the constraint that every subQ shares the same θc:
    candidates, cluster them (k-means), solve the θp⊗θs MOO per cluster
    representative per subQ over a shared sample pool, assign each member
    its representative's optimal θp set, then *enrich* θc by the crossover
-   (Cartesian-product) heuristic of Appendix C.1 and re-assign.
+   (Cartesian-product) heuristic of Appendix C.1 and re-assign. Each
+   phase (optimize, assign, re-assign) makes one model call per subQ over
+   all of its (cluster, subQ) blocks.
 2. **DAG aggregation** — recover query-level Pareto solutions from
    subQ-level ones under each θc: HMOOC1 divide-and-conquer merge (exact),
    HMOOC2 weighted-sum approximation (subset of the Pareto set), HMOOC3
@@ -123,31 +125,36 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
     labels, rep_idx, centers = _kmeans(Uc, n_clusters, seed=seed)
     pool = refine_unit(lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
 
-    # optimize_p_moo: local Pareto θp⊗θs per (representative, subQ)
+    def score(sq: int, blocks: list, U_cands: np.ndarray) -> list[np.ndarray]:
+        # One model call per subQ over row blocks (candidate indices, pool
+        # indices); returns F per block.
+        c_idx = np.concatenate([c for c, _ in blocks])
+        p_idx = np.concatenate([p for _, p in blocks])
+        F = obj.subq_batch(sq, np.concatenate([U_cands[c_idx], pool[p_idx]], axis=1))
+        return np.split(F, np.cumsum([len(c) for c, _ in blocks])[:-1])
+
+    # optimize_p_moo: local Pareto θp⊗θs per (representative, subQ), each
+    # representative scored against the whole pool
     opt_idx: dict[tuple[int, int], np.ndarray] = {}
-    for g, r in enumerate(rep_idx):
-        U_full = np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)
-        for sq in obj.sq_ids:
-            F = obj.subq_batch(sq, U_full)
+    for sq in obj.sq_ids:
+        blocks = [(np.full(n_p, r), np.arange(n_p)) for r in rep_idx]
+        for g, F in enumerate(score(sq, blocks, Uc)):
             opt_idx[(g, sq)] = pareto_indices(F)
 
     def assign(U_cands: np.ndarray, cand_labels: np.ndarray):
-        # One batched model call per (cluster, subQ): every member of the
-        # cluster is evaluated with the representative's optimal θp set.
+        # Every member of a cluster is evaluated with its representative's
+        # optimal θp set.
+        groups = {g: members for g in range(len(rep_idx))
+                  if len(members := np.flatnonzero(cand_labels == g))}
         out: dict[int, list] = {sq: [None] * len(U_cands) for sq in obj.sq_ids}
-        for g in range(len(rep_idx)):
-            members = np.flatnonzero(cand_labels == g)
-            if len(members) == 0:
-                continue
-            for sq in obj.sq_ids:
-                pidx = opt_idx[(g, sq)]
-                np_g = len(pidx)
-                U_full = np.concatenate(
-                    [np.repeat(U_cands[members], np_g, axis=0),
-                     np.tile(pool[pidx], (len(members), 1))], axis=1)
-                F = obj.subq_batch(sq, U_full)
-                for mi, ci in enumerate(members):
-                    out[sq][ci] = (pidx, F[mi * np_g:(mi + 1) * np_g])
+        for sq in obj.sq_ids:
+            pidxs = [opt_idx[(g, sq)] for g in groups]
+            blocks = [(np.repeat(members, len(pidx)), np.tile(pidx, len(members)))
+                      for members, pidx in zip(groups.values(), pidxs)]
+            for members, pidx, F in zip(groups.values(), pidxs,
+                                        score(sq, blocks, U_cands)):
+                for ci, F_ci in zip(members, F.reshape(len(members), len(pidx), 2)):
+                    out[sq][ci] = (pidx, F_ci)
         return out
 
     sols = assign(Uc, labels)

@@ -11,6 +11,11 @@ so query-level objectives are sums of subQ-level ones — the property the
 whole HMOOC DAG-aggregation machinery relies on (Λ = sum). Feature rows
 and the cost formula come from ``repro.model.predictor``.
 
+Each subQ's embedding and α ‖ β ‖ γ are the same in every row, so they are
+folded, once per subQ at construction, into a float32 copy of the subQ
+latency and IO models (``MLPRegressor.fold``); a batch then builds and
+multiplies only the 19 knob columns and the 3 derived partitioning columns.
+
 Everything is vectorized over normalized knob matrices ``U`` whose columns
 follow ``FULL_IDS`` (θc ‖ θp ‖ θs).
 """
@@ -35,10 +40,15 @@ class CompileTimeObjectives:
 
     def __init__(self, dag: SubQDag, suite: P.ModelSuite):
         self.dag = dag
-        self.suite = suite
         self.sq_ids = sorted(dag.subqs)
         self._stages = {i: P.StageFeatures.of(dag, i, true_stats=False)
                         for i in self.sq_ids}
+        lat, io = (m.astype(np.float32) for m in (suite.subq.latency, suite.subq.io))
+        self._models: dict[int, P.TargetModels] = {}
+        for i, st in self._stages.items():
+            fixed = st.subq_fixed()
+            self._models[i] = P.TargetModels(lat.fold(P.SUBQ_FIXED_COLS, fixed),
+                                             io.fold(P.SUBQ_FIXED_COLS, fixed))
 
     @property
     def m(self) -> int:
@@ -52,9 +62,9 @@ class CompileTimeObjectives:
         """(n, 2) predicted [analytical latency (s), cloud cost ($)]."""
         U_full = np.atleast_2d(U_full)
         M_nat = denormalize_matrix(U_full, P.FULL_IDS)
-        X = self._stages[sq_id].subq_rows(U_full, M_nat)
-        return self.suite.subq.objectives(X, self.resource_rate(M_nat),
-                                          clamp_latency=True)
+        X = self._stages[sq_id].subq_varying(U_full, M_nat)
+        return self._models[sq_id].objectives(X, self.resource_rate(M_nat),
+                                              clamp_latency=True)
 
     def query_shared_batch(self, U_full: np.ndarray) -> np.ndarray:
         """Query-level objectives when one (θc, θp, θs) is shared by all

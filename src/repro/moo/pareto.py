@@ -23,14 +23,12 @@ def pareto_indices(F: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.array([], dtype=np.int64)
     if k == 2:
-        order = np.lexsort((F[:, 1], F[:, 0]))  # by f1 then f2
-        best = np.inf
-        keep = []
-        for i in order:
-            if F[i, 1] < best:
-                keep.append(i)
-                best = F[i, 1]
-        return np.array(sorted(keep), dtype=np.int64)
+        # by f1 then f2; a row survives iff its f2 beats every f2 before it,
+        # so of equal rows only the first (lowest index) survives
+        order = np.lexsort((F[:, 1], F[:, 0]))
+        f2 = F[order, 1]
+        best_before = np.concatenate([[np.inf], np.fmin.accumulate(f2)[:-1]])
+        return np.sort(order[f2 < best_before]).astype(np.int64, copy=False)
     keep = np.ones(n, dtype=bool)
     for i in range(n):
         if not keep[i]:

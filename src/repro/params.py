@@ -19,6 +19,7 @@ numpy vectors in [0, 1] for modeling and MOO.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,24 +162,30 @@ def lhs_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
     return [from_vector(row, ids) for row in u]
 
 
-def _bounds(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _bounds(ids: tuple[str, ...]):
+    """(lo, hi - lo, log columns, their log10 lo and log10 span, integer
+    columns) of the named knobs; cached, so the arrays are read-only."""
     ks = [KNOB_BY_ID[i] for i in ids]
     lo = np.array([k.lo for k in ks])
     hi = np.array([k.hi for k in ks])
-    is_log = np.array([k.log for k in ks])
-    is_int = np.array([k.integer for k in ks])
-    return lo, hi, is_log, is_int
+    log = np.flatnonzero([k.log for k in ks])
+    log_lo, log_hi = np.log10(lo[log]), np.log10(hi[log])
+    out = (lo, hi - lo, log, log_lo, log_hi - log_lo,
+           np.flatnonzero([k.integer for k in ks]))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def denormalize_matrix(U: np.ndarray, ids: list[str]) -> np.ndarray:
     """Vectorized [0,1]^d → natural units for a batch of configurations."""
     U = np.clip(np.asarray(U, dtype=np.float64), 0.0, 1.0)
-    lo, hi, is_log, is_int = _bounds(ids)
-    lin = lo + U * (hi - lo)
-    lo_s, hi_s = np.where(is_log, lo, 1.0), np.where(is_log, hi, 1.0)
-    logv = 10 ** (np.log10(lo_s) + U * (np.log10(hi_s) - np.log10(lo_s)))
-    M = np.where(is_log, logv, lin)
-    return np.where(is_int, np.round(M), M)
+    lo, span, log, log_lo, log_span, integer = _bounds(tuple(ids))
+    M = lo + U * span
+    M[..., log] = 10 ** (log_lo + U[..., log] * log_span)
+    M[..., integer] = np.round(M[..., integer])
+    return M
 
 
 # Refined search ranges for optimization-time candidate generation

@@ -41,6 +41,35 @@ class FakeRegressor:
         # io: driven by plan size and compression knob
         return self.scale * 10.0 * (0.2 + emb_mag) * (1.2 - 0.4 * conf[:, 6])
 
+    def fold(self, cols, values) -> "FoldedRegressor":
+        return FoldedRegressor(self, cols, values)
+
+    def astype(self, dtype) -> "FakeRegressor":
+        return self
+
+
+class FoldedRegressor:
+    """``MLPRegressor.fold`` for a duck-typed regressor: the same function
+    over the columns other than ``cols``, which are fixed at ``values``."""
+
+    def __init__(self, inner, cols, values):
+        self.inner = inner
+        self.cols = np.asarray(cols)
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def full_rows(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(X)
+        full = np.empty((len(X), len(self.cols) + X.shape[1]))
+        full[:, self.cols] = self.values
+        full[:, np.setdiff1d(np.arange(full.shape[1]), self.cols)] = X
+        return full
+
+    def astype(self, dtype) -> "FoldedRegressor":
+        return FoldedRegressor(self.inner.astype(dtype), self.cols, self.values)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.inner.predict(self.full_rows(X))
+
 
 @pytest.fixture(scope="session")
 def fake_suite() -> ModelSuite:

@@ -9,7 +9,8 @@ from repro.core.workloads import build_query
 from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
-from repro.params import lhs_unit
+from repro.moo.objectives import D_C, D_PS
+from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refine_unit
 
 
 def _sols(rng, n, m):
@@ -153,6 +154,63 @@ def test_effective_set_structure(obj):
             assert len(pidx) >= 1
             # stored solutions are the local Pareto set of the pool
             assert np.all(F > 0)
+
+
+def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
+    """Algorithm 1 with one model call per (cluster, subQ) block."""
+    rng = np.random.default_rng(seed)
+    Uc = refine_unit(lhs_unit(n_c, D_C, rng), C_IDS)
+    labels, rep_idx, centers = H._kmeans(Uc, n_clusters, seed=seed)
+    pool = refine_unit(lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
+    opt_idx = {}
+    for g, r in enumerate(rep_idx):
+        U_full = np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)
+        for sq in obj.sq_ids:
+            opt_idx[(g, sq)] = pareto_indices(obj.subq_batch(sq, U_full))
+
+    def assign(U_cands, cand_labels):
+        out = {sq: [None] * len(U_cands) for sq in obj.sq_ids}
+        for g in range(len(rep_idx)):
+            members = np.flatnonzero(cand_labels == g)
+            for sq in obj.sq_ids:
+                pidx = opt_idx[(g, sq)]
+                F = obj.subq_batch(sq, np.concatenate(
+                    [np.repeat(U_cands[members], len(pidx), axis=0),
+                     np.tile(pool[pidx], (len(members), 1))], axis=1))
+                for mi, ci in enumerate(members):
+                    out[sq][ci] = (pidx, F[mi * len(pidx):(mi + 1) * len(pidx)])
+        return out
+
+    sols = assign(Uc, labels)
+    U_new = H._crossover_enrich(Uc, n_c // 2, seed + 1)
+    new_sols = assign(U_new, H._assign_cluster(U_new, centers))
+    return np.concatenate([Uc, U_new]), pool, {sq: sols[sq] + new_sols[sq] for sq in sols}
+
+
+class _CountingObjectives:
+    def __init__(self, obj):
+        self.obj, self.sq_ids, self.calls = obj, obj.sq_ids, []
+
+    def subq_batch(self, sq_id, U_full):
+        self.calls.append(sq_id)
+        return self.obj.subq_batch(sq_id, U_full)
+
+
+def test_batched_effective_set_equals_per_block_calls(obj):
+    """One call per subQ per phase scores every (cluster, subQ) block
+    exactly as a call of its own would."""
+    kw = dict(n_c=40, n_clusters=6, n_p=48, seed=3)
+    counting = _CountingObjectives(obj)
+    eff = H.generate_effective_set(counting, **kw)
+    assert sorted(counting.calls) == sorted(obj.sq_ids * 3)
+    Uc, pool, sols = _effective_set_per_block(obj, **kw)
+    np.testing.assert_array_equal(eff.Uc, Uc)
+    np.testing.assert_array_equal(eff.pool, pool)
+    for sq in obj.sq_ids:
+        assert len(eff.sols[sq]) == len(sols[sq]) == len(Uc)
+        for (pidx, F), (pidx_ref, F_ref) in zip(eff.sols[sq], sols[sq]):
+            np.testing.assert_array_equal(pidx, pidx_ref)
+            np.testing.assert_array_equal(F, F_ref)
 
 
 def test_effective_set_no_enrich(obj):

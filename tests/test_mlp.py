@@ -110,3 +110,56 @@ def test_fit_step_follows_finite_difference_gradient():
         assert live.any()
         np.testing.assert_array_equal(np.sign(moved[live]), -np.sign(g[live]))
         np.testing.assert_allclose(np.abs(moved[live]), lr, rtol=2e-2)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A fitted 12-input model and rows whose columns 0, 3, 4 and 9 are
+    fixed, as a subQ's context columns are in every compile-time row."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(2.0, 3.0, (400, 12))
+    y = np.exp(0.3 * X[:, 0] + 0.2 * X[:, 3] * X[:, 5]).clip(0, 1e4) + X[:, 9] ** 2
+    m = MLPRegressor(12, hidden=(32, 32), seed=6)
+    m.fit(X, y, epochs=8)
+    cols = np.array([0, 3, 4, 9])
+    X_fixed = X.copy()
+    X_fixed[:, cols] = X[7, cols]
+    return m, cols, X_fixed
+
+
+def _rest(X, cols):
+    return np.delete(X, cols, axis=1)
+
+
+def test_fold_float64_matches_full_rows(wide):
+    m, cols, X = wide
+    f = m.fold(cols, X[0, cols])
+    assert f.d_in == 12 - len(cols) and f.W[0].shape == (8, 32)
+    np.testing.assert_allclose(f.predict(_rest(X, cols)), m.predict(X), rtol=1e-12)
+
+
+@pytest.mark.parametrize("cast_first", [True, False], ids=["cast-fold", "fold-cast"])
+def test_fold_float32_matches_full_rows(wide, cast_first):
+    m, cols, X = wide
+    f = (m.astype(np.float32).fold(cols, X[0, cols]) if cast_first
+         else m.fold(cols, X[0, cols]).astype(np.float32))
+    assert all(w.dtype == np.float32 for w in f.W + f.b + [f.x_mean, f.x_std])
+    pred = f.predict(_rest(X, cols))
+    assert pred.dtype == np.float64
+    np.testing.assert_allclose(pred, m.predict(X), rtol=1e-5)
+
+
+def test_float32_copy_leaves_original_roundtrip_unchanged(tmp_path, wide):
+    m, cols, X = wide
+    before = m.predict(X)
+    m.fold(cols, X[0, cols]).astype(np.float32).predict(_rest(X, cols))
+    m.astype(np.float32).predict(X)
+    path = str(tmp_path / "m.npz")
+    m.save(path)
+    back = MLPRegressor.load(path)
+    for a, b in zip(m.W + m.b + [m.x_mean, m.x_std],
+                    back.W + back.b + [back.x_mean, back.x_std]):
+        assert a.dtype == b.dtype == np.float64
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(back.predict(X), before)
+    np.testing.assert_array_equal(m.predict(X), before)

@@ -5,7 +5,9 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
-from repro.params import lhs_unit
+from repro.model.predictor import FULL_IDS, StageFeatures
+from repro.params import denormalize_matrix, lhs_unit
+from repro.simspark.costmodel import DEFAULT_COSTS
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +68,24 @@ def test_more_cores_cheaper_latency_fake_model(obj):
     F_lo = obj.query_shared_batch(lo)
     F_hi = obj.query_shared_batch(hi)
     assert F_hi[0, 0] < F_lo[0, 0]
+
+
+def test_folded_float32_matches_full_float64_rows(small_suite):
+    """The per-subQ float32 folds score like the trained float64 models on
+    the full 64-column rows. float32 keeps a model's log1p-scale output to
+    about 1e-6 absolute, so a prediction y moves by up to about
+    (1 + y)·1e-6: relatively for large y, absolutely for tiny ones."""
+    dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
+    obj = CompileTimeObjectives(dag, small_suite)
+    U = lhs_unit(300, D_FULL, np.random.default_rng(4))
+    M = denormalize_matrix(U, FULL_IDS)
+    rate = obj.resource_rate(M)
+    tol = 1e-5
+    for sq in obj.sq_ids:
+        X = StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
+        full = small_suite.subq.objectives(X, rate, clamp_latency=True)
+        got = obj.subq_batch(sq, U)
+        np.testing.assert_allclose(got[:, 0], full[:, 0], rtol=tol, atol=tol)
+        # cost = latency · rate + IO · price: each term's error as above
+        bound = tol * (full[:, 1] + rate + DEFAULT_COSTS.price_io_gb / 1024.0)
+        assert np.all(np.abs(got[:, 1] - full[:, 1]) <= bound)

@@ -94,6 +94,33 @@ def test_matrix_matches_scalar():
             assert M[r, j] == pytest.approx(conf[kid], rel=1e-9), kid
 
 
+def _denormalize_reference(U, ids):
+    """``denormalize_matrix`` as first written: both branches on every column."""
+    U = np.clip(np.asarray(U, dtype=np.float64), 0.0, 1.0)
+    ks = [P.KNOB_BY_ID[i] for i in ids]
+    lo, hi = np.array([k.lo for k in ks]), np.array([k.hi for k in ks])
+    is_log, is_int = np.array([k.log for k in ks]), np.array([k.integer for k in ks])
+    lin = lo + U * (hi - lo)
+    lo_s, hi_s = np.where(is_log, lo, 1.0), np.where(is_log, hi, 1.0)
+    logv = 10 ** (np.log10(lo_s) + U * (np.log10(hi_s) - np.log10(lo_s)))
+    M = np.where(is_log, logv, lin)
+    return np.where(is_int, np.round(M), M)
+
+
+@pytest.mark.parametrize("ids", [[k.kid for k in P.ALL_KNOBS], P.P_IDS + P.S_IDS,
+                                 P.C_IDS[::-1]], ids=["full", "ps", "c-reversed"])
+def test_matrix_bit_identical_to_reference(ids):
+    rng = np.random.default_rng(2)
+    U = rng.random((4000, len(ids))) * 1.1 - 0.05   # some rows outside [0, 1]
+    U[:5] = [[0.0], [1.0], [0.5], [0.25], [0.75]]
+    for batch in (U, U[:1], U[3]):
+        M = P.denormalize_matrix(batch, ids)
+        np.testing.assert_array_equal(M, _denormalize_reference(batch, ids))
+    P.denormalize_matrix(U, ids)[:] = -1.0     # a caller's edit of the output
+    np.testing.assert_array_equal(P.denormalize_matrix(U, ids),
+                                  _denormalize_reference(U, ids))
+
+
 def test_spark_conf_items_rendering():
     items = P.spark_conf_items(P.default_conf())
     assert items["spark.executor.cores"] == "2"

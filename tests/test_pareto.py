@@ -49,6 +49,33 @@ def test_pareto_matches_brute_force_2d(seed):
     assert set(pareto_indices(F)) == brute_force_pareto(F)
 
 
+def _sweep_reference(F):
+    """The 2-D sweep as a loop: after sorting by f1 then f2, keep a row iff
+    its f2 beats every f2 before it."""
+    best, keep = np.inf, []
+    for i in np.lexsort((F[:, 1], F[:, 0])):
+        if F[i, 1] < best:
+            keep.append(i)
+            best = F[i, 1]
+    return np.array(sorted(keep), dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pareto_2d_with_ties(seed):
+    """On a coarse grid (many equal f1, f2 and whole rows) the vectorized
+    sweep equals the loop, keeps the same points as the k>2 brute force on
+    a constant third column, and keeps only the first of equal rows."""
+    rng = np.random.default_rng(seed + 200)
+    F = rng.integers(0, 5, (int(rng.integers(1, 120)), 2)).astype(np.float64)
+    idx = pareto_indices(F)
+    np.testing.assert_array_equal(idx, _sweep_reference(F))
+    assert idx.dtype == np.int64
+    brute = pareto_indices(np.column_stack([F, np.zeros(len(F))]))
+    assert {tuple(F[i]) for i in idx} == {tuple(F[i]) for i in brute}
+    for i in idx:
+        assert i == np.flatnonzero((F == F[i]).all(axis=1))[0]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pareto_matches_brute_force_3d(seed):
     rng = np.random.default_rng(seed + 100)

@@ -14,9 +14,11 @@ from repro.model.features import DERIVED_DIM, GAMMA_DIM, JOIN_ALGS
 from repro.model.gtn import EMB_DIM
 from repro.model.predictor import FULL_IDS, QS_DIM, ModelSuite, TargetModels
 from repro.model.traces import trace_rows
+from repro.moo.hmooc import hmooc
 from repro.moo.objectives import CompileTimeObjectives
 from repro.params import C_IDS, lhs_sample, to_vector
 from repro.runtime.optimizer import OnlineOptimizer
+from tests.conftest import FoldedRegressor
 
 QUERIES = [("tpch", "q9"), ("tpcds", "q17")]
 VARIANT = 1
@@ -25,21 +27,48 @@ CONFS = lhs_sample(3, FULL_IDS, seed=11)
 
 
 class SpyRegressor:
-    """Delegating regressor that keeps a copy of every input matrix."""
+    """Delegating regressor that keeps a copy of every input matrix. A
+    fold of it records each row it scores whole in ``seen_folded``: the
+    fold's fixed columns put back around the columns it was passed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.seen: list[np.ndarray] = []
+        self.seen_folded: list[np.ndarray] = []
 
     def predict(self, X):
         self.seen.append(np.array(X, copy=True))
         return self.inner.predict(X)
 
+    def astype(self, dtype):
+        """A spy on the cast copy, recording into the same lists."""
+        cast = SpyRegressor(self.inner.astype(dtype))
+        cast.seen, cast.seen_folded = self.seen, self.seen_folded
+        return cast
+
+    def fold(self, cols, values):
+        return SpyFold(self, self.inner, cols, values)
+
+
+class SpyFold(FoldedRegressor):
+    """``SpyRegressor.fold``: records each full row it scores."""
+
+    def __init__(self, spy, inner, cols, values):
+        super().__init__(inner, cols, values)
+        self.spy = spy
+
+    def astype(self, dtype):
+        return SpyFold(self.spy, self.inner.astype(dtype), self.cols, self.values)
+
+    def predict(self, X):
+        self.spy.seen_folded.append(self.full_rows(X))
+        return super().predict(X)
+
 
 @pytest.fixture
 def spy_suite(fake_suite):
     def spied(tm):
-        return TargetModels(SpyRegressor(tm.latency), tm.io)
+        return TargetModels(SpyRegressor(tm.latency), SpyRegressor(tm.io))
     return ModelSuite(spied(fake_suite.subq), spied(fake_suite.qs), fake_suite.lqp)
 
 
@@ -59,12 +88,24 @@ def test_subq_rows_match_compile_time(bench, template, spy_suite):
         assert sorted(rows) == obj.sq_ids
         U = to_vector(conf, FULL_IDS)[None, :]
         for sq_id, feats in rows.items():
-            spy.seen.clear()
+            spy.seen_folded.clear()
             obj.subq_batch(sq_id, U)
-            (X,) = spy.seen
+            (X,) = spy.seen_folded
+            assert X.shape == (1, len(feats))
             # compile time re-decodes the knobs from U, so the derived
             # partition columns may differ in the last bits
             np.testing.assert_allclose(X[0], feats, rtol=1e-9)
+    assert spy.seen == []
+
+
+@pytest.mark.parametrize("bench,template", QUERIES)
+def test_hmooc_scores_only_folded_subq_models(bench, template, spy_suite):
+    """Compile time never runs the unfolded subQ models on full rows."""
+    dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))
+    hmooc(dag, spy_suite, n_c=16, n_clusters=4, n_p=32)
+    for spy in (spy_suite.subq.latency, spy_suite.subq.io):
+        assert spy.seen == []
+        assert len(spy.seen_folded) == 3 * len(dag.subqs)  # one per subQ per phase
 
 
 @pytest.mark.parametrize("bench,template", QUERIES)
