@@ -10,10 +10,11 @@ the constraint that every subQ shares the same θc:
    (Cartesian-product) heuristic of Appendix C.1 and re-assign. Each
    phase (optimize, assign, re-assign) makes one model call per subQ over
    all of its (cluster, subQ) blocks.
-2. **DAG aggregation** — recover query-level Pareto solutions from
-   subQ-level ones under each θc: HMOOC1 divide-and-conquer merge (exact),
-   HMOOC2 weighted-sum approximation (subset of the Pareto set), HMOOC3
-   boundary approximation (k extreme points per θc; the shipped default).
+2. **DAG aggregation** — HMOOC3's boundary approximation: under each θc,
+   the k = 2 extreme points (best-latency, best-cost) of the query-level
+   front, each the sum of every subQ's per-objective optimum. The paper's
+   HMOOC1 (exact divide-and-conquer) and HMOOC2 (weighted sum) are not
+   implemented; OPT ships HMOOC3.
 3. **WUN recommendation** — pick the Pareto point nearest the Utopia
    point under the user's preference weights.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.moo.objectives import D_C, D_PS, CompileTimeObjectives
-from repro.moo.pareto import normalize, pareto_indices, wun_select
+from repro.moo.pareto import pareto_indices, wun_select
 from repro.params import C_IDS, P_IDS, S_IDS, from_vector, lhs_unit, refine_unit
 
 
@@ -118,7 +119,7 @@ class _EffectiveSet:
 
 def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
                            n_clusters: int = 14, n_p: int = 256,
-                           enrich: bool = True, seed: int = 0) -> _EffectiveSet:
+                           seed: int = 0) -> _EffectiveSet:
     """Algorithm 1: effective per-subQ solution sets under shared θc."""
     rng = np.random.default_rng(seed)
     Uc = refine_unit(lhs_unit(n_c, D_C, rng), C_IDS)
@@ -158,7 +159,7 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
         return out
 
     sols = assign(Uc, labels)
-    if enrich and len(Uc) >= 2:
+    if len(Uc) >= 2:
         U_new = _crossover_enrich(Uc, n_c // 2, seed + 1)
         new_labels = _assign_cluster(U_new, centers)
         new_sols = assign(U_new, new_labels)
@@ -172,92 +173,51 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
 # DAG aggregation (§5.1.2)
 # ---------------------------------------------------------------------------
 
-def _merge_two(FA: np.ndarray, IA: list, FB: np.ndarray, IB: list, cap: int = 512):
-    """HMOOC1 merge: Minkowski sum of two solution lists, Pareto-filtered."""
-    F = (FA[:, None, :] + FB[None, :, :]).reshape(-1, 2)
-    idx = pareto_indices(F)
-    if len(idx) > cap:
-        idx = idx[np.linspace(0, len(idx) - 1, cap).astype(int)]
-    nb = len(FB)
-    combos = [IA[i // nb] + IB[i % nb] for i in idx]
-    return F[idx], combos
+def aggregate_boundary(sq_sols: list[tuple[np.ndarray, np.ndarray]]):
+    """HMOOC3 for one θc: the k = 2 extreme points (best-latency, best-cost).
 
-
-def aggregate_dnc(sq_sols: list[tuple[np.ndarray, list]]):
-    """HMOOC1: divide-and-conquer exact DAG aggregation for one θc."""
-    if len(sq_sols) == 1:
-        F, I = sq_sols[0]
-        idx = pareto_indices(F)
-        return F[idx], [I[i] for i in idx]
-    mid = len(sq_sols) // 2
-    FA, IA = aggregate_dnc(sq_sols[:mid])
-    FB, IB = aggregate_dnc(sq_sols[mid:])
-    return _merge_two(FA, IA, FB, IB)
-
-
-def aggregate_ws(sq_sols: list[tuple[np.ndarray, list]], n_weights: int = 11):
-    """HMOOC2: weighted-sum aggregation (Algorithm 4) for one θc."""
-    ws = np.linspace(0.0, 1.0, n_weights)
-    F_out, I_out = [], []
-    for w in ws:
-        wv = np.array([w, 1.0 - w])
-        total = np.zeros(2)
-        combo: list = []
-        for F, I in sq_sols:
-            Fn, _, _ = normalize(F)
-            j = int((Fn * wv).sum(axis=1).argmin())
-            total = total + F[j]
-            combo = combo + I[j]
-        F_out.append(total)
-        I_out.append(combo)
-    F_out = np.array(F_out)
-    idx = pareto_indices(F_out)
-    return F_out[idx], [I_out[i] for i in idx]
-
-
-def aggregate_boundary(sq_sols: list[tuple[np.ndarray, list]]):
-    """HMOOC3: the k extreme points (best-latency, best-cost) for one θc."""
+    ``sq_sols`` holds each subQ's ``(pool indices, F)`` in subQ order.
+    Returns the points' ``(2, 2)`` objectives and, per point, the array of
+    the pool index each subQ takes.
+    """
     out_F, out_I = [], []
     for obj_i in range(2):
         total = np.zeros(2)
-        combo: list = []
-        for F, I in sq_sols:
+        picks = []
+        for pidx, F in sq_sols:
             j = int(F[:, obj_i].argmin())
             total = total + F[j]
-            combo = combo + I[j]
+            picks.append(pidx[j])
         out_F.append(total)
-        out_I.append(combo)
+        out_I.append(np.array(picks))
     return np.array(out_F), out_I
 
 
-_AGGREGATORS = {"dnc": aggregate_dnc, "ws": aggregate_ws, "boundary": aggregate_boundary}
+# perfbench/workloads.py passes ``agg="boundary"`` and traces this entry in
+# place, so the one-entry table and the ``agg`` argument stay.
+_AGGREGATORS = {"boundary": aggregate_boundary}
 
 
 def hmooc(dag, suite, *, agg: str = "boundary", n_c: int = 128, n_clusters: int = 14,
-          n_p: int = 256, enrich: bool = True, seed: int = 0,
+          n_p: int = 256, seed: int = 0,
           objectives: CompileTimeObjectives | None = None) -> MOOResult:
-    """Full compile-time HMOOC pipeline; ``agg`` picks HMOOC1/2/3."""
+    """Full compile-time HMOOC3 pipeline."""
     t0 = time.perf_counter()
     obj = objectives or CompileTimeObjectives(dag, suite)
     eff = generate_effective_set(obj, n_c=n_c, n_clusters=n_clusters, n_p=n_p,
-                                 enrich=enrich, seed=seed)
+                                 seed=seed)
     aggregate = _AGGREGATORS[agg]
 
     all_F: list[np.ndarray] = []
-    all_cfg: list[tuple[int, list[int]]] = []  # (θc cand index, per-subQ pool idx)
-    n_cands = len(eff.Uc)
-    for ci in range(n_cands):
-        sq_sols = []
-        for sq in obj.sq_ids:
-            pidx, F = eff.sols[sq][ci]
-            sq_sols.append((F, [[int(j)] for j in pidx]))
-        F_c, combos = aggregate(sq_sols)
+    all_cfg: list[tuple[int, np.ndarray]] = []  # (θc cand index, per-subQ pool idx)
+    for ci in range(len(eff.Uc)):
+        F_c, picks = aggregate([eff.sols[sq][ci] for sq in obj.sq_ids])
         all_F.append(F_c)
-        all_cfg.extend((ci, combo) for combo in combos)
+        all_cfg.extend((ci, p) for p in picks)
     F = np.concatenate(all_F, axis=0)
     keep = pareto_indices(F)
 
-    configs = [QueryConfig.decode(eff.Uc[ci], eff.pool[combo], obj.sq_ids)
-               for ci, combo in (all_cfg[i] for i in keep)]
+    configs = [QueryConfig.decode(eff.Uc[ci], eff.pool[picks], obj.sq_ids)
+               for ci, picks in (all_cfg[i] for i in keep)]
     return MOOResult(F=F[keep], configs=configs,
                      solving_time_s=time.perf_counter() - t0, method=f"hmooc-{agg}")

@@ -1,8 +1,8 @@
 """Pareto-set utilities: dominance filtering, hypervolume, WUN selection.
 
-All objectives are *minimized*. Objective matrices are ``(n, k)`` numpy
-arrays; helpers return index arrays into the input so callers can carry
-configurations alongside.
+All objectives are *minimized*. Objective matrices are ``(n, 2)`` numpy
+arrays of (latency, cost); helpers return index arrays into the input so
+callers can carry configurations alongside.
 """
 from __future__ import annotations
 
@@ -10,37 +10,22 @@ import numpy as np
 
 
 def pareto_indices(F: np.ndarray) -> np.ndarray:
-    """Indices of non-dominated rows of ``F`` (minimization).
+    """Indices of non-dominated rows of ``F`` (minimization, k = 2).
 
-    Uses the classic sort-then-sweep for k=2 — O(n log n), the [18]
-    Kung-Luccio-Preparata bound the paper cites — and a vectorized
-    pairwise check for k>2.
+    Uses the classic sort-then-sweep, O(n log n) — the [18]
+    Kung-Luccio-Preparata bound the paper cites.
     """
     F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise ValueError("F must be (n, k)")
-    n, k = F.shape
-    if n == 0:
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError("F must be (n, 2): (latency, cost)")
+    if len(F) == 0:
         return np.array([], dtype=np.int64)
-    if k == 2:
-        # by f1 then f2; a row survives iff its f2 beats every f2 before it,
-        # so of equal rows only the first (lowest index) survives
-        order = np.lexsort((F[:, 1], F[:, 0]))
-        f2 = F[order, 1]
-        best_before = np.concatenate([[np.inf], np.fmin.accumulate(f2)[:-1]])
-        return np.sort(order[f2 < best_before]).astype(np.int64, copy=False)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        dominated = np.all(F <= F[i], axis=1) & np.any(F < F[i], axis=1)
-        if dominated.any():
-            keep[i] = False
-            continue
-        dominates = np.all(F[i] <= F, axis=1) & np.any(F[i] < F, axis=1)
-        keep &= ~dominates
-        keep[i] = True
-    return np.flatnonzero(keep)
+    # by f1 then f2; a row survives iff its f2 beats every f2 before it,
+    # so of equal rows only the first (lowest index) survives
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    f2 = F[order, 1]
+    best_before = np.concatenate([[np.inf], np.fmin.accumulate(f2)[:-1]])
+    return np.sort(order[f2 < best_before]).astype(np.int64, copy=False)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:

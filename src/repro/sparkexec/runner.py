@@ -16,25 +16,15 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.params import KNOB_BY_ID, spark_conf_items
+from repro.params import spark_conf_items
 
 # θp/θs knobs that are honoured by a live session (per-query settable).
 LIVE_KNOBS = ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11"]
-# AQE's runtime broadcast threshold is a separate conf from the compile-time one.
-_EXTRA_CONF = {
-    "s4": ["spark.sql.adaptive.autoBroadcastJoinThreshold"],
-}
 
 
 def live_conf_items(conf: dict) -> dict[str, str]:
     """Render the live-settable subset of a 19-knob config as conf strings."""
-    sub = {k: v for k, v in conf.items() if k in LIVE_KNOBS}
-    items = spark_conf_items(sub)
-    for kid, extras in _EXTRA_CONF.items():
-        if kid in sub:
-            for name in extras:
-                items[name] = items[KNOB_BY_ID[kid].spark_name]
-    return items
+    return spark_conf_items({k: v for k, v in conf.items() if k in LIVE_KNOBS})
 
 
 @contextmanager

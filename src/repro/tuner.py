@@ -98,7 +98,7 @@ def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *, seed: int = 0,
                    objectives: CompileTimeObjectives | None = None,
                    **hmooc_kw) -> tuple[MOOResult, CompileTimeObjectives]:
     obj = objectives or CompileTimeObjectives(dag, suite)
-    res = hmooc(dag, suite, agg="boundary", seed=seed, objectives=obj, **hmooc_kw)
+    res = hmooc(dag, suite, seed=seed, objectives=obj, **hmooc_kw)
     return res, obj
 
 

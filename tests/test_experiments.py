@@ -61,9 +61,9 @@ def test_table5_structure(fake_suite):
 
 
 def test_expt6_structure(fake_suite):
-    res = run_expt6("tpch", fake_suite, queries=["q3", "q14"], seed=0,
-                    include_query_level=False)
-    assert set(res["methods"]) == {"hmooc3", "ws-fine", "evo-fine", "pf-fine"}
+    res = run_expt6("tpch", fake_suite, queries=["q3", "q14"], seed=0)
+    assert set(res["methods"]) == {"hmooc3", "ws-fine", "evo-fine", "pf-fine",
+                                   "ws-query", "evo-query", "pf-query"}
     for m, s in res["methods"].items():
         assert 0.0 <= s["hv"] <= 1.21  # normalized HV w.r.t. (1.1, 1.1)
         assert s["avg_solve"] > 0

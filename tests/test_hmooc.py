@@ -1,6 +1,9 @@
-"""Unit tests for HMOOC: effective-set generation, DAG aggregation
-(HMOOC1/2/3) and the end-to-end pipeline — including the paper's formal
-properties (Prop. 5.1–5.3, Appendix B)."""
+"""Unit tests for HMOOC: effective-set generation, HMOOC3's boundary
+aggregation and the end-to-end pipeline — including the paper's formal
+properties (Prop. 5.1–5.3, Appendix B). The exact per-θc aggregation
+(HMOOC1) lives here only as a test oracle."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,61 +17,55 @@ from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refine_unit
 
 
 def _sols(rng, n, m):
-    """Random per-subQ solution lists [(F, ids)] for aggregation tests."""
-    out = []
-    for i in range(m):
-        F = rng.random((n, 2)) * 10
-        out.append((F, [[j] for j in range(n)]))
-    return out
+    """Random per-subQ solution lists [(pool indices, F)] for aggregation tests."""
+    return [(np.arange(n), rng.random((n, 2)) * 10) for _ in range(m)]
 
 
 def brute_force_query_front(sq_sols):
-    """Enumerate every combination (exponential — small cases only)."""
-    import itertools
-    Fs = [s[0] for s in sq_sols]
-    combos = list(itertools.product(*[range(len(F)) for F in Fs]))
-    F_all = np.array([sum(F[c] for F, c in zip(Fs, combo)) for combo in combos])
+    """Enumerate every combination (exponential — small cases only); returns
+    the query-level front and, per point, each subQ's pool index."""
+    rows = list(itertools.product(*[range(len(F)) for _, F in sq_sols]))
+    F_all = np.array([sum(F[j] for (_, F), j in zip(sq_sols, row)) for row in rows])
     keep = pareto_indices(F_all)
-    return {tuple(np.round(F_all[i], 9)) for i in keep}
+    return F_all[keep], [tuple(pidx[j] for (pidx, _), j in zip(sq_sols, rows[i]))
+                         for i in keep]
+
+
+def exact_query_front(sq_sols):
+    """HMOOC1's exact aggregation for one θc: Minkowski-sum the subQs' local
+    fronts one at a time and keep the Pareto set (lossless by Prop. 5.1).
+    Returns the front and, per point, each subQ's pool index."""
+    F, combos = np.zeros((1, 2)), [[]]
+    for pidx, F_sq in sq_sols:
+        local = pareto_indices(F_sq)
+        S = (F[:, None, :] + F_sq[local][None, :, :]).reshape(-1, 2)
+        keep = pareto_indices(S)
+        F = S[keep]
+        combos = [combos[i // len(local)] + [pidx[local[i % len(local)]]] for i in keep]
+    return F, combos
+
+
+def _points(F):
+    return {tuple(np.round(f, 9)) for f in F}
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_hmooc1_exact_vs_brute_force(seed):
-    """Prop. B.1: divide-and-conquer returns the full query-level front."""
+    """Prop. B.1: the exact oracle returns the full query-level front."""
     rng = np.random.default_rng(seed)
     sq_sols = _sols(rng, 6, 4)
-    F, combos = H.aggregate_dnc(sq_sols)
-    got = {tuple(np.round(f, 9)) for f in F}
-    assert got == brute_force_query_front(sq_sols)
+    F, _ = exact_query_front(sq_sols)
+    assert _points(F) == _points(brute_force_query_front(sq_sols)[0])
 
 
 def test_hmooc1_combo_bookkeeping():
     rng = np.random.default_rng(11)
     sq_sols = _sols(rng, 4, 3)
-    F, combos = H.aggregate_dnc(sq_sols)
+    F, combos = exact_query_front(sq_sols)
     for f, combo in zip(F, combos):
         assert len(combo) == 3
-        rebuilt = sum(sq_sols[i][0][combo[i]] for i in range(3))
+        rebuilt = sum(sq_sols[i][1][combo[i]] for i in range(3))
         np.testing.assert_allclose(f, rebuilt)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_hmooc2_subset_of_front(seed):
-    """Lemma 1: WS aggregation returns a non-empty subset of the exact front."""
-    rng = np.random.default_rng(seed + 50)
-    sq_sols = _sols(rng, 5, 3)
-    F_exact, _ = H.aggregate_dnc(sq_sols)
-    exact = {tuple(np.round(f, 9)) for f in F_exact}
-    F_ws, _ = H.aggregate_ws(sq_sols, n_weights=11)
-    assert len(F_ws) >= 1
-    # WS with per-subQ normalization may construct points that are not
-    # globally Pareto-optimal; the Pareto subset of its output must be
-    # contained in the exact front for the extreme weights (w=0, w=1).
-    got = {tuple(np.round(f, 9)) for f in F_ws}
-    # at minimum, the two per-objective optima are shared
-    best0 = min(exact, key=lambda t: t[0])
-    best1 = min(exact, key=lambda t: t[1])
-    assert best0 in got and best1 in got
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -79,7 +76,10 @@ def test_hmooc3_extreme_points(seed):
     sq_sols = _sols(rng, 5, 3)
     F_b, combos = H.aggregate_boundary(sq_sols)
     assert F_b.shape == (2, 2)  # k = 2 objectives -> 2 extreme points
-    F_exact, _ = H.aggregate_dnc(sq_sols)
+    for f, combo in zip(F_b, combos):
+        assert len(combo) == 3
+        np.testing.assert_allclose(f, sum(F[j] for (_, F), j in zip(sq_sols, combo)))
+    F_exact, _ = brute_force_query_front(sq_sols)
     # extreme points achieve the per-objective minima of the exact front
     assert F_b[0, 0] == pytest.approx(F_exact[:, 0].min())
     assert F_b[1, 1] == pytest.approx(F_exact[:, 1].min())
@@ -93,10 +93,9 @@ def test_prop51_only_local_pareto_contributes():
     in query-level Pareto solutions."""
     rng = np.random.default_rng(7)
     sq_sols = _sols(rng, 6, 3)
-    F, combos = H.aggregate_dnc(sq_sols)
+    _, combos = brute_force_query_front(sq_sols)
     for combo in combos:
-        for i, j in enumerate(combo):
-            F_i = sq_sols[i][0]
+        for (_, F_i), j in zip(sq_sols, combo):
             assert not any(dominates(F_i[k], F_i[j]) for k in range(len(F_i))), \
                 "a dominated subQ-level solution reached the query-level front"
 
@@ -213,13 +212,8 @@ def test_batched_effective_set_equals_per_block_calls(obj):
             np.testing.assert_array_equal(F, F_ref)
 
 
-def test_effective_set_no_enrich(obj):
-    eff = H.generate_effective_set(obj, n_c=8, n_clusters=2, n_p=8,
-                                   enrich=False, seed=0)
-    assert len(eff.Uc) == 8
-
-
-@pytest.mark.parametrize("agg", ["boundary", "ws", "dnc"])
+# "boundary" is the one name perfbench/workloads.py passes as ``agg``
+@pytest.mark.parametrize("agg", ["boundary"])
 def test_hmooc_end_to_end(obj, fake_suite, agg):
     res = H.hmooc(obj.dag, fake_suite, agg=agg, n_c=12, n_clusters=3, n_p=16,
                   seed=0, objectives=obj)
@@ -234,9 +228,34 @@ def test_hmooc_end_to_end(obj, fake_suite, agg):
     assert set(qc.theta_c) == {"k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8"}
 
 
+def test_hmooc_equals_boundary_reference(obj, fake_suite):
+    """hmooc's front and configurations are exactly those of HMOOC3 built by
+    hand from the effective set: per θc, each subQ's argmin on each
+    objective summed in subQ order, the points unioned, then Pareto-filtered."""
+    kw = dict(n_c=12, n_clusters=3, n_p=16, seed=2)
+    res = H.hmooc(obj.dag, fake_suite, objectives=obj, **kw)
+    eff = H.generate_effective_set(obj, **kw)
+    F, cfg = [], []
+    for ci in range(len(eff.Uc)):
+        for obj_i in range(2):
+            total, picks = np.zeros(2), []
+            for sq in obj.sq_ids:
+                pidx, F_sq = eff.sols[sq][ci]
+                j = F_sq[:, obj_i].argmin()
+                total = total + F_sq[j]
+                picks.append(pidx[j])
+            F.append(total)
+            cfg.append((ci, picks))
+    F = np.array(F)
+    keep = pareto_indices(F)
+    np.testing.assert_array_equal(res.F, F[keep])
+    assert res.configs == [H.QueryConfig.decode(eff.Uc[ci], eff.pool[picks], obj.sq_ids)
+                           for ci, picks in (cfg[i] for i in keep)]
+
+
 def test_hmooc_recommend_weights(obj, fake_suite):
-    res = H.hmooc(obj.dag, fake_suite, agg="boundary", n_c=12, n_clusters=3,
-                  n_p=16, seed=0, objectives=obj)
+    res = H.hmooc(obj.dag, fake_suite, n_c=12, n_clusters=3, n_p=16, seed=0,
+                  objectives=obj)
     F_lat, _ = res.recommend((0.99, 0.01))
     F_cost, _ = res.recommend((0.01, 0.99))
     assert F_lat[0] <= F_cost[0]  # latency preference picks faster point
@@ -244,16 +263,19 @@ def test_hmooc_recommend_weights(obj, fake_suite):
 
 
 def test_hmooc_dnc_front_dominates_boundary(obj, fake_suite):
-    """HMOOC1 is exact per θc; HMOOC3 is its 2-point approximation, so the
-    dnc front's hypervolume is at least boundary's."""
+    """The exact per-θc aggregation (HMOOC1) over the same effective set
+    contains HMOOC3's two points per θc, so its front's hypervolume is at
+    least hmooc's."""
     from repro.moo.pareto import hypervolume_2d, normalize
-    r_d = H.hmooc(obj.dag, fake_suite, agg="dnc", n_c=10, n_clusters=3,
-                  n_p=12, seed=1, objectives=obj)
-    r_b = H.hmooc(obj.dag, fake_suite, agg="boundary", n_c=10, n_clusters=3,
-                  n_p=12, seed=1, objectives=obj)
-    allF = np.concatenate([r_d.F, r_b.F])
+    kw = dict(n_c=10, n_clusters=3, n_p=12, seed=1)
+    r_b = H.hmooc(obj.dag, fake_suite, objectives=obj, **kw)
+    eff = H.generate_effective_set(obj, **kw)
+    F_d = np.concatenate([exact_query_front([eff.sols[sq][ci] for sq in obj.sq_ids])[0]
+                          for ci in range(len(eff.Uc))])
+    F_d = F_d[pareto_indices(F_d)]
+    allF = np.concatenate([F_d, r_b.F])
     _, lo, hi = normalize(allF)
     ref = np.array([1.1, 1.1])
-    hv_d = hypervolume_2d(normalize(r_d.F, lo, hi)[0], ref)
+    hv_d = hypervolume_2d(normalize(F_d, lo, hi)[0], ref)
     hv_b = hypervolume_2d(normalize(r_b.F, lo, hi)[0], ref)
     assert hv_d >= hv_b - 1e-9

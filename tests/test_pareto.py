@@ -63,29 +63,23 @@ def _sweep_reference(F):
 @pytest.mark.parametrize("seed", range(20))
 def test_pareto_2d_with_ties(seed):
     """On a coarse grid (many equal f1, f2 and whole rows) the vectorized
-    sweep equals the loop, keeps the same points as the k>2 brute force on
-    a constant third column, and keeps only the first of equal rows."""
+    sweep equals the loop, keeps the same points as the brute force, and
+    keeps only the first of equal rows."""
     rng = np.random.default_rng(seed + 200)
     F = rng.integers(0, 5, (int(rng.integers(1, 120)), 2)).astype(np.float64)
     idx = pareto_indices(F)
     np.testing.assert_array_equal(idx, _sweep_reference(F))
     assert idx.dtype == np.int64
-    brute = pareto_indices(np.column_stack([F, np.zeros(len(F))]))
-    assert {tuple(F[i]) for i in idx} == {tuple(F[i]) for i in brute}
+    assert {tuple(F[i]) for i in idx} == {tuple(F[i]) for i in brute_force_pareto(F)}
     for i in idx:
         assert i == np.flatnonzero((F == F[i]).all(axis=1))[0]
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_pareto_matches_brute_force_3d(seed):
-    rng = np.random.default_rng(seed + 100)
-    F = rng.random((40, 3))
-    assert set(pareto_indices(F)) == brute_force_pareto(F)
 
 
 def test_pareto_rejects_1d():
     with pytest.raises(ValueError):
         pareto_indices(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):  # only (latency, cost) pairs
+        pareto_indices(np.zeros((4, 3)))
 
 
 def test_hypervolume_single_point():

@@ -8,9 +8,9 @@ advisory partition size) demonstrably drive Spark's parametric rules.
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.params import MB, default_conf
+from repro.params import KNOB_BY_ID, MB, default_conf, spark_conf_items
 from repro.sparkexec.queries import LITE_QUERIES, load_tables
-from repro.sparkexec.runner import (count_exchanges, join_algorithms,
+from repro.sparkexec.runner import (LIVE_KNOBS, count_exchanges, join_algorithms,
                                     live_conf_items, run_with_conf)
 
 SF = 0.01
@@ -131,11 +131,21 @@ def test_conf_restored_after_run(spark, tables_cache):
 
 
 def test_live_conf_items_subset():
-    items = live_conf_items(default_conf())
+    c = default_conf()
+    items = live_conf_items(c)
     assert "spark.sql.shuffle.partitions" in items
     assert "spark.sql.adaptive.autoBroadcastJoinThreshold" in items
     # θc knobs are NOT live-settable (documented in DESIGN.md)
     assert "spark.executor.cores" not in items
+    assert items == spark_conf_items({k: c[k] for k in LIVE_KNOBS})
+
+
+def test_live_knobs_are_runtime_confs(spark):
+    """Every live knob names a conf the session can set per query, so a
+    renamed or retired Spark conf fails here instead of being ignored."""
+    for k in LIVE_KNOBS:
+        assert spark.conf.isModifiable(KNOB_BY_ID[k].spark_name), k
+    assert not spark.conf.isModifiable("spark.sql.adaptive.noSuchKnob")
 
 
 def test_wall_time_recorded(spark, tables_cache):
