@@ -1,20 +1,27 @@
-"""Reproduce one evaluation table, or build the model-training traces.
+"""Reproduce evaluation tables, or build the model-training traces.
 
-Usage: spark-submit jobs/run.py {traces,table3,table4,table5,expt6,live} [tpch|tpcds|both] [--force]
+Usage: spark-submit jobs/run.py COMMAND [COMMAND ...] [tpch|tpcds|both] [--force]
 
-``traces`` generates (or, with ``--force``, regenerates) the cached
-training traces. ``table3``-``expt6`` train or load the model suites and
-run their ``repro.experiments`` module; ``live`` times TPC-H-lite Q3 on the
-live Spark session (TPC-H only). Each prints its table with its wall time,
-then the job lists every failed gate (the module's ``check_*``) and exits
-non-zero if there is one. Spark builds the traces and is otherwise idle. Under ``spark-submit`` the session
-comes from the submitted context; under plain ``python jobs/run.py`` a
-local master is configured first (same settings as conftest.py).
+COMMAND is traces, table3, table4, table5, expt6 or live; the commands run
+in the order given, each on every chosen benchmark. ``traces`` generates
+(or, with ``--force``, regenerates) the cached training traces.
+``table3``-``expt6`` train or load the model suites and run their
+``repro.experiments`` module; ``live`` times TPC-H-lite Q3 on the live
+Spark session (TPC-H only). Each benchmark's queries are compiled once per
+process (``common.compile_benchmark``), and Tables 4, 5 and Expt 6 all
+recommend from that compile set. Each command prints its table with its
+wall time; then the job lists every failed gate (the modules'
+``check_*``) and exits non-zero if there is one. Spark builds the traces
+and is otherwise idle. Under ``spark-submit`` the session comes from the
+submitted context; under plain ``python jobs/run.py`` a local master is
+configured first (same settings as conftest.py).
 """
 import argparse
 import os
 import sys
 import time
+
+BENCHMARKS = ("tpch", "tpcds")
 
 
 def get_spark():
@@ -35,36 +42,59 @@ def get_spark():
     )
 
 
-def traces(spark, benchmark: str, force: bool) -> list[str]:
+class Job:
+    """One invocation's shared inputs: the Spark session, ``--force`` and,
+    per benchmark, the compile set (suite loaded and queries compiled on
+    first use)."""
+
+    def __init__(self, spark, force: bool):
+        self.spark, self.force = spark, force
+        self._compiled: dict = {}
+
+    def compiled(self, benchmark: str):
+        from repro.experiments import common
+
+        if benchmark not in self._compiled:
+            suite = common.get_suite(self.spark, benchmark)
+            t0 = time.perf_counter()
+            cs = common.compile_benchmark(benchmark, suite)
+            print(f"(compile {benchmark}: {len(cs.queries)} queries, "
+                  f"{time.perf_counter() - t0:.1f} s wall)")
+            self._compiled[benchmark] = cs
+        return self._compiled[benchmark]
+
+
+def traces(job: Job, benchmark: str) -> list[str]:
     from repro.experiments import common
 
-    tr = common.get_traces(spark, benchmark, force=force)
+    tr = common.get_traces(job.spark, benchmark, force=job.force)
     print(f"{benchmark}: {len(tr)} trace rows -> {common.traces_path(benchmark)}\n"
           f"{tr.groupby('kind').size()}")
     return []
 
 
 def _tables() -> dict:
-    """Table command -> (run(spark, benchmark), format, check)."""
-    from repro.experiments import common, expt6, live, table3, table4, table5
+    """Table command -> (run(job, benchmark), format, check)."""
+    from repro.experiments import expt6, live, table3, table4, table5
 
-    def on_suite(run):
-        return lambda spark, bm: run(bm, common.get_suite(spark, bm))
+    def on_compiled(run):
+        return lambda job, bm: run(job.compiled(bm))
 
     return {
-        "table3": (table3.run_table3, table3.format_table3, table3.check_table3),
-        "table4": (on_suite(table4.run_table4), table4.format_table4, table4.check_table4),
-        "table5": (on_suite(table5.run_table5), table5.format_table5, table5.check_table5),
-        "expt6": (on_suite(expt6.run_expt6), expt6.format_expt6, expt6.check_expt6),
-        "live": (lambda spark, bm: live.run_live(spark), live.format_live, live.check_live),
+        "table3": (lambda job, bm: table3.run_table3(job.spark, bm),
+                   table3.format_table3, table3.check_table3),
+        "table4": (on_compiled(table4.run_table4), table4.format_table4, table4.check_table4),
+        "table5": (on_compiled(table5.run_table5), table5.format_table5, table5.check_table5),
+        "expt6": (on_compiled(expt6.run_expt6), expt6.format_expt6, expt6.check_expt6),
+        "live": (lambda job, bm: live.run_live(job.spark), live.format_live, live.check_live),
     }
 
 
 def _table(name: str):
-    def command(spark, benchmark: str, force: bool) -> list[str]:
+    def command(job: Job, benchmark: str) -> list[str]:
         run, fmt, check = _tables()[name]
         t0 = time.perf_counter()
-        res = run(spark, benchmark)
+        res = run(job, benchmark)
         print(fmt(res))
         print(f"({name} {benchmark}: {time.perf_counter() - t0:.1f} s wall)")
         return check(res)
@@ -77,23 +107,28 @@ COMMANDS = {"traces": traces,
 
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("benchmark", nargs="?", default="both",
-                    choices=["tpch", "tpcds", "both"])
+    ap.add_argument("command", nargs="+",
+                    help=f"one or more of {', '.join(COMMANDS)}, then optionally "
+                         "tpch, tpcds or both (default both)")
     ap.add_argument("--force", action="store_true",
                     help="traces: regenerate even if cached")
     args = ap.parse_args(argv)
-    benchmarks = ["tpch", "tpcds"] if args.benchmark == "both" else [args.benchmark]
-    if args.command == "live":  # TPC-H-lite Q3 only
-        if args.benchmark == "tpcds":
-            ap.error("live runs on tpch only")
-        benchmarks = ["tpch"]
-    spark = get_spark()
+    commands, benchmark = args.command, "both"
+    if commands[-1] in (*BENCHMARKS, "both"):
+        *commands, benchmark = commands
+    bad = [c for c in commands if c not in COMMANDS]
+    if not commands or bad:
+        ap.error(f"invalid command(s) {bad}: choose from {', '.join(COMMANDS)}")
+    if "live" in commands and benchmark == "tpcds":
+        ap.error("live runs on tpch only")
+    benchmarks = list(BENCHMARKS) if benchmark == "both" else [benchmark]
+    job = Job(get_spark(), args.force)
     failed = []
-    for bm in benchmarks:
-        problems = COMMANDS[args.command](spark, bm, args.force)
-        failed += [f"{args.command} {bm}: {p}" for p in problems]
-        print()
+    for command in commands:
+        for bm in ["tpch"] if command == "live" else benchmarks:  # TPC-H-lite Q3 only
+            problems = COMMANDS[command](job, bm)
+            failed += [f"{command} {bm}: {p}" for p in problems]
+            print()
     if failed:
         sys.exit("\n  ".join([f"{len(failed)} gate(s) failed:", *failed]))
 

@@ -6,19 +6,17 @@ query-level variants of Expt 7.
 Hypervolume is computed per query in the *model-predicted* objective space
 (as in the paper), normalized by the union of all methods' solutions with
 reference point (1.1, 1.1); higher is better. The workload is a documented
-10-query subset per benchmark (``QUERIES``), not all queries.
+10-query subset per benchmark (``QUERIES``), not all queries; HMOOC3's
+result and the objectives every rival solves on come from the
+``CompileSet`` the tables share.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import partition_subqs
-from repro.core.workloads import build_query
 from repro.experiments import common
-from repro.model.predictor import ModelSuite
 from repro.moo.baselines import evo, progressive_frontier, weighted_sum
 from repro.moo.pareto import hypervolume_2d, normalize
-from repro.tuner import compile_hmooc3
 
 QUERIES = {
     "tpch": ["q1", "q3", "q5", "q7", "q9", "q10", "q12", "q14", "q18", "q21"],
@@ -36,14 +34,14 @@ PAPER_EXPT6 = {
 }
 
 
-def run_expt6(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
-              seed: int = 0, queries: list[str] | None = None) -> dict:
-    queries = queries or QUERIES[benchmark]
+def run_expt6(compiled: common.CompileSet) -> dict:
+    """Expt 6 on the ``QUERIES`` subset of the compiled queries, in
+    ``QUERIES`` order."""
+    benchmark = compiled.benchmark
     methods: dict[str, dict] = {}
     per_q: dict[str, dict] = {}
-    for q in queries:
-        dag = partition_subqs(build_query(benchmark, q, sf=sf))
-        hmooc3, obj = compile_hmooc3(dag, suite, seed=seed)
+    for q in (q for q in QUERIES[benchmark] if q in compiled.queries):
+        hmooc3, obj = compiled.queries[q]
         # Rival budgets follow the paper's documented settings (§6.2): WS
         # with 10k samples × 11 weights, Evo with population 100 and 500
         # function evaluations, PF with its sampling-based inner solver.
@@ -52,12 +50,12 @@ def run_expt6(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
         # smaller across the board; the HV ordering is the claim.
         runs = {
             "hmooc3": hmooc3,
-            "ws-fine": weighted_sum(obj, fine=True, seed=seed),
-            "evo-fine": evo(obj, fine=True, seed=seed),
-            "pf-fine": progressive_frontier(obj, fine=True, seed=seed),
-            "ws-query": weighted_sum(obj, fine=False, seed=seed),
-            "evo-query": evo(obj, fine=False, seed=seed),
-            "pf-query": progressive_frontier(obj, fine=False, seed=seed),
+            "ws-fine": weighted_sum(obj, fine=True),
+            "evo-fine": evo(obj, fine=True),
+            "pf-fine": progressive_frontier(obj, fine=True),
+            "ws-query": weighted_sum(obj, fine=False),
+            "evo-query": evo(obj, fine=False),
+            "pf-query": progressive_frontier(obj, fine=False),
         }
         # common normalization across methods for a fair HV
         all_F = np.concatenate([r.F for r in runs.values()])

@@ -9,22 +9,18 @@ over all benchmark queries, reports — exactly the paper's rows:
 * Avg / Max solving time;
 * Avg latency reduction per unit solving time.
 
-HMOOC3 and HMOOC3+ share one compile-time solve per query (as in the
-system: the runtime optimizer is a plugin on top of the same compile-time
-recommendation), so their solving-time difference is exactly the runtime
-optimizer's overhead.
+HMOOC3 and HMOOC3+ share one compile-time solve per query, the one in the
+``CompileSet`` (as in the system: the runtime optimizer is a plugin on top
+of the same compile-time recommendation), so their solving-time difference
+is exactly the runtime optimizer's overhead. MO-WS solves on the same
+compiled objectives.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import partition_subqs
-from repro.core.workloads import benchmark_queries, build_query
 from repro.experiments import common
-from repro.model.predictor import ModelSuite
-from repro.moo.objectives import CompileTimeObjectives
-from repro.tuner import (compile_hmooc3, run_default, run_hmooc3, run_hmooc3_plus,
-                         run_mo_ws)
+from repro.tuner import run_default, run_hmooc3, run_hmooc3_plus, run_mo_ws
 
 WEIGHTS = (0.9, 0.1)
 
@@ -48,21 +44,17 @@ PAPER_TABLE4 = {
 }
 
 
-def run_table4(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
-               seed: int = 0, queries: list[str] | None = None) -> dict:
-    queries = queries or benchmark_queries(benchmark)
+def run_table4(compiled: common.CompileSet) -> dict:
+    benchmark = compiled.benchmark
     per_q: list[dict] = []
-    for qi, q in enumerate(queries):
-        dag = partition_subqs(build_query(benchmark, q, sf=sf))
-        obj = CompileTimeObjectives(dag, suite)
+    for qi, (q, (res, obj)) in enumerate(compiled.queries.items()):
+        dag = obj.dag
         noise = 1000 + qi
 
         d = run_default(dag, noise_seed=noise)
-        mw = run_mo_ws(dag, suite, WEIGHTS, noise_seed=noise, seed=seed,
-                       objectives=obj)
-        res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=obj)
+        mw = run_mo_ws(obj, WEIGHTS, noise_seed=noise)
         h3 = run_hmooc3(dag, res, WEIGHTS, noise_seed=noise)
-        h3p = run_hmooc3_plus(dag, suite, res, WEIGHTS, noise_seed=noise)
+        h3p = run_hmooc3_plus(dag, compiled.suite, res, WEIGHTS, noise_seed=noise)
 
         per_q.append(dict(
             query=q, n_subqs=dag.n_subqs(),

@@ -6,18 +6,17 @@ For each preference vector (w_latency, w_cost) ∈ {(0,1), (0.1,0.9),
 cost, for SO-FW (fixed-weight single-objective, the common practical
 baseline) and HMOOC3+ (ours). The paper's shape: HMOOC3+ moves
 monotonically along the frontier as preferences shift; SO-FW barely
-adapts and often increases cost.
+adapts and often increases cost. Both recommend per preference from one
+preference-independent solve per query: HMOOC3's from the ``CompileSet``,
+SO-FW's from one sample predicted once for all of ``PREFS``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import partition_subqs
-from repro.core.workloads import benchmark_queries, build_query
 from repro.experiments import common
-from repro.model.predictor import ModelSuite
-from repro.moo.objectives import CompileTimeObjectives
-from repro.tuner import compile_hmooc3, run_default, run_hmooc3_plus, run_so_fw
+from repro.moo.baselines import so_fixed_weights
+from repro.tuner import run_default, run_hmooc3_plus, run_so_fw
 
 PREFS = [(0.0, 1.0), (0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (1.0, 0.0)]
 
@@ -40,27 +39,18 @@ PAPER_TABLE5 = {
 }
 
 
-def run_table5(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
-               seed: int = 0, queries: list[str] | None = None) -> dict:
-    queries = queries or benchmark_queries(benchmark)
+def run_table5(compiled: common.CompileSet) -> dict:
     prefs_out: dict = {}
-    # compile-time state is preference-independent (the Pareto set is
-    # computed once; only the WUN recommendation changes) — reuse it.
-    compiled = []
-    for qi, q in enumerate(queries):
-        dag = partition_subqs(build_query(benchmark, q, sf=sf))
-        obj = CompileTimeObjectives(dag, suite)
-        res, _ = compile_hmooc3(dag, suite, seed=seed, objectives=obj)
-        d = run_default(dag, noise_seed=2000 + qi)
-        compiled.append((q, dag, obj, res, d))
+    per_q = [(obj.dag, res, so_fixed_weights(obj, PREFS),
+              run_default(obj.dag, noise_seed=2000 + qi))
+             for qi, (res, obj) in enumerate(compiled.queries.values())]
 
     for pref in PREFS:
         dl_so, dc_so, dl_h, dc_h = [], [], [], []
-        for qi, (q, dag, obj, res, d) in enumerate(compiled):
+        for qi, (dag, res, so_fw, d) in enumerate(per_q):
             noise = 2000 + qi
-            so = run_so_fw(dag, suite, pref, noise_seed=noise, seed=seed,
-                           objectives=obj)
-            h3p = run_hmooc3_plus(dag, suite, res, pref, noise_seed=noise)
+            so = run_so_fw(dag, so_fw[pref], pref, noise_seed=noise)
+            h3p = run_hmooc3_plus(dag, compiled.suite, res, pref, noise_seed=noise)
             dl_so.append(so.latency_s / d.latency_s - 1.0)
             dc_so.append(so.cost_usd / d.cost_usd - 1.0)
             dl_h.append(h3p.latency_s / d.latency_s - 1.0)
@@ -69,8 +59,8 @@ def run_table5(benchmark: str, suite: ModelSuite, *, sf: float = 100.0,
             "so-fw": (float(np.mean(dl_so)), float(np.mean(dc_so))),
             "hmooc3+": (float(np.mean(dl_h)), float(np.mean(dc_h))),
         }
-    out = dict(benchmark=benchmark, prefs=prefs_out)
-    common.save_json(out, f"table5_{benchmark}.json")
+    out = dict(benchmark=compiled.benchmark, prefs=prefs_out)
+    common.save_json(out, f"table5_{compiled.benchmark}.json")
     return out
 
 

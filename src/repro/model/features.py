@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.operators import OP_TYPES
 from repro.core.plan import SubQDag
+from repro.params import FULL_IDS
 
 PRED_EMB_DIM = 8
 OP_FEAT_DIM = len(OP_TYPES) + 2 + PRED_EMB_DIM
@@ -96,10 +97,14 @@ def join_alg_onehot(alg: str) -> np.ndarray:
 ALPHA_DIM, BETA_DIM, GAMMA_DIM, DERIVED_DIM = 4, 3, 3, 3
 
 
+_COL = {kid: i for i, kid in enumerate(FULL_IDS)}  # M_nat column of each knob
+
+
 def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
-                               ids: list[str], skew: float) -> np.ndarray:
-    """(n, DERIVED_DIM) physical-partitioning hints per configuration row:
-    task count, bytes per task and total executor cores (log-scaled).
+                               skew: float) -> np.ndarray:
+    """(n, DERIVED_DIM) physical-partitioning hints per natural-unit
+    19-knob row (columns in ``FULL_IDS`` order): task count, bytes per task
+    and total executor cores (log-scaled).
 
     These are properties of the physical stage Spark itself derives from
     the knobs — the task count and bytes-per-task that dominate stage
@@ -108,17 +113,15 @@ def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
     between training traces and optimization-time prediction.
     """
     from repro.simspark.costmodel import scan_partitions_vec, shuffle_partitions_vec
-    col = {kid: i for i, kid in enumerate(ids)}
     M_nat = np.atleast_2d(np.asarray(M_nat, dtype=np.float64))
     if kind == "scan":
-        p = scan_partitions_vec(input_bytes, M_nat[:, col["s8"]],
-                                M_nat[:, col["s9"]], M_nat[:, col["k4"]])
+        p = scan_partitions_vec(input_bytes, M_nat[:, _COL["s8"]],
+                                M_nat[:, _COL["s9"]], M_nat[:, _COL["k4"]])
     else:
-        s10 = M_nat[:, col["s10"]] if "s10" in col else np.full(len(M_nat), 0.2)
-        s11 = M_nat[:, col["s11"]] if "s11" in col else np.full(len(M_nat), 1024.0**2)
-        p, _ = shuffle_partitions_vec(input_bytes, M_nat[:, col["s1"]],
-                                      M_nat[:, col["s5"]], s10, s11, skew)
+        p, _ = shuffle_partitions_vec(input_bytes, M_nat[:, _COL["s1"]],
+                                      M_nat[:, _COL["s5"]], M_nat[:, _COL["s10"]],
+                                      M_nat[:, _COL["s11"]], skew)
     bpt = max(input_bytes, 1.0) / np.maximum(p, 1.0)
-    cores = M_nat[:, col["k1"]] * M_nat[:, col["k3"]]
+    cores = M_nat[:, _COL["k1"]] * M_nat[:, _COL["k3"]]
     return np.stack([np.log1p(p) / 12.0, np.log1p(bpt) / 30.0,
                      np.log1p(cores) / 8.0], axis=1)

@@ -40,10 +40,9 @@ from repro.model.features import (
 )
 from repro.model.gtn import EMB_DIM, GTNEmbedder
 from repro.model.mlp import MLPRegressor
-from repro.params import C_IDS, P_IDS, S_IDS, to_vector
+from repro.params import C_IDS, FULL_IDS, S_IDS, to_vector
 from repro.simspark.costmodel import DEFAULT_COSTS
 
-FULL_IDS = C_IDS + P_IDS + S_IDS
 QS_IDS = C_IDS + S_IDS  # θp dropped at QS time
 CONF_DIM_FULL = len(FULL_IDS)
 CONF_DIM_QS = len(QS_IDS)
@@ -119,8 +118,7 @@ class StageFeatures:
             beta=beta_features(skew), kind=sq.kind, input_bytes=in_bytes, skew=skew)
 
     def _derived(self, M_nat: np.ndarray, input_bytes: float) -> np.ndarray:
-        return derived_partition_features(self.kind, input_bytes, M_nat, FULL_IDS,
-                                          self.skew)
+        return derived_partition_features(self.kind, input_bytes, M_nat, self.skew)
 
     def subq_fixed(self) -> np.ndarray:
         """The ``SUBQ_FIXED_COLS`` of every subQ row of this stage (β = γ = 0)."""

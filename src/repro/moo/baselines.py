@@ -199,19 +199,25 @@ def progressive_frontier(obj: CompileTimeObjectives, *, n_probes: int = 2048,
                      method=f"pf-{'fine' if fine else 'query'}")
 
 
-def so_fixed_weights(obj: CompileTimeObjectives, weights, *, n_samples: int = 4096,
-                     seed: int = 0) -> tuple[QueryConfig, np.ndarray, float]:
+def so_fixed_weights(obj: CompileTimeObjectives, prefs, *, n_samples: int = 4096,
+                     seed: int = 0) -> dict[tuple, MOOResult]:
     """SO-FW [21, 59, 66]: collapse objectives with fixed weights and return
     the single optimum — the theoretically unsound baseline of Expt 10.
 
     Query-level control; normalization is the sampled min-max, as in prior
-    work. Returns (config, predicted F, solving time).
+    work. The sample and its predictions do not depend on the weights, so
+    one sample serves every weight vector in ``prefs``. Returns, per weight
+    vector, its optimum as a one-point ``MOOResult`` carrying the shared
+    solving time.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     U = _sample(obj, n_samples, False, rng)
     F = _evaluate(obj, U, fine=False)
     Fn, _, _ = normalize(F)
-    w = np.asarray(weights, dtype=np.float64)
-    i = int((Fn * w).sum(axis=1).argmin())
-    return (_decode(obj, U[i], fine=False), F[i], time.perf_counter() - t0)
+    picks = {tuple(w): int((Fn * np.asarray(w, dtype=np.float64)).sum(axis=1).argmin())
+             for w in prefs}
+    solve_t = time.perf_counter() - t0
+    return {w: MOOResult(F=F[i:i + 1], configs=[_decode(obj, U[i], fine=False)],
+                         solving_time_s=solve_t, method="so-fw")
+            for w, i in picks.items()}

@@ -108,6 +108,7 @@ KNOB_BY_ID: dict[str, Knob] = {k.kid: k for k in ALL_KNOBS}
 C_IDS = [k.kid for k in THETA_C]
 P_IDS = [k.kid for k in THETA_P]
 S_IDS = [k.kid for k in THETA_S]
+FULL_IDS = C_IDS + P_IDS + S_IDS  # θc ‖ θp ‖ θs: the column order of knob matrices
 
 D_C, D_P, D_S = len(THETA_C), len(THETA_P), len(THETA_S)
 

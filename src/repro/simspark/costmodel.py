@@ -123,7 +123,7 @@ def shuffle_partitions_vec(input_bytes, s1, s5, s10, s11, skew, *, aqe: bool = T
 def shuffle_partitions(input_bytes: float, conf: dict, *, aqe: bool,
                        skew: float) -> tuple[int, float]:
     p, se = shuffle_partitions_vec(input_bytes, conf["s1"], conf["s5"],
-                                   conf.get("s10", 0.2), conf["s11"], skew, aqe=aqe)
+                                   conf["s10"], conf["s11"], skew, aqe=aqe)
     return int(p), float(se)
 
 

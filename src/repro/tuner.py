@@ -13,7 +13,9 @@ Methods compared in the paper's end-to-end evaluation (Tables 4 & 5):
 
 HMOOC3's Pareto set does not depend on the preference, so it is compiled
 once (``compile_hmooc3``) and the resulting ``MOOResult`` is run under
-each preference by ``run_hmooc3``/``run_hmooc3_plus``; HMOOC3+ is a plugin
+each preference by ``run_hmooc3``/``run_hmooc3_plus``. SO-FW likewise
+samples and predicts once for all preferences (``so_fixed_weights``) and
+``run_so_fw`` runs one preference's optimum. HMOOC3+ is a plugin
 on top of the same recommendation, so its extra solving time is exactly
 the runtime optimizer's. Every method executes on the same simulated
 cluster with the same noise seed, so latency/cost deltas are paired.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.plan import SubQDag
 from repro.model.predictor import ModelSuite
-from repro.moo.baselines import so_fixed_weights, weighted_sum
+from repro.moo.baselines import weighted_sum
 from repro.moo.hmooc import MOOResult, QueryConfig, hmooc
 from repro.moo.objectives import CompileTimeObjectives
 from repro.params import default_conf, merge_conf
@@ -75,31 +77,25 @@ def run_default(dag: SubQDag, *, noise_seed: int = 0) -> TunedOutcome:
     return TunedOutcome("default", 0.0, conf, run)
 
 
-def run_mo_ws(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
-              n_samples: int = 10_000, n_weights: int = 11, seed: int = 0,
-              objectives: CompileTimeObjectives | None = None) -> TunedOutcome:
-    obj = objectives or CompileTimeObjectives(dag, suite)
-    res = weighted_sum(obj, n_samples=n_samples, n_weights=n_weights,
-                       fine=False, seed=seed)
-    return _execute("mo-ws", dag, res, weights, noise_seed=noise_seed)
+def run_mo_ws(obj: CompileTimeObjectives, weights, *, noise_seed: int = 0) -> TunedOutcome:
+    """Solve MO-WS on the compiled objectives and run its recommendation."""
+    res = weighted_sum(obj, fine=False)
+    return _execute("mo-ws", obj.dag, res, weights, noise_seed=noise_seed)
 
 
-def run_so_fw(dag: SubQDag, suite: ModelSuite, weights, *, noise_seed: int = 0,
-              n_samples: int = 4096, seed: int = 0,
-              objectives: CompileTimeObjectives | None = None) -> TunedOutcome:
-    obj = objectives or CompileTimeObjectives(dag, suite)
-    qc, F, solve_t = so_fixed_weights(obj, weights, n_samples=n_samples, seed=seed)
-    # the single optimum as a one-point Pareto set: WUN returns it
-    res = MOOResult(F=F[None, :], configs=[qc], solving_time_s=solve_t, method="so-fw")
+def run_so_fw(dag: SubQDag, res: MOOResult, weights, *,
+              noise_seed: int = 0) -> TunedOutcome:
+    """Run a precomputed ``so_fixed_weights`` result: its single optimum is a
+    one-point Pareto set, so WUN returns it for any ``weights``."""
     return _execute("so-fw", dag, res, weights, noise_seed=noise_seed)
 
 
-def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *, seed: int = 0,
-                   objectives: CompileTimeObjectives | None = None,
-                   **hmooc_kw) -> tuple[MOOResult, CompileTimeObjectives]:
-    obj = objectives or CompileTimeObjectives(dag, suite)
-    res = hmooc(dag, suite, seed=seed, objectives=obj, **hmooc_kw)
-    return res, obj
+def compile_hmooc3(dag: SubQDag, suite: ModelSuite, *,
+                   seed: int = 0) -> tuple[MOOResult, CompileTimeObjectives]:
+    """The preference-independent HMOOC3 Pareto set and the objectives it
+    was solved on (which baselines on the same query reuse)."""
+    obj = CompileTimeObjectives(dag, suite)
+    return hmooc(dag, suite, seed=seed, objectives=obj), obj
 
 
 def run_hmooc3(dag: SubQDag, res: MOOResult, weights, *,

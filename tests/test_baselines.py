@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
+from repro.experiments.table5 import PREFS
 from repro.moo import baselines as B
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices
@@ -62,7 +63,8 @@ def test_pf_contains_extremes(obj):
 
 
 def test_so_fw_single_solution(obj):
-    qc, F, t = B.so_fixed_weights(obj, (0.9, 0.1), n_samples=256, seed=0)
+    [res] = B.so_fixed_weights(obj, [(0.9, 0.1)], n_samples=256, seed=0).values()
+    qc, F, t = res.configs[0], res.F[0], res.solving_time_s
     assert F.shape == (2,)
     assert t > 0
     assert set(qc.theta_c) == set(C_IDS)
@@ -70,10 +72,27 @@ def test_so_fw_single_solution(obj):
 
 def test_so_fw_weight_sensitivity(obj):
     """With extreme weights SO-FW optimizes the corresponding objective."""
-    _, F_lat, _ = B.so_fixed_weights(obj, (1.0, 0.0), n_samples=512, seed=3)
-    _, F_cost, _ = B.so_fixed_weights(obj, (0.0, 1.0), n_samples=512, seed=3)
+    so = B.so_fixed_weights(obj, [(1.0, 0.0), (0.0, 1.0)], n_samples=512, seed=3)
+    F_lat, F_cost = so[(1.0, 0.0)].F[0], so[(0.0, 1.0)].F[0]
     assert F_lat[0] <= F_cost[0]
     assert F_cost[1] <= F_lat[1]
+
+
+@pytest.mark.parametrize("n_prefs", [1, len(PREFS)])
+def test_so_fw_one_prediction_for_all_prefs(obj, n_prefs, monkeypatch):
+    """One sample, predicted once, serves every preference, and each
+    preference gets the optimum it would get alone."""
+    prefs = PREFS[:n_prefs]
+    calls = []
+    real = obj.query_shared_batch
+    monkeypatch.setattr(obj, "query_shared_batch", lambda U: calls.append(len(U)) or real(U))
+    together = B.so_fixed_weights(obj, prefs, n_samples=256, seed=0)
+    assert calls == [256]
+    assert list(together) == prefs
+    for pref in prefs:
+        [alone] = B.so_fixed_weights(obj, [pref], n_samples=256, seed=0).values()
+        np.testing.assert_array_equal(together[pref].F, alone.F)
+        assert together[pref].configs == alone.configs
 
 
 def test_ws_collapse_behavior(obj):

@@ -3,23 +3,55 @@ import os
 
 import pytest
 
-from repro.experiments import common
+from repro.core.workloads import benchmark_queries, build_query
+from repro.experiments import common, expt6
 from repro.experiments.expt6 import format_expt6, run_expt6
 from repro.experiments.table3 import PAPER_TABLE3
 from repro.experiments.table4 import PAPER_TABLE4, format_table4, run_table4
 from repro.experiments.table5 import PAPER_TABLE5, PREFS, format_table5, run_table5
 
 
-@pytest.fixture(autouse=True)
-def _tmp_results(tmp_path, monkeypatch):
-    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+@pytest.fixture(scope="module", autouse=True)
+def _tmp_results(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(common, "RESULTS_DIR", str(tmp_path_factory.mktemp("results")))
+        yield
 
 
 QUERIES = ["q1", "q3", "q14"]
 
 
-def test_table4_structure(fake_suite):
-    res = run_table4("tpch", fake_suite, queries=QUERIES, seed=0)
+@pytest.fixture(scope="module")
+def compiled(fake_suite):
+    """One compile set shared by every table below, as in ``jobs/run.py``."""
+    return common.compile_benchmark("tpch", fake_suite, QUERIES)
+
+
+@pytest.fixture(scope="module")
+def table4(compiled):
+    return run_table4(compiled)
+
+
+@pytest.fixture(scope="module")
+def table5(compiled):
+    return run_table5(compiled)
+
+
+@pytest.fixture(scope="module")
+def expt6_res(compiled):
+    return run_expt6(compiled)
+
+
+def test_compile_benchmark(compiled, fake_suite):
+    assert compiled.benchmark == "tpch" and compiled.suite is fake_suite
+    assert list(compiled.queries) == QUERIES
+    for q, (res, obj) in compiled.queries.items():
+        assert obj.dag.plan.name == build_query("tpch", q).name
+        assert len(res.F) >= 1
+
+
+def test_table4_structure(table4):
+    res = table4
     assert set(res["summary"]) == {"mo-ws", "hmooc3", "hmooc3+"}
     for m, s in res["summary"].items():
         assert 0.0 <= s["cov1"] <= 1.0
@@ -31,26 +63,24 @@ def test_table4_structure(fake_suite):
     assert os.path.exists(common.results_path("table4_tpch.json"))
 
 
-def test_table4_format_contains_paper_numbers(fake_suite):
-    res = run_table4("tpch", fake_suite, queries=QUERIES, seed=0)
-    txt = format_table4(res)
+def test_table4_format_contains_paper_numbers(table4):
+    txt = format_table4(table4)
     assert "Table 4 — TPCH" in txt
     assert "59%" in txt  # paper's HMOOC3 total reduction
     assert "Coverage (1s)" in txt
 
 
-def test_table4_solving_time_budget(fake_suite):
+def test_table4_solving_time_budget(table4):
     """HMOOC must fit the 1-2 s cloud budget on every query. (The
     HMOOC-faster-than-MO-WS ordering is gated by ``check_table4`` with the
     real trained models, whose inference cost dominates MO-WS's 10k-sample
     sweeps; the fake analytic models here are too cheap to show it.)"""
-    res = run_table4("tpch", fake_suite, queries=QUERIES, seed=0)
-    assert res["summary"]["hmooc3"]["max_solve"] < 2.0
-    assert res["summary"]["hmooc3"]["cov2"] == 1.0
+    assert table4["summary"]["hmooc3"]["max_solve"] < 2.0
+    assert table4["summary"]["hmooc3"]["cov2"] == 1.0
 
 
-def test_table5_structure(fake_suite):
-    res = run_table5("tpch", fake_suite, queries=QUERIES, seed=0)
+def test_table5_structure(table5):
+    res = table5
     assert len(res["prefs"]) == len(PREFS)
     for pref, row in res["prefs"].items():
         assert set(row) == {"so-fw", "hmooc3+"}
@@ -60,8 +90,8 @@ def test_table5_structure(fake_suite):
     assert "Table 5 — TPCH" in txt
 
 
-def test_expt6_structure(fake_suite):
-    res = run_expt6("tpch", fake_suite, queries=["q3", "q14"], seed=0)
+def test_expt6_structure(expt6_res):
+    res = expt6_res
     assert set(res["methods"]) == {"hmooc3", "ws-fine", "evo-fine", "pf-fine",
                                    "ws-query", "evo-query", "pf-query"}
     for m, s in res["methods"].items():
@@ -71,11 +101,27 @@ def test_expt6_structure(fake_suite):
     assert "hypervolume" in txt
 
 
+def test_expt6_takes_its_subset_in_queries_order(fake_suite):
+    cs = common.compile_benchmark("tpch", fake_suite, ["q14", "q2", "q3"])
+    res = run_expt6(cs)
+    assert list(res["per_query"]) == ["q3", "q14"]  # q2 is not in expt6.QUERIES
+
+
+def test_tables_share_one_compile(compiled, table4, expt6_res):
+    """Table 4 and Expt 6 report the same HMOOC3 solve: there is one."""
+    for row in table4["queries"]:
+        q = row["query"]
+        res, _ = compiled.queries[q]
+        assert row["methods"]["hmooc3"]["solve"] == res.solving_time_s
+        assert expt6_res["per_query"][q]["hmooc3"]["solve"] == res.solving_time_s
+
+
 def test_paper_reference_tables_complete():
     for bm in ("tpch", "tpcds"):
         assert set(PAPER_TABLE3[bm]) == {"subq", "qs", "lqp"}
         assert set(PAPER_TABLE4[bm]) == {"mo-ws", "hmooc3", "hmooc3+"}
         assert set(PAPER_TABLE5[bm]) == set(PREFS)
+        assert set(expt6.QUERIES[bm]) <= set(benchmark_queries(bm))
 
 
 def test_results_path_creates_dirs(tmp_path):

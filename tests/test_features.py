@@ -5,7 +5,7 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model import features as FT
-from repro.params import MB, default_conf
+from repro.params import FULL_IDS, MB, default_conf
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +87,20 @@ def test_derived_features_match_costmodel():
     from repro.simspark.costmodel import scan_partitions, shuffle_partitions
 
     conf = default_conf()
-    ids = list(conf)
-    M = np.array([[conf[i] for i in ids]])
-    d_scan = FT.derived_partition_features("scan", 10 * 1024**3, M, ids, 0.05)
+    M = np.array([[conf[i] for i in FULL_IDS]])
+    d_scan = FT.derived_partition_features("scan", 10 * 1024**3, M, 0.05)
     p = scan_partitions(10 * 1024**3, conf)
     assert d_scan[0, 0] == pytest.approx(np.log1p(p) / 12.0)
-    d_shuf = FT.derived_partition_features("shuffle", 10 * 1024**3, M, ids, 0.4)
+    d_shuf = FT.derived_partition_features("shuffle", 10 * 1024**3, M, 0.4)
     p2, _ = shuffle_partitions(10 * 1024**3, conf, aqe=True, skew=0.4)
     assert d_shuf[0, 0] == pytest.approx(np.log1p(p2) / 12.0)
 
 
 def test_derived_features_batched():
     conf = default_conf()
-    ids = list(conf)
-    M = np.array([[conf[i] for i in ids]] * 5)
-    M[:, ids.index("s5")] = [16, 64, 256, 1024, 2048]
-    M[:, ids.index("s1")] = 1 * MB
-    d = FT.derived_partition_features("shuffle", 100 * 1024**3, M, ids, 0.0)
+    M = np.array([[conf[i] for i in FULL_IDS]] * 5)
+    M[:, FULL_IDS.index("s5")] = [16, 64, 256, 1024, 2048]
+    M[:, FULL_IDS.index("s1")] = 1 * MB
+    d = FT.derived_partition_features("shuffle", 100 * 1024**3, M, 0.0)
     assert d.shape == (5, FT.DERIVED_DIM)
     assert np.all(np.diff(d[:, 0]) >= 0)  # more s5 -> more partitions

@@ -44,9 +44,9 @@ def test_hmooc3_plus_close_to_or_better_than_hmooc3(small_suite):
 
 def test_hmooc3_faster_solving_than_mo_ws(small_suite):
     dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
-    res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    res, obj = tuner.compile_hmooc3(dag, small_suite, seed=0)
     h = tuner.run_hmooc3(dag, res, W, noise_seed=0)
-    m = tuner.run_mo_ws(dag, small_suite, W, noise_seed=0, seed=0)
+    m = tuner.run_mo_ws(obj, W, noise_seed=0)
     assert h.solving_time_s < m.solving_time_s
 
 
@@ -66,13 +66,11 @@ def test_so_fw_weaker_adaptability(small_suite):
     vectors it returns at most a few distinct predicted points, while the
     HMOOC Pareto front offers at least as many distinct recommendations."""
     from repro.moo.baselines import so_fixed_weights
-    from repro.moo.objectives import CompileTimeObjectives
     from repro.experiments.table5 import PREFS
 
     dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
-    obj = CompileTimeObjectives(dag, small_suite)
-    so_points = {tuple(np.round(so_fixed_weights(obj, p, seed=0)[1], 6))
-                 for p in PREFS}
-    res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0, objectives=obj)
+    res, obj = tuner.compile_hmooc3(dag, small_suite, seed=0)
+    so_points = {tuple(np.round(so.F[0], 6))
+                 for so in so_fixed_weights(obj, PREFS, seed=0).values()}
     h_points = {tuple(np.round(res.recommend(p)[0], 6)) for p in PREFS}
     assert len(h_points) >= len(so_points) - 1

@@ -2,6 +2,7 @@
 dispatch; the experiments themselves are stubbed)."""
 import importlib.util
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,11 +41,30 @@ def test_job_has_entrypoint_guard(fname, job):
         assert 'if __name__ == "__main__":\n    main()' in f.read()
 
 
-def _stub(command, monkeypatch, problems=lambda bm: []):
-    """Stub ``command``'s experiment; return the runner and check calls."""
-    import pandas as pd
-
+@pytest.fixture
+def loads(monkeypatch):
+    """Stub the suite load and the compile step; record their calls."""
     from repro.experiments import common
+
+    seen = {"get_suite": [], "compile_benchmark": []}
+
+    def get_suite(spark, bm):
+        seen["get_suite"].append(bm)
+        return f"suite-{bm}"
+
+    def compile_benchmark(bm, suite):
+        seen["compile_benchmark"].append(bm)
+        return SimpleNamespace(benchmark=bm, suite=suite, queries={})
+
+    monkeypatch.setattr(common, "get_suite", get_suite)
+    monkeypatch.setattr(common, "compile_benchmark", compile_benchmark)
+    return seen
+
+
+def _stub(command, monkeypatch, problems=lambda bm: [], order=None):
+    """Stub ``command``'s experiment; return the runner and check calls.
+    ``order``, if given, records (command, benchmark) per run."""
+    import pandas as pd
 
     mod_name, runner, formatter, check = DISPATCH[command]
     mod = importlib.import_module(mod_name)
@@ -54,9 +74,10 @@ def _stub(command, monkeypatch, problems=lambda bm: []):
         calls.append((args, kw))
         if command == "traces":
             return pd.DataFrame({"kind": ["subq", "qs"]})
-        if command == "live":
-            return {"benchmark": "tpch"}
-        return {"benchmark": args[1] if command == "table3" else args[0]}
+        bm = {"live": "tpch", "table3": args[-1]}.get(command) or args[0].benchmark
+        if order is not None:
+            order.append((command, bm))
+        return {"benchmark": bm}
 
     def gates(res):
         checked.append(res["benchmark"])
@@ -64,14 +85,13 @@ def _stub(command, monkeypatch, problems=lambda bm: []):
 
     monkeypatch.setattr(mod, runner, run)
     if formatter:
-        monkeypatch.setattr(mod, formatter, lambda res: f"table of {res['benchmark']}")
+        monkeypatch.setattr(mod, formatter, lambda res: f"{command} table of {res['benchmark']}")
         monkeypatch.setattr(mod, check, gates)
-    monkeypatch.setattr(common, "get_suite", lambda spark, bm: f"suite-{bm}")
     return calls, checked
 
 
 @pytest.mark.parametrize("command", sorted(DISPATCH))
-def test_command_dispatches(command, job, monkeypatch, capsys):
+def test_command_dispatches(command, job, loads, monkeypatch, capsys):
     calls, checked = _stub(command, monkeypatch)
     job.main([command, "both", "--force"])
     out = capsys.readouterr().out
@@ -87,11 +107,35 @@ def test_command_dispatches(command, job, monkeypatch, capsys):
         assert f"table of {bm}" in out and f"({command} {bm}: " in out
     if command == "live":
         assert calls[0][0] == ("spark",)
-    elif command != "table3":
-        assert calls[0][0][1] == "suite-tpch"
+    elif command == "table3":
+        assert calls[0][0] == ("spark", "tpch")
+    else:
+        assert calls[0][0][0].suite == "suite-tpch"
+        assert loads == {"get_suite": ["tpch", "tpcds"],
+                         "compile_benchmark": ["tpch", "tpcds"]}
 
 
-def test_failed_gate_exits_nonzero(job, monkeypatch, capsys):
+def test_commands_share_one_compile(job, loads, monkeypatch, capsys):
+    """Several commands run in one process, in order; each prints and
+    gates every benchmark, and each benchmark is loaded and compiled once.
+    A failed gate in an early command still lets the later ones run."""
+    cmds = ("table4", "table5", "expt6")
+    order, checked = [], {}
+    for cmd in cmds:
+        fails = lambda bm, cmd=cmd: ["worse"] if (cmd, bm) == ("table4", "tpch") else []
+        checked[cmd] = _stub(cmd, monkeypatch, problems=fails, order=order)[1]
+    with pytest.raises(SystemExit) as exc:
+        job.main(["table4", "table5", "expt6", "both"])
+    assert exc.value.code == "1 gate(s) failed:\n  table4 tpch: worse"
+    assert order == [(cmd, bm) for cmd in cmds for bm in ("tpch", "tpcds")]
+    assert all(c == ["tpch", "tpcds"] for c in checked.values())
+    out = capsys.readouterr().out
+    for cmd, bm in order:
+        assert f"{cmd} table of {bm}" in out and f"({cmd} {bm}: " in out
+    assert loads == {"get_suite": ["tpch", "tpcds"], "compile_benchmark": ["tpch", "tpcds"]}
+
+
+def test_failed_gate_exits_nonzero(job, loads, monkeypatch, capsys):
     """Every benchmark still runs and prints; then the failed gates are
     listed and the job exits non-zero."""
     _stub("table4", monkeypatch, problems=lambda bm: ["R1: worse"] if bm == "tpcds" else [])
@@ -109,8 +153,9 @@ def test_live_rejects_tpcds(job):
 
 def test_default_is_both_and_bad_command_rejected(job, monkeypatch):
     seen = []
-    monkeypatch.setitem(job.COMMANDS, "table4", lambda spark, bm, force: seen.append(bm) or "")
+    monkeypatch.setitem(job.COMMANDS, "table4", lambda job, bm: seen.append(bm) or "")
     job.main(["table4"])
     assert seen == ["tpch", "tpcds"]
-    with pytest.raises(SystemExit):
-        job.main(["table9"])
+    for argv in (["table9"], ["table4", "table9"], ["tpch"], ["tpch", "table4"]):
+        with pytest.raises(SystemExit):
+            job.main(argv)

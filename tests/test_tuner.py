@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
+from repro.moo.baselines import so_fixed_weights
 from repro.params import KNOB_BY_ID
 from repro import tuner
 
@@ -10,6 +11,21 @@ from repro import tuner
 @pytest.fixture(scope="module")
 def dag():
     return partition_subqs(build_query("tpch", "q3", sf=10.0))
+
+
+@pytest.fixture(scope="module")
+def compiled_pair(dag, fake_suite):
+    return tuner.compile_hmooc3(dag, fake_suite, seed=0)
+
+
+@pytest.fixture(scope="module")
+def compiled(compiled_pair):
+    return compiled_pair[0]
+
+
+@pytest.fixture(scope="module")
+def obj(compiled_pair):
+    return compiled_pair[1]
 
 
 def _check(outcome, method):
@@ -28,24 +44,17 @@ def test_run_default(dag):
     assert out.conf0["k1"] == 2.0  # the cluster-baseline default
 
 
-def test_run_mo_ws(dag, fake_suite):
-    out = tuner.run_mo_ws(dag, fake_suite, (0.9, 0.1), noise_seed=1,
-                          n_samples=300, seed=0)
+def test_run_mo_ws(obj):
+    out = tuner.run_mo_ws(obj, (0.9, 0.1), noise_seed=1)
     _check(out, "mo-ws")
     assert out.solving_time_s > 0
 
 
-def test_run_so_fw(dag, fake_suite):
-    out = tuner.run_so_fw(dag, fake_suite, (0.5, 0.5), noise_seed=1,
-                          n_samples=300, seed=0)
+def test_run_so_fw(dag, obj):
+    so = so_fixed_weights(obj, [(0.5, 0.5)])
+    out = tuner.run_so_fw(dag, so[(0.5, 0.5)], (0.5, 0.5), noise_seed=1)
     _check(out, "so-fw")
-
-
-@pytest.fixture(scope="module")
-def compiled(dag, fake_suite):
-    res, _ = tuner.compile_hmooc3(dag, fake_suite, seed=0, n_c=10,
-                                  n_clusters=3, n_p=12)
-    return res
+    assert out.solving_time_s == so[(0.5, 0.5)].solving_time_s
 
 
 def test_run_hmooc3(dag, compiled):
