@@ -249,9 +249,6 @@ TPCH_QUERIES = [f"q{i}" for i in range(1, 23)]
 
 # recipe: (channels, dims-per-channel, has_returns_join, group_ratio, sort, limit)
 # channels: list of fact tables unioned (1 channel = plain star join).
-_DS_DIMS_POOL = ["date_dim", "item", "customer", "customer_address",
-                 "customer_demographics", "store", "promotion", "household_demographics"]
-
 _DS_RECIPES: dict[str, dict] = {
     "q1":  dict(facts=["store_returns"], dims=["date_dim", "store", "customer"], gr=0.05, sort=True, limit=100),
     "q3":  dict(facts=["store_sales"], dims=["date_dim", "item"], fsel=0.08, gr=0.002, sort=True, limit=100),

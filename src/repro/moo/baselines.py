@@ -7,6 +7,10 @@ MO-WS = UDAO's weighted sum) or fine-grained (8 + 11·m dims), matching the
 paper's Expt 6/7 configurations. All consume the same model-based
 ``CompileTimeObjectives`` evaluator that HMOOC uses, so comparisons
 isolate the algorithm, not the models.
+
+``fine`` only sets the dimension that is sampled (and that Evo mutates):
+a query-level vector is evaluated and decoded in the fine-grained layout
+with its one θp‖θs repeated for every subQ.
 """
 from __future__ import annotations
 
@@ -16,29 +20,39 @@ import numpy as np
 
 from repro.moo.hmooc import MOOResult, QueryConfig
 from repro.moo.objectives import D_C, D_PS, CompileTimeObjectives
-from repro.moo.pareto import normalize, pareto_indices
-from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refine_unit
+from repro.moo.pareto import pareto_indices, weighted_picks
+from repro.params import C_IDS, P_IDS, S_IDS, refined_lhs
 
 
-def _decode(obj: CompileTimeObjectives, U: np.ndarray, *, fine: bool) -> QueryConfig:
-    """Turn a decision vector into a QueryConfig (shared or per-subQ θp/θs)."""
-    u_ps = U[D_C:].reshape(obj.m, D_PS) if fine else [U[D_C:]] * obj.m
-    return QueryConfig.decode(U[:D_C], u_ps, obj.sq_ids)
+def _ids(obj: CompileTimeObjectives, fine: bool) -> list[str]:
+    """Knob ids of a decision vector: θc, then one θp‖θs per subQ (fine) or
+    one shared by all subQs (query-level)."""
+    return C_IDS + (P_IDS + S_IDS) * (obj.m if fine else 1)
 
 
-def _dims(obj: CompileTimeObjectives, fine: bool) -> int:
-    return D_C + D_PS * obj.m if fine else D_C + D_PS
+def _to_fine(obj: CompileTimeObjectives, U: np.ndarray) -> np.ndarray:
+    """Decision vectors in the fine-grained layout θc ‖ θp_1 θs_1 ‖ … ‖ θp_m θs_m;
+    a query-level vector's one θp‖θs is repeated for every subQ."""
+    reps = obj.m * D_PS // (U.shape[1] - D_C)
+    return np.concatenate([U[:, :D_C], np.tile(U[:, D_C:], reps)], axis=1)
 
 
-def _sample(obj: CompileTimeObjectives, n: int, fine: bool,
-            rng: np.random.Generator) -> np.ndarray:
-    """LHS candidates mapped into the refined per-knob search ranges."""
-    ids = C_IDS + (P_IDS + S_IDS) * (obj.m if fine else 1)
-    return refine_unit(lhs_unit(n, _dims(obj, fine), rng), ids)
+def _draw(obj: CompileTimeObjectives, n: int, fine: bool,
+          seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` refined-LHS decision vectors, drawn in the query-level or
+    fine-grained layout, returned in the fine-grained layout with their
+    predicted objectives."""
+    U = _to_fine(obj, refined_lhs(n, _ids(obj, fine), np.random.default_rng(seed)))
+    return U, obj.query_fine_batch(U)
 
 
-def _evaluate(obj: CompileTimeObjectives, U: np.ndarray, fine: bool) -> np.ndarray:
-    return obj.query_fine_batch(U) if fine else obj.query_shared_batch(U)
+def _result(obj: CompileTimeObjectives, F: np.ndarray, U_fine: np.ndarray,
+            solving_time_s: float, method: str) -> MOOResult:
+    """The Pareto points ``F`` and their fine-layout decision vectors as a
+    ``MOOResult``."""
+    configs = [QueryConfig.decode(u[:D_C], u[D_C:].reshape(obj.m, D_PS), obj.sq_ids)
+               for u in U_fine]
+    return MOOResult(F=F, configs=configs, solving_time_s=solving_time_s, method=method)
 
 
 def weighted_sum(obj: CompileTimeObjectives, *, n_samples: int = 10_000,
@@ -49,20 +63,12 @@ def weighted_sum(obj: CompileTimeObjectives, *, n_samples: int = 10_000,
     collapse to the same solution, giving poor Pareto coverage.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    U = _sample(obj, n_samples, fine, rng)
-    F = _evaluate(obj, U, fine)
-    Fn, _, _ = normalize(F)
-    picks = sorted({int((Fn * np.array([w, 1 - w])).sum(axis=1).argmin())
-                    for w in np.linspace(0, 1, n_weights)})
-    Fp = F[picks]
-    keep = pareto_indices(Fp)
-    return MOOResult(
-        F=Fp[keep],
-        configs=[_decode(obj, U[picks[i]], fine=fine) for i in keep],
-        solving_time_s=time.perf_counter() - t0,
-        method=f"ws-{'fine' if fine else 'query'}",
-    )
+    U, F = _draw(obj, n_samples, fine, seed)
+    w = np.linspace(0, 1, n_weights)
+    picks = np.unique(weighted_picks(F, np.stack([w, 1 - w], axis=1)))
+    keep = picks[pareto_indices(F[picks])]
+    return _result(obj, F[keep], U[keep], time.perf_counter() - t0,
+                   f"ws-{'fine' if fine else 'query'}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +107,9 @@ def evo(obj: CompileTimeObjectives, *, pop: int = 100, n_evals: int = 500,
     """NSGA-II with SBX crossover and polynomial mutation in [0,1]^d."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    d = _dims(obj, fine)
-    P = _sample(obj, pop, fine, rng)
-    FP = _evaluate(obj, P, fine)
+    P = refined_lhs(pop, _ids(obj, fine), rng)
+    d = P.shape[1]
+    FP = obj.query_fine_batch(_to_fine(obj, P))
     evals = pop
     eta_c, eta_m = 10.0, 20.0
     while evals < n_evals:
@@ -135,7 +141,7 @@ def evo(obj: CompileTimeObjectives, *, pop: int = 100, n_evals: int = 500,
         delta = np.where(u < 0.5, (2 * u) ** (1 / (eta_m + 1)) - 1,
                          1 - (2 * (1 - u)) ** (1 / (eta_m + 1)))
         kids = np.clip(kids + mut * delta, 0.0, 1.0)
-        FK = _evaluate(obj, kids, fine)
+        FK = obj.query_fine_batch(_to_fine(obj, kids))
         evals += pop
         # environmental selection
         allP = np.concatenate([P, kids])
@@ -151,10 +157,8 @@ def evo(obj: CompileTimeObjectives, *, pop: int = 100, n_evals: int = 500,
         sel = np.array(order[:pop])
         P, FP = allP[sel], allF[sel]
     keep = pareto_indices(FP)
-    return MOOResult(F=FP[keep],
-                     configs=[_decode(obj, P[i], fine=fine) for i in keep],
-                     solving_time_s=time.perf_counter() - t0,
-                     method=f"evo-{'fine' if fine else 'query'}")
+    return _result(obj, FP[keep], _to_fine(obj, P[keep]), time.perf_counter() - t0,
+                   f"evo-{'fine' if fine else 'query'}")
 
 
 def progressive_frontier(obj: CompileTimeObjectives, *, n_probes: int = 2048,
@@ -163,18 +167,16 @@ def progressive_frontier(obj: CompileTimeObjectives, *, n_probes: int = 2048,
     """Progressive Frontier [40]: extreme points, then repeated
     middle-point constrained solves (ε-constraint via filtered sampling)."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    U = _sample(obj, n_probes, fine, rng)
-    F = _evaluate(obj, U, fine)
+    U, F = _draw(obj, n_probes, fine, seed)
     sols: dict[int, np.ndarray] = {}
     for j in range(2):
         sols[int(F[:, j].argmin())] = F[F[:, j].argmin()]
     rects = [(min(sols, key=lambda i: F[i, 0]), min(sols, key=lambda i: F[i, 1]))]
+    lo_all, hi_all = F.min(axis=0), F.max(axis=0)
+    rng_span = np.where(hi_all > lo_all, hi_all - lo_all, 1.0)
     while len(sols) < n_points and rects:
         # pick the widest rectangle (by normalized volume)
         spans = []
-        lo_all, hi_all = F.min(axis=0), F.max(axis=0)
-        rng_span = np.where(hi_all > lo_all, hi_all - lo_all, 1.0)
         for a, b in rects:
             spans.append(abs((F[a, 0] - F[b, 0]) * (F[a, 1] - F[b, 1])) / (rng_span[0] * rng_span[1]))
         k = int(np.argmax(spans))
@@ -193,10 +195,8 @@ def progressive_frontier(obj: CompileTimeObjectives, *, n_probes: int = 2048,
     idx = np.array(sorted(sols))
     keep = pareto_indices(F[idx])
     final = idx[keep]
-    return MOOResult(F=F[final],
-                     configs=[_decode(obj, U[i], fine=fine) for i in final],
-                     solving_time_s=time.perf_counter() - t0,
-                     method=f"pf-{'fine' if fine else 'query'}")
+    return _result(obj, F[final], U[final], time.perf_counter() - t0,
+                   f"pf-{'fine' if fine else 'query'}")
 
 
 def so_fixed_weights(obj: CompileTimeObjectives, prefs, *, n_samples: int = 4096,
@@ -211,13 +211,8 @@ def so_fixed_weights(obj: CompileTimeObjectives, prefs, *, n_samples: int = 4096
     solving time.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    U = _sample(obj, n_samples, False, rng)
-    F = _evaluate(obj, U, fine=False)
-    Fn, _, _ = normalize(F)
-    picks = {tuple(w): int((Fn * np.asarray(w, dtype=np.float64)).sum(axis=1).argmin())
-             for w in prefs}
+    U, F = _draw(obj, n_samples, False, seed)
+    picks = weighted_picks(F, prefs)
     solve_t = time.perf_counter() - t0
-    return {w: MOOResult(F=F[i:i + 1], configs=[_decode(obj, U[i], fine=False)],
-                         solving_time_s=solve_t, method="so-fw")
-            for w, i in picks.items()}
+    return {tuple(w): _result(obj, F[i:i + 1], U[i:i + 1], solve_t, "so-fw")
+            for w, i in zip(prefs, picks)}

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.moo.objectives import D_C, D_PS, CompileTimeObjectives
+from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices, wun_select
-from repro.params import C_IDS, P_IDS, S_IDS, from_vector, lhs_unit, refine_unit
+from repro.params import C_IDS, P_IDS, S_IDS, from_vector, refined_lhs
 
 
 @dataclass
@@ -63,6 +63,11 @@ class MOOResult:
         return self.F[i], self.configs[i]
 
 
+def _sq_dist(U: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each row of ``U`` to each center."""
+    return ((U[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
 def _kmeans(U: np.ndarray, k: int, *, iters: int = 20, seed: int = 0):
     """Tiny k-means over normalized θc vectors; returns (labels, rep_idx)."""
     rng = np.random.default_rng(seed)
@@ -70,7 +75,7 @@ def _kmeans(U: np.ndarray, k: int, *, iters: int = 20, seed: int = 0):
     centers = U[rng.choice(len(U), k, replace=False)]
     labels = np.zeros(len(U), dtype=int)
     for _ in range(iters):
-        d = ((U[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d = _sq_dist(U, centers)
         new_labels = d.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -81,7 +86,7 @@ def _kmeans(U: np.ndarray, k: int, *, iters: int = 20, seed: int = 0):
             if mask.any():
                 centers[j] = U[mask].mean(axis=0)
     # representative = member nearest its centroid
-    d = ((U[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d = _sq_dist(U, centers)
     rep_idx = np.array([
         np.flatnonzero(labels == j)[d[labels == j, j].argmin()]
         if (labels == j).any() else 0
@@ -90,8 +95,7 @@ def _kmeans(U: np.ndarray, k: int, *, iters: int = 20, seed: int = 0):
 
 
 def _assign_cluster(U_new: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = ((U_new[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d.argmin(axis=1)
+    return _sq_dist(U_new, centers).argmin(axis=1)
 
 
 def _crossover_enrich(Uc: np.ndarray, n_new: int, seed: int) -> np.ndarray:
@@ -122,9 +126,9 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
                            seed: int = 0) -> _EffectiveSet:
     """Algorithm 1: effective per-subQ solution sets under shared θc."""
     rng = np.random.default_rng(seed)
-    Uc = refine_unit(lhs_unit(n_c, D_C, rng), C_IDS)
+    Uc = refined_lhs(n_c, C_IDS, rng)
     labels, rep_idx, centers = _kmeans(Uc, n_clusters, seed=seed)
-    pool = refine_unit(lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
+    pool = refined_lhs(n_p, P_IDS + S_IDS, rng)
 
     def score(sq: int, blocks: list, U_cands: np.ndarray) -> list[np.ndarray]:
         # One model call per subQ over row blocks (candidate indices, pool

@@ -66,18 +66,10 @@ class CompileTimeObjectives:
         return self._models[sq_id].objectives(X, self.resource_rate(M_nat),
                                               clamp_latency=True)
 
-    def query_shared_batch(self, U_full: np.ndarray) -> np.ndarray:
-        """Query-level objectives when one (θc, θp, θs) is shared by all
-        subQs (the coarse-grained baselines' view)."""
-        U_full = np.atleast_2d(U_full)
-        F = np.zeros((len(U_full), 2))
-        for i in self.sq_ids:
-            F += self.subq_batch(i, U_full)
-        return F
-
     def query_fine_batch(self, U_big: np.ndarray) -> np.ndarray:
         """Query-level objectives for fine-grained decision vectors
-        ``[θc | θp_1 θs_1 | ... | θp_m θs_m]`` of dim 8 + 11m."""
+        ``[θc | θp_1 θs_1 | ... | θp_m θs_m]`` of dim 8 + 11m: the sum of
+        the subQ objectives. Query-level control repeats one θp‖θs."""
         U_big = np.atleast_2d(U_big)
         F = np.zeros((len(U_big), 2))
         for j, i in enumerate(self.sq_ids):

@@ -66,6 +66,15 @@ def normalize(F: np.ndarray, lo: np.ndarray | None = None,
     return (F - lo) / span, lo, hi
 
 
+def weighted_picks(F: np.ndarray, weights) -> np.ndarray:
+    """For each weight vector (a row of ``weights``), the index of the row of
+    ``F`` minimizing the weighted sum of min-max-normalized objectives; ties
+    go to the lowest index."""
+    Fn, _, _ = normalize(F)
+    W = np.asarray(weights, dtype=np.float64)
+    return (Fn[None, :, :] * W[:, None, :]).sum(axis=2).argmin(axis=1)
+
+
 def wun_select(F: np.ndarray, weights: np.ndarray,
                lo: np.ndarray | None = None, hi: np.ndarray | None = None) -> int:
     """Weighted-Utopia-Nearest recommendation (paper §3.3.2).

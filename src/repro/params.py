@@ -204,12 +204,12 @@ REFINED_BOUNDS: dict[str, tuple[float, float]] = {
 _DEFAULT_REFINE = (0.02, 0.98)
 
 
-def refine_unit(U: np.ndarray, ids: list[str]) -> np.ndarray:
-    """Map uniform [0,1] samples into the refined per-knob sub-ranges."""
-    U = np.asarray(U, dtype=np.float64)
+def refined_lhs(n: int, ids: list[str], rng: np.random.Generator) -> np.ndarray:
+    """``n`` LHS candidates over the named knobs, normalized and mapped into
+    their refined sub-ranges: the optimizers' one candidate sampler."""
     lo = np.array([REFINED_BOUNDS.get(i, _DEFAULT_REFINE)[0] for i in ids])
     hi = np.array([REFINED_BOUNDS.get(i, _DEFAULT_REFINE)[1] for i in ids])
-    return lo + U * (hi - lo)
+    return lo + lhs_unit(n, len(ids), rng) * (hi - lo)
 
 
 def spark_conf_items(conf: dict[str, float]) -> dict[str, str]:

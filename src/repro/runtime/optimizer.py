@@ -15,8 +15,10 @@ trained and evaluated for Table 3 only):
 Both hooks share one scoring path: candidate configurations → QS rows
 from each stage's :class:`~repro.model.predictor.StageFeatures` (built once
 per stage at construction; γ is the idle ``IDLE_GAMMA``) → predicted
-(latency, cost) → the WUN-weighted pick, which replaces the current θ
-only if it beats it by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``).
+(latency, cost) → the weighted pick on min-max-normalized objectives
+(``pareto.weighted_picks``, shared with WS and SO-FW), which replaces the
+current θ only if its raw weighted score beats the current one's by a
+margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``).
 
 Request pruning (§C.2.2) keeps the call volume down:
 
@@ -37,7 +39,7 @@ import numpy as np
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
 from repro.moo.hmooc import QueryConfig
-from repro.moo.pareto import normalize
+from repro.moo.pareto import weighted_picks
 from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS
 from repro.simspark.costmodel import (SMJ, choose_join_algorithm, exec_mem,
                                       resource_rate_h)
@@ -56,27 +58,29 @@ def aggregate_theta(qc: QueryConfig, dag: SubQDag) -> tuple[dict, dict]:
     """
     join_sqs = [i for i, s in dag.subqs.items() if s.boundary_type == "join"]
     sq_ids = sorted(qc.theta_p)
-    theta_p: dict[str, float] = {}
-    for kid in P_IDS:
-        vals = np.array([qc.theta_p[i][kid] for i in sq_ids])
+
+    def collapse(theta: dict[int, dict], kid: str) -> float:
         if kid in ("s3", "s4") and join_sqs:
-            v = float(min(qc.theta_p[i][kid] for i in join_sqs))
-            v = max(v, KNOB_BY_ID[kid].default)  # cap at Spark default
+            v = max(min(theta[i][kid] for i in join_sqs),
+                    KNOB_BY_ID[kid].default)  # cap at Spark default
         else:
-            v = float(np.exp(np.mean(np.log(np.maximum(vals, 1e-9)))))
-        theta_p[kid] = KNOB_BY_ID[kid].clamp(v)
-    theta_s: dict[str, float] = {}
-    for kid in S_IDS:
-        vals = np.array([qc.theta_s[i][kid] for i in sq_ids])
-        theta_s[kid] = KNOB_BY_ID[kid].clamp(
-            float(np.exp(np.mean(np.log(np.maximum(vals, 1e-9))))))
-    return theta_p, theta_s
+            vals = np.array([theta[i][kid] for i in sq_ids])
+            v = np.exp(np.mean(np.log(np.maximum(vals, 1e-9))))
+        return KNOB_BY_ID[kid].clamp(float(v))
+
+    return ({kid: collapse(qc.theta_p, kid) for kid in P_IDS},
+            {kid: collapse(qc.theta_s, kid) for kid in S_IDS})
 
 
 # Deviate from the submitted θp / θs only when the weighted score of the
 # model's pick beats keeping them by this factor.
 THETA_P_MARGIN = 0.98
 THETA_S_MARGIN = 0.97
+
+# θs candidates of a QS request, after "keep the current θs"
+_THETA_S_GRID = [{"s10": float(a), "s11": b}
+                 for a in np.linspace(0.1, 0.8, 4)
+                 for b in (1 * MB, 4 * MB, 16 * MB, 64 * MB)]
 
 
 class OnlineOptimizer:
@@ -94,17 +98,8 @@ class OnlineOptimizer:
         self._stages = {i: P.StageFeatures.of(dag, i, true_stats=True)
                         for i, s in dag.subqs.items() if s.kind != "scan"}
         self._mem_exec = exec_mem(theta_c)
-        # θs candidate grid
-        s10s = np.linspace(0.1, 0.8, 4)
-        s11s = np.array([1 * MB, 4 * MB, 16 * MB, 64 * MB])
-        self._theta_s_grid = [{"s10": float(a), "s11": float(b)}
-                              for a in s10s for b in s11s]
 
     # -- helpers ---------------------------------------------------------------
-    def _pick_weighted(self, F: np.ndarray) -> int:
-        Fn, _, _ = normalize(F)
-        return int((Fn * self.weights).sum(axis=1).argmin())
-
     def _choose(self, sq_id: int, confs: list[dict], algs: list[str], margin: float,
                 *, input_bytes: float | None = None) -> int:
         """Index of the candidate to run: the QS model scores every
@@ -118,7 +113,7 @@ class OnlineOptimizer:
         for a in sorted(set(algs)):
             mask = np.array([x == a for x in algs])
             F[mask] = self.suite.qs.objectives(X[mask], self._rate_s, clamp_latency=False)
-        best = self._pick_weighted(F)
+        best = int(weighted_picks(F, self.weights[None])[0])
         score = (F * self.weights).sum(axis=1)
         if best != 0 and score[best] > margin * score[0]:
             best = 0
@@ -173,7 +168,7 @@ class OnlineOptimizer:
             bb, pb, br = join_sides(dag, sq_id, true=True)
             alg = choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
                                         compile_alg=None)
-        grid = [{"s10": conf["s10"], "s11": conf["s11"]}] + self._theta_s_grid
+        grid = [{"s10": conf["s10"], "s11": conf["s11"]}, *_THETA_S_GRID]
         best = self._choose(sq_id, [{**conf, **ts} for ts in grid], [alg] * len(grid),
                             THETA_S_MARGIN, input_bytes=input_bytes)
         self.time_spent_s += time.perf_counter() - t0

@@ -14,7 +14,9 @@
 4. measured latencies carry multiplicative run-to-run noise so traces are
    realistically noisy modeling targets.
 
-Latency is wall-clock of the wave-based shared-core schedule; *analytical
+Latency is the wall clock of a shared-core schedule: executor start-up,
+then per topological level ``max(level task-seconds / cores, slowest
+task)`` plus a stage overhead (task waves are not modelled); *analytical
 latency* (paper §4.2) is total task-seconds divided by total cores.
 """
 from __future__ import annotations

@@ -8,10 +8,12 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-_N_LINEITEM_PER_SF = 6_000_000
-_N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
-_N_PART_PER_SF = 200_000
+from repro.core.catalog import TPCDS_TABLES, TPCH_TABLES
+
+
+def _n(tables: dict, name: str, sf: float) -> int:
+    """Row count of a catalog table at ``sf`` (at least one row)."""
+    return max(1, int(tables[name].rows(sf)))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -19,9 +21,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
+    n = _n(TPCH_TABLES, "lineitem", sf)
+    n_orders = _n(TPCH_TABLES, "orders", sf)
+    n_part = _n(TPCH_TABLES, "part", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -42,8 +44,8 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
 
 
 def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
+    n = _n(TPCH_TABLES, "orders", sf)
+    n_cust = _n(TPCH_TABLES, "customer", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -62,7 +64,7 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
 
 
 def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
+    n = _n(TPCH_TABLES, "part", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -79,7 +81,7 @@ def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
 
 
 def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
+    n = _n(TPCH_TABLES, "customer", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -95,7 +97,7 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
 
 
 def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    n = max(1, int(_N_SUPPLIER_PER_SF * sf))
+    n = _n(TPCH_TABLES, "supplier", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -120,14 +122,11 @@ def nation(spark: SparkSession, *, seed: int = 7) -> DataFrame:
 
 
 # --- TPC-DS-lite (store_sales star schema at the same SF conventions) -------
-_N_STORE_SALES_PER_SF = 2_880_000
-_N_ITEM_PER_SF = 18_000
-_N_SUPPLIER_PER_SF = 10_000
 
 
 def store_sales(spark: SparkSession, *, sf: float = 0.01, seed: int = 8) -> DataFrame:
-    n = max(1, int(_N_STORE_SALES_PER_SF * sf))
-    n_item = max(1, int(_N_ITEM_PER_SF * sf))
+    n = _n(TPCDS_TABLES, "store_sales", sf)
+    n_item = _n(TPCDS_TABLES, "item", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -143,7 +142,7 @@ def store_sales(spark: SparkSession, *, sf: float = 0.01, seed: int = 8) -> Data
 
 
 def item(spark: SparkSession, *, sf: float = 0.01, seed: int = 9) -> DataFrame:
-    n = max(1, int(_N_ITEM_PER_SF * sf))
+    n = _n(TPCDS_TABLES, "item", sf)
     g = _rng(seed)
     pdf = pd.DataFrame(
         {

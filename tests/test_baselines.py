@@ -8,7 +8,7 @@ from repro.experiments.table5 import PREFS
 from repro.moo import baselines as B
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices
-from repro.params import C_IDS, KNOB_BY_ID, P_IDS, S_IDS
+from repro.params import C_IDS, KNOB_BY_ID, P_IDS, S_IDS, refined_lhs
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +84,8 @@ def test_so_fw_one_prediction_for_all_prefs(obj, n_prefs, monkeypatch):
     preference gets the optimum it would get alone."""
     prefs = PREFS[:n_prefs]
     calls = []
-    real = obj.query_shared_batch
-    monkeypatch.setattr(obj, "query_shared_batch", lambda U: calls.append(len(U)) or real(U))
+    real = obj.query_fine_batch
+    monkeypatch.setattr(obj, "query_fine_batch", lambda U: calls.append(len(U)) or real(U))
     together = B.so_fixed_weights(obj, prefs, n_samples=256, seed=0)
     assert calls == [256]
     assert list(together) == prefs
@@ -102,8 +102,16 @@ def test_ws_collapse_behavior(obj):
 
 
 def test_decode_fine_vs_query_dims(obj):
-    assert B._dims(obj, False) == 19
-    assert B._dims(obj, True) == 8 + 11 * obj.m
+    """Query-level (19) and fine-grained (8 + 11m) vectors both map to the
+    fine-grained layout; a query-level θp‖θs is repeated for every subQ."""
+    rng = np.random.default_rng(0)
+    U_q = refined_lhs(3, B._ids(obj, False), rng)
+    U_f = refined_lhs(3, B._ids(obj, True), rng)
+    assert U_q.shape == (3, 19)
+    assert U_f.shape == (3, 8 + 11 * obj.m)
+    np.testing.assert_array_equal(B._to_fine(obj, U_f), U_f)
+    np.testing.assert_array_equal(B._to_fine(obj, U_q),
+                                  np.concatenate([U_q[:, :8]] + [U_q[:, 8:]] * obj.m, axis=1))
 
 
 def test_nondominated_rank():

@@ -12,8 +12,7 @@ from repro.core.workloads import build_query
 from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
-from repro.moo.objectives import D_C, D_PS
-from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refine_unit
+from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refined_lhs
 
 
 def _sols(rng, n, m):
@@ -158,9 +157,9 @@ def test_effective_set_structure(obj):
 def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
     """Algorithm 1 with one model call per (cluster, subQ) block."""
     rng = np.random.default_rng(seed)
-    Uc = refine_unit(lhs_unit(n_c, D_C, rng), C_IDS)
+    Uc = refined_lhs(n_c, C_IDS, rng)
     labels, rep_idx, centers = H._kmeans(Uc, n_clusters, seed=seed)
-    pool = refine_unit(lhs_unit(n_p, D_PS, rng), P_IDS + S_IDS)
+    pool = refined_lhs(n_p, P_IDS + S_IDS, rng)
     opt_idx = {}
     for g, r in enumerate(rep_idx):
         U_full = np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)

@@ -28,21 +28,19 @@ def test_subq_batch_shape(obj):
     assert np.all(F > 0)
 
 
-def test_query_shared_is_sum_of_subqs(obj):
+def _replicated(obj, U):
+    """Query-level vectors θc ‖ θp‖θs in the fine-grained layout: the one
+    θp‖θs repeated for every subQ."""
+    return np.concatenate([U[:, :D_C]] + [U[:, D_C:]] * obj.m, axis=1)
+
+
+def test_query_level_vector_scores_sum_of_subqs(obj):
+    """A query-level vector in the fine-grained layout scores exactly the
+    sum of the subQ objectives under that one configuration."""
     rng = np.random.default_rng(1)
     U = lhs_unit(4, D_FULL, rng)
     total = sum(obj.subq_batch(sq, U) for sq in obj.sq_ids)
-    np.testing.assert_allclose(obj.query_shared_batch(U), total)
-
-
-def test_query_fine_equals_shared_when_replicated(obj):
-    """A fine-grained vector replicating one (θp, θs) for every subQ must
-    produce the same objectives as the shared evaluation."""
-    rng = np.random.default_rng(2)
-    U = lhs_unit(3, D_FULL, rng)
-    U_big = np.concatenate([U[:, :D_C]] + [U[:, D_C:]] * obj.m, axis=1)
-    np.testing.assert_allclose(obj.query_fine_batch(U_big),
-                               obj.query_shared_batch(U))
+    np.testing.assert_array_equal(obj.query_fine_batch(_replicated(obj, U)), total)
 
 
 def test_fine_grained_dimensionality(obj):
@@ -65,8 +63,8 @@ def test_more_cores_cheaper_latency_fake_model(obj):
     hi = lo.copy()
     lo[0, 0] = lo[0, 2] = 0.0  # k1, k3 low
     hi[0, 0] = hi[0, 2] = 1.0
-    F_lo = obj.query_shared_batch(lo)
-    F_hi = obj.query_shared_batch(hi)
+    F_lo = obj.query_fine_batch(_replicated(obj, lo))
+    F_hi = obj.query_fine_batch(_replicated(obj, hi))
     assert F_hi[0, 0] < F_lo[0, 0]
 
 

@@ -83,6 +83,20 @@ def test_lhs_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("ids", [P.C_IDS, P.P_IDS + P.S_IDS, P.FULL_IDS * 2])
+def test_refined_lhs_stratified_within_bounds(ids):
+    """Each column lies in its knob's refined range, one point per 1/n
+    stratum of that range."""
+    n = 32
+    U = P.refined_lhs(n, ids, np.random.default_rng(7))
+    assert U.shape == (n, len(ids))
+    for j, kid in enumerate(ids):
+        lo, hi = P.REFINED_BOUNDS.get(kid, (0.02, 0.98))
+        assert np.all((U[:, j] >= lo) & (U[:, j] <= hi)), kid
+        strata = np.floor((U[:, j] - lo) / (hi - lo) * n).astype(int)
+        assert sorted(strata) == list(range(n)), kid
+
+
 def test_matrix_matches_scalar():
     rng = np.random.default_rng(1)
     ids = [k.kid for k in P.ALL_KNOBS]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.moo.pareto import (dominates, hypervolume_2d, normalize,
-                              pareto_indices, wun_select)
+                              pareto_indices, weighted_picks, wun_select)
 
 
 def brute_force_pareto(F: np.ndarray) -> set[int]:
@@ -131,6 +131,25 @@ def test_normalize_degenerate_dim():
     F = np.array([[5.0, 1.0], [5.0, 2.0]])
     Fn, _, _ = normalize(F)
     assert np.all(np.isfinite(Fn))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_picks_matches_per_weight_loop(seed):
+    rng = np.random.default_rng(seed)
+    F = rng.random((50, 2)) * [100.0, 0.5]
+    W = [(w, 1 - w) for w in np.linspace(0, 1, 11)]
+    Fn = (F - F.min(axis=0)) / (F.max(axis=0) - F.min(axis=0))
+    ref = [int(np.argmin([w[0] * a + w[1] * b for a, b in Fn])) for w in W]
+    assert weighted_picks(F, W).tolist() == ref
+
+
+def test_weighted_picks_ties_and_constant_column():
+    F = np.array([[2.0, 7.0], [1.0, 7.0], [1.0, 7.0], [3.0, 7.0]])
+    # cost is constant: it normalizes to 0, so only latency decides; the
+    # tie between rows 1 and 2 goes to the first
+    assert weighted_picks(F, [(0.5, 0.5), (1.0, 0.0)]).tolist() == [1, 1]
+    # weighting only the constant column ties every row
+    assert weighted_picks(F, [(0.0, 1.0)]).tolist() == [0]
 
 
 def test_wun_prefers_latency_with_latency_weight():
