@@ -26,6 +26,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.core.operators import _hash01
 from repro.core.plan import SubQDag
 from repro.params import GB
 from repro.simspark.costmodel import (
@@ -140,7 +141,9 @@ def run_query(
     theta_c, theta_p, theta_s = split_conf(conf)
     costs = DEFAULT_COSTS
     total_cores = max(1.0, theta_c["k1"] * theta_c["k3"])
-    rng = np.random.default_rng(noise_seed + 104729 * (hash(dag.plan.name) % 9973))
+    # _hash01 is a blake2b digest: the same in every process, unlike the
+    # per-process salted built-in hash()
+    rng = np.random.default_rng(noise_seed + 104729 * int(_hash01(dag.plan.name) * 9973))
 
     compile_algs = compile_time_join_algs(dag, theta_p)
     lvl = _levels(dag)

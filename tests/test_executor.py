@@ -1,6 +1,12 @@
 """Unit tests for the adaptive (AQE) query executor."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
@@ -27,6 +33,24 @@ def test_noise_deterministic(dag):
     assert a.latency_s == b.latency_s
     c = run_query(dag, default_conf(), noise_seed=4)
     assert c.latency_s != a.latency_s
+
+
+def test_noise_independent_of_hash_seed():
+    """The same noise seed gives the same run in any process: the noise
+    stream must not depend on Python's per-process string-hash salt."""
+    code = ("from repro.core.plan import partition_subqs\n"
+            "from repro.core.workloads import build_query\n"
+            "from repro.params import default_conf\n"
+            "from repro.simspark.executor import run_query\n"
+            "r = run_query(partition_subqs(build_query('tpch', 'q3', sf=10.0)),\n"
+            "              default_conf(), noise_seed=3)\n"
+            "print(repr((r.latency_s, r.cost_usd)))\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outs = {subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src,
+                                           "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")}
+    assert len(outs) == 1, outs
 
 
 def test_noiseless_mode(dag):
