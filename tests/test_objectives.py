@@ -34,13 +34,30 @@ def _replicated(obj, U):
     return np.concatenate([U[:, :D_C]] + [U[:, D_C:]] * obj.m, axis=1)
 
 
-def test_query_level_vector_scores_sum_of_subqs(obj):
-    """A query-level vector in the fine-grained layout scores exactly the
-    sum of the subQ objectives under that one configuration."""
+def test_query_shared_is_sum_of_subqs(obj):
+    """A query-level vector (one θp‖θs shared by every subQ), mapped to the
+    fine-grained layout as the baselines do, scores exactly the sum of the
+    subQ objectives under that one configuration."""
+    from repro.moo.baselines import _to_fine
     rng = np.random.default_rng(1)
     U = lhs_unit(4, D_FULL, rng)
     total = sum(obj.subq_batch(sq, U) for sq in obj.sq_ids)
-    np.testing.assert_array_equal(obj.query_fine_batch(_replicated(obj, U)), total)
+    np.testing.assert_array_equal(obj.query_fine_batch(_to_fine(obj, U)), total)
+
+
+def test_query_fine_equals_shared_when_replicated(obj):
+    """A fine-grained vector replicating one (θp, θs) for every subQ must
+    produce the same objectives as the shared configuration, and each subQ
+    is scored on its own block when the blocks differ."""
+    rng = np.random.default_rng(2)
+    U = lhs_unit(3, D_FULL, rng)
+    np.testing.assert_array_equal(obj.query_fine_batch(_replicated(obj, U)),
+                                  sum(obj.subq_batch(sq, U) for sq in obj.sq_ids))
+    blocks = [lhs_unit(3, D_PS, rng) for _ in obj.sq_ids]
+    U_big = np.concatenate([U[:, :D_C]] + blocks, axis=1)
+    per_sq = sum(obj.subq_batch(sq, np.concatenate([U[:, :D_C], b], axis=1))
+                 for sq, b in zip(obj.sq_ids, blocks))
+    np.testing.assert_array_equal(obj.query_fine_batch(U_big), per_sq)
 
 
 def test_fine_grained_dimensionality(obj):
