@@ -39,18 +39,23 @@ def predicate_embedding(text: str) -> np.ndarray:
     return acc / len(toks)
 
 
-def op_feature_matrix(dag: SubQDag, op_ids: list[int], *, true_stats: bool) -> np.ndarray:
-    """(n_ops, OP_FEAT_DIM) node-feature matrix for a GTN."""
-    X = np.zeros((len(op_ids), OP_FEAT_DIM))
+def op_feature_matrix(dag: SubQDag, op_ids: list[int], *,
+                      true_stats: bool | tuple[bool, ...]) -> np.ndarray:
+    """(n_ops, OP_FEAT_DIM) node-feature matrix for a GTN. A tuple of
+    statistics views, e.g. ``(False, True)``, gives one
+    (views, n_ops, OP_FEAT_DIM) stack: the one-hot type and the predicate
+    embedding are computed once, the cardinality columns once per view."""
+    views = true_stats if isinstance(true_stats, tuple) else (true_stats,)
+    X = np.zeros((len(views), len(op_ids), OP_FEAT_DIM))
     for i, oid in enumerate(op_ids):
         op = dag.op(oid)
-        X[i, OP_TYPES.index(op.op_type)] = 1.0
-        rows = op.true_rows if true_stats else op.est_rows
-        byts = op.true_bytes if true_stats else op.est_bytes
-        X[i, len(OP_TYPES)] = np.log1p(rows) / 25.0
-        X[i, len(OP_TYPES) + 1] = np.log1p(byts) / 30.0
-        X[i, len(OP_TYPES) + 2:] = predicate_embedding(op.predicate)
-    return X
+        X[:, i, OP_TYPES.index(op.op_type)] = 1.0
+        X[:, i, len(OP_TYPES) + 2:] = predicate_embedding(op.predicate)
+        for v, true in enumerate(views):
+            rows, byts = (op.true_rows, op.true_bytes) if true else (op.est_rows, op.est_bytes)
+            X[v, i, len(OP_TYPES)] = np.log1p(rows) / 25.0
+            X[v, i, len(OP_TYPES) + 1] = np.log1p(byts) / 30.0
+    return X if isinstance(true_stats, tuple) else X[0]
 
 
 def local_edges(dag: SubQDag, op_ids: list[int]) -> list[tuple[int, int]]:

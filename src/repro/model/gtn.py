@@ -7,14 +7,29 @@ pooled into a fixed-size plan embedding.
 
 Weights are fixed and seeded (random-features regime): the downstream MLP
 regressor is the trained component, matching the compute budget available
-offline (see DESIGN.md). Embeddings are deterministic, so they can be
-cached per (plan, stat-view).
+offline (see DESIGN.md).
+
+The forward pass is batched: each layer computes Q, K and V of all heads
+in one product with a fused weight, and attends with one stacked
+``(…, heads, n, n)`` matmul. Several statistics views of one graph (node
+features over estimated and over true cardinalities) share its edges, so
+they embed in one call that builds the positional encoding and the
+attention bias once.
 """
 from __future__ import annotations
 
 import numpy as np
 
 EMB_DIM = 32
+
+
+def adjacency(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
+    """Symmetric 0/1 adjacency matrix of an ``n``-node graph."""
+    A = np.zeros((n, n))
+    if edges:
+        i, j = np.array(edges).T
+        A[i, j] = A[j, i] = 1.0
+    return A
 
 
 class GTNEmbedder:
@@ -30,51 +45,51 @@ class GTNEmbedder:
         self.layers = []
         dh = d_model // n_heads
         for _ in range(n_layers):
+            # per-head (n_heads, d_model, dh) Q, K, V weights, drawn in that
+            # order, fused into columns [Q heads | K heads | V heads]
+            wq, wk, wv = (rng.normal(0, s, (n_heads, d_model, dh)) for _ in range(3))
             self.layers.append({
-                "wq": rng.normal(0, s, (n_heads, d_model, dh)),
-                "wk": rng.normal(0, s, (n_heads, d_model, dh)),
-                "wv": rng.normal(0, s, (n_heads, d_model, dh)),
+                "wqkv": np.concatenate(
+                    [w.transpose(1, 0, 2).reshape(d_model, d_model) for w in (wq, wk, wv)],
+                    axis=1),
                 "wo": rng.normal(0, s, (d_model, d_model)),
                 "w1": rng.normal(0, s, (d_model, 2 * d_model)),
                 "w2": rng.normal(0, 1.0 / np.sqrt(2 * d_model), (2 * d_model, d_model)),
             })
 
-    def _laplacian_pe(self, n: int, edges: list[tuple[int, int]]) -> np.ndarray:
-        A = np.zeros((n, n))
-        for i, j in edges:
-            A[i, j] = A[j, i] = 1.0
+    def _laplacian_pe(self, A: np.ndarray) -> np.ndarray:
+        """Sign-canonical eigenvectors 2…pe_dim+1 of the normalized
+        Laplacian of adjacency ``A`` (zero-padded for small graphs)."""
+        n = len(A)
         d = A.sum(axis=1)
         dinv = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1e-9)), 0.0)
         L = np.eye(n) - dinv[:, None] * A * dinv[None, :]
-        vals, vecs = np.linalg.eigh(L)
-        pe = vecs[:, 1:1 + self.pe_dim] if n > 1 else np.zeros((n, self.pe_dim))
-        if pe.shape[1] < self.pe_dim:
-            pe = np.pad(pe, ((0, 0), (0, self.pe_dim - pe.shape[1])))
-        # sign-canonicalize each eigenvector (eigh sign is arbitrary)
-        signs = np.where(np.abs(pe).max(axis=0) > 0,
-                         np.sign(pe[np.abs(pe).argmax(axis=0), range(pe.shape[1])]), 1.0)
+        vecs = np.linalg.eigh(L)[1][:, 1:1 + self.pe_dim]
+        pe = np.zeros((n, self.pe_dim))
+        pe[:, :vecs.shape[1]] = vecs
+        # sign-canonicalize each eigenvector (eigh sign is arbitrary): its
+        # largest-magnitude entry is positive
+        signs = np.sign(pe[np.abs(pe).argmax(axis=0), np.arange(self.pe_dim)])
         return pe * np.where(signs == 0, 1.0, signs)
 
     def embed(self, X: np.ndarray, edges: list[tuple[int, int]]) -> np.ndarray:
-        """Embed one plan graph: node features ``X`` (n, d_in) + edges."""
-        n = X.shape[0]
-        H = X @ self.w_in + self._laplacian_pe(n, edges) @ self.w_pe
-        bias = np.full((n, n), -4.0)
-        np.fill_diagonal(bias, 0.0)
-        for i, j in edges:
-            bias[i, j] = bias[j, i] = 0.0
+        """Embed one plan graph: node features ``X`` of shape (n, d_in), or
+        (views, n, d_in) for several views over the same ``edges``, to an
+        (EMB_DIM,) or (views, EMB_DIM) embedding."""
+        views, n = len(X) if X.ndim == 3 else 1, X.shape[-2]
+        nh, dh = self.n_heads, self.d_model // self.n_heads
+        A = adjacency(n, edges)
+        H = X.reshape(views, n, -1) @ self.w_in + self._laplacian_pe(A) @ self.w_pe
+        bias = np.where((A > 0) | np.eye(n, dtype=bool), 0.0, -4.0)
         for layer in self.layers:
-            heads = []
-            for h in range(self.n_heads):
-                q = H @ layer["wq"][h]
-                k = H @ layer["wk"][h]
-                v = H @ layer["wv"][h]
-                att = q @ k.T / np.sqrt(q.shape[1]) + bias
-                att = att - att.max(axis=1, keepdims=True)
-                w = np.exp(att)
-                w /= w.sum(axis=1, keepdims=True)
-                heads.append(w @ v)
-            H = H + np.concatenate(heads, axis=1) @ layer["wo"]
-            H = H / (np.linalg.norm(H, axis=1, keepdims=True) / np.sqrt(self.d_model) + 1e-6)
+            # (3, views, heads, n, dh): Q, K and V of every head
+            q, k, v = (H @ layer["wqkv"]).reshape(views, n, 3, nh, dh).transpose(2, 0, 3, 1, 4)
+            att = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
+            att = att - att.max(axis=-1, keepdims=True)
+            w = np.exp(att)
+            w /= w.sum(axis=-1, keepdims=True)
+            H = H + (w @ v).transpose(0, 2, 1, 3).reshape(views, n, self.d_model) @ layer["wo"]
+            H = H / (np.sqrt((H * H).sum(axis=-1, keepdims=True)) / np.sqrt(self.d_model) + 1e-6)
             H = H + np.maximum(H @ layer["w1"], 0.0) @ layer["w2"]
-        return H.mean(axis=0)
+        emb = H.sum(axis=1) / n
+        return emb[0] if X.ndim == 2 else emb

@@ -17,8 +17,9 @@ on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
   candidates with the QS model on the join's stage, not with LQP̄.
 
 :class:`StageFeatures` holds what is fixed for one stage under one
-statistics view; its ``subq_rows``/``qs_rows`` append a batch of knob
-rows. Compile time folds a stage's fixed subQ columns (``subq_fixed``,
+statistics view (``StageFeatures.pair`` builds the estimated and the true
+view from one GTN forward); its ``subq_rows``/``qs_rows`` append a batch
+of knob rows. Compile time folds a stage's fixed subQ columns (``subq_fixed``,
 at ``SUBQ_FIXED_COLS``) into the models and passes only the varying ones
 (``subq_varying``). ``lqp_rows`` builds the whole-plan rows, and
 ``TargetModels.objectives`` turns predictions into (latency, cost).
@@ -74,7 +75,10 @@ def shared_gtn() -> GTNEmbedder:
     return _GTN
 
 
-def _embed(dag: SubQDag, op_ids: list[int], true_stats: bool) -> np.ndarray:
+def _embed(dag: SubQDag, op_ids: list[int],
+           true_stats: bool | tuple[bool, ...]) -> np.ndarray:
+    """GTN embedding of ``op_ids`` under one statistics view, or a
+    (views, EMB_DIM) stack under a tuple of views."""
     X = op_feature_matrix(dag, op_ids, true_stats=true_stats)
     return shared_gtn().embed(X, local_edges(dag, op_ids))
 
@@ -107,15 +111,27 @@ class StageFeatures:
 
     @classmethod
     def of(cls, dag: SubQDag, sq_id: int, *, true_stats: bool) -> "StageFeatures":
-        sq = dag.subqs[sq_id]
+        return cls._view(dag, sq_id, true_stats,
+                         _embed(dag, dag.subqs[sq_id].op_ids, true_stats))
+
+    @classmethod
+    def pair(cls, dag: SubQDag, sq_id: int) -> tuple["StageFeatures", "StageFeatures"]:
+        """The (estimated, true) views of one stage from one GTN forward."""
+        est, true = _embed(dag, dag.subqs[sq_id].op_ids, (False, True))
+        return cls._view(dag, sq_id, False, est), cls._view(dag, sq_id, True, true)
+
+    @classmethod
+    def _view(cls, dag: SubQDag, sq_id: int, true_stats: bool,
+              emb: np.ndarray) -> "StageFeatures":
         in_bytes = dag.input_bytes(sq_id, true=true_stats)
         skew = dag.skew(sq_id)
         return cls(
-            emb=_embed(dag, sq.op_ids, true_stats),
+            emb=emb,
             alpha=alpha_features(dag.input_rows(sq_id, true=true_stats), in_bytes,
                                  dag.output_rows(sq_id, true=true_stats),
                                  dag.output_bytes(sq_id, true=true_stats)),
-            beta=beta_features(skew), kind=sq.kind, input_bytes=in_bytes, skew=skew)
+            beta=beta_features(skew), kind=dag.subqs[sq_id].kind, input_bytes=in_bytes,
+            skew=skew)
 
     def _derived(self, M_nat: np.ndarray, input_bytes: float) -> np.ndarray:
         return derived_partition_features(self.kind, input_bytes, M_nat, self.skew)

@@ -27,6 +27,7 @@ TRACE_SCHEMA = (
     "kind string, benchmark string, template string, variant int, conf_id int, "
     "sq_id int, feats array<double>, latency double, io_mb double"
 )
+TRACE_COLUMNS = [field.split()[0] for field in TRACE_SCHEMA.split(", ")]
 
 
 def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
@@ -48,11 +49,10 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
 
     for sq_id, sr in run.stages.items():
         io_mb = sr.io_bytes / 1024**2
+        est, obs = P.StageFeatures.pair(dag, sq_id)
         # subQ (compile-time view: estimated stats, uniform/no-contention)
-        est = P.StageFeatures.of(dag, sq_id, true_stats=False)
         add("subq", sq_id, est.subq_rows(U_full, M_nat), sr.analytical_latency_s, io_mb)
         # QS (runtime view: true stats, physical alg, θp dropped)
-        obs = P.StageFeatures.of(dag, sq_id, true_stats=True)
         add("qs", sq_id, obs.qs_rows([sr.metrics.join_alg], U_qs, M_nat,
                                      P.observed_gamma(sr)),
             sr.analytical_latency_s, io_mb)
@@ -89,9 +89,7 @@ def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
             for rec in pdf.itertuples(index=False):
                 out.extend(trace_rows(rec.benchmark, rec.template, int(rec.variant),
                                       json.loads(rec.conf_json), int(rec.conf_id), sf=sf))
-            yield pd.DataFrame(out) if out else pd.DataFrame(
-                columns=["kind", "benchmark", "template", "variant", "conf_id",
-                         "sq_id", "feats", "latency", "io_mb"])
+            yield pd.DataFrame(out) if out else pd.DataFrame(columns=TRACE_COLUMNS)
 
     return sdf.mapInPandas(worker, schema=TRACE_SCHEMA).toPandas()
 

@@ -48,6 +48,15 @@ def test_op_feature_matrix(dag):
     assert not np.allclose(X, Xe)
 
 
+def test_op_feature_matrix_two_views_stack_single_views(dag):
+    for sq in dag.subqs.values():
+        both = FT.op_feature_matrix(dag, sq.op_ids, true_stats=(False, True))
+        assert both.shape == (2, len(sq.op_ids), FT.OP_FEAT_DIM)
+        assert np.array_equal(both, np.stack([
+            FT.op_feature_matrix(dag, sq.op_ids, true_stats=False),
+            FT.op_feature_matrix(dag, sq.op_ids, true_stats=True)]))
+
+
 def test_local_edges(dag):
     sq = next(s for s in dag.subqs.values() if s.kind == "shuffle")
     edges = FT.local_edges(dag, sq.op_ids)

@@ -1,4 +1,6 @@
 """Unit tests for the predictor suite and feature-layout constants."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,17 @@ def test_embed_views_differ(dag):
     e1 = P.StageFeatures.of(dag, sq, true_stats=True).emb
     e2 = P.StageFeatures.of(dag, sq, true_stats=False).emb
     assert not np.allclose(e1, e2)
+
+
+def test_pair_equals_the_two_single_views(dag):
+    for sq in dag.subqs:
+        pair = P.StageFeatures.pair(dag, sq)
+        singles = (P.StageFeatures.of(dag, sq, true_stats=False),
+                   P.StageFeatures.of(dag, sq, true_stats=True))
+        for got, want in zip(pair, singles):
+            for f in fields(P.StageFeatures):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) and type(a) is type(b), (sq, f.name)
 
 
 def test_runtime_request_bytes_override_stage_stats(dag):

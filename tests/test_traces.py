@@ -8,6 +8,7 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model import predictor as P
+from repro.model.gtn import GTNEmbedder
 from repro.model.traces import (TRACE_SCHEMA, generate_traces_spark,
                                 split_traces, task_grid, trace_rows)
 from repro.params import default_conf
@@ -51,6 +52,22 @@ def test_rows_deterministic():
     b = trace_rows("tpch", "q6", 1, default_conf(), 3)
     assert a[0]["latency"] == b[0]["latency"]
     np.testing.assert_allclose(a[0]["feats"], b[0]["feats"])
+
+
+def test_one_embed_per_stage_plus_one_for_the_plan(monkeypatch):
+    """Both statistics views of a stage come from one GTN forward."""
+    calls = []
+    embed = GTNEmbedder.embed
+
+    def spy(self, X, edges):
+        calls.append(X.shape)
+        return embed(self, X, edges)
+
+    monkeypatch.setattr(GTNEmbedder, "embed", spy)
+    trace_rows("tpch", "q3", 0, default_conf(), 0)
+    n_stages = partition_subqs(build_query("tpch", "q3", sf=100.0)).n_subqs()
+    assert len(calls) == n_stages + 1
+    assert all(len(shape) == 3 and shape[0] == 2 for shape in calls[:-1])
 
 
 def test_task_grid():
