@@ -3,13 +3,18 @@ and the one compile-time solve per query that Tables 4, 5 and Expt 6 share.
 
 Heavy artifacts (traces, trained models, table results) are cached under
 ``results/`` at the repo root so tables re-run cheaply; delete the
-directory to regenerate from scratch.
+directory to regenerate from scratch. Traces and models carry a
+``.stamp`` file with the ``artifact_key`` they were built under and are
+rebuilt when it no longer matches.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -29,8 +34,12 @@ RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR",
 # 6-node cluster; reduced to laptop budget — documented in DESIGN.md).
 N_VARIANTS = 4
 N_CONFS = 24
+TRACE_SEED = 17
 TRAIN_EPOCHS = 50
 HIDDEN = (128, 128)
+
+# The sources that traces and models are computed from.
+_ARTIFACT_SOURCES = ("core", "simspark", "model", "params.py")
 
 
 def results_path(*parts: str) -> str:
@@ -48,15 +57,54 @@ def models_dir(benchmark: str) -> str:
     return os.path.dirname(d)
 
 
+@functools.cache
+def artifact_key() -> str:
+    """Digest of the code and constants that cached traces and models are
+    built from: the trace and model sources and the grid and fit sizes."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256(repr((N_VARIANTS, N_CONFS, TRACE_SEED, TRAIN_EPOCHS, HIDDEN)).encode())
+    for name in _ARTIFACT_SOURCES:
+        top = root / name
+        for f in sorted(top.rglob("*.py")) if top.is_dir() else [top]:
+            h.update(f.relative_to(root).as_posix().encode())
+            h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+def _stamp_path(artifact: str) -> str:
+    return artifact + ".stamp"
+
+
+def _is_current(artifact: str, exists: bool) -> bool:
+    """True if an existing artifact was built under the current
+    ``artifact_key``; an existing stale one is reported."""
+    if not exists:
+        return False
+    try:
+        with open(_stamp_path(artifact)) as f:
+            if f.read().strip() == artifact_key():
+                return True
+    except FileNotFoundError:
+        pass
+    print(f"{artifact}: stamp does not match the current sources; regenerating")
+    return False
+
+
+def _write_stamp(artifact: str) -> None:
+    with open(_stamp_path(artifact), "w") as f:
+        f.write(artifact_key() + "\n")
+
+
 def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
     """Load cached traces or generate them with the Spark pipeline."""
     path = traces_path(benchmark)
-    if os.path.exists(path) and not force:
+    if not force and _is_current(path, os.path.exists(path)):
         return pd.read_parquet(path)
     traces = generate_traces_spark(
         spark, benchmark, benchmark_queries(benchmark),
-        n_variants=N_VARIANTS, n_confs=N_CONFS, seed=17)
+        n_variants=N_VARIANTS, n_confs=N_CONFS, seed=TRACE_SEED)
     traces.to_parquet(path)
+    _write_stamp(path)
     return traces
 
 
@@ -75,11 +123,12 @@ def train_suite(traces: pd.DataFrame, *, epochs: int = TRAIN_EPOCHS,
 def get_suite(spark, benchmark: str) -> ModelSuite:
     """Cached trained models for a benchmark (trains on first use)."""
     d = models_dir(benchmark)
-    if ModelSuite.exists(d):
+    if _is_current(d, ModelSuite.exists(d)):
         return ModelSuite.load(d)
     traces = get_traces(spark, benchmark)
     suite = train_suite(traces)
     suite.save(d)
+    _write_stamp(d)
     return suite
 
 

@@ -137,3 +137,52 @@ def test_save_json_numpy_types():
     with open(path) as f:
         d = json.load(f)
     assert d == {"a": 3, "b": 0.5, "c": [0, 1, 2]}
+
+
+def test_cached_artifacts_reused_while_their_stamp_matches(tmp_path, monkeypatch, capsys):
+    import pandas as pd
+
+    from repro.model.mlp import MLPRegressor
+    from repro.model.predictor import ModelSuite, TargetModels
+
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    made = {"traces": 0, "models": 0}
+
+    def fake_generate(spark, benchmark, templates, **kw):
+        made["traces"] += 1
+        return pd.DataFrame({"kind": ["subq"], "latency": [1.0]})
+
+    def fake_train(traces):
+        made["models"] += 1
+        tm = TargetModels(MLPRegressor(3, hidden=(2,)), MLPRegressor(3, hidden=(2,)))
+        return ModelSuite(tm, tm, tm)
+
+    monkeypatch.setattr(common, "generate_traces_spark", fake_generate)
+    monkeypatch.setattr(common, "train_suite", fake_train)
+    common.get_suite(None, "tpch")
+    common.get_suite(None, "tpch")
+    common.get_traces(None, "tpch")
+    assert made == {"traces": 1, "models": 1}
+    assert "regenerating" not in capsys.readouterr().out
+
+    # a source or constant change alters the key: both artifacts are rebuilt
+    monkeypatch.setattr(common, "artifact_key", lambda: "0" * 64)
+    common.get_suite(None, "tpch")
+    assert made == {"traces": 2, "models": 2}
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == [common.models_dir("tpch"),
+                                                    common.traces_path("tpch")]
+    common.get_suite(None, "tpch")
+    assert made == {"traces": 2, "models": 2}
+
+    # traces cached by code that wrote no stamp are rebuilt as well
+    os.remove(common.traces_path("tpch") + ".stamp")
+    common.get_traces(None, "tpch")
+    assert made["traces"] == 3
+
+
+def test_artifact_key_covers_sources_and_constants(monkeypatch):
+    key = common.artifact_key()
+    assert key == common.artifact_key.__wrapped__()
+    monkeypatch.setattr(common, "N_CONFS", common.N_CONFS + 1)
+    assert common.artifact_key.__wrapped__() != key
