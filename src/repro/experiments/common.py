@@ -71,17 +71,11 @@ def artifact_key() -> str:
     return h.hexdigest()
 
 
-def _stamp_path(artifact: str) -> str:
-    return artifact + ".stamp"
-
-
-def _is_current(artifact: str, exists: bool) -> bool:
+def _is_current(artifact: str) -> bool:
     """True if an existing artifact was built under the current
-    ``artifact_key``; an existing stale one is reported."""
-    if not exists:
-        return False
+    ``artifact_key``; a stale one is reported."""
     try:
-        with open(_stamp_path(artifact)) as f:
+        with open(artifact + ".stamp") as f:
             if f.read().strip() == artifact_key():
                 return True
     except FileNotFoundError:
@@ -91,14 +85,14 @@ def _is_current(artifact: str, exists: bool) -> bool:
 
 
 def _write_stamp(artifact: str) -> None:
-    with open(_stamp_path(artifact), "w") as f:
+    with open(artifact + ".stamp", "w") as f:
         f.write(artifact_key() + "\n")
 
 
 def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
     """Load cached traces or generate them with the Spark pipeline."""
     path = traces_path(benchmark)
-    if not force and _is_current(path, os.path.exists(path)):
+    if not force and os.path.exists(path) and _is_current(path):
         return pd.read_parquet(path)
     traces = generate_traces_spark(
         spark, benchmark, benchmark_queries(benchmark),
@@ -123,7 +117,7 @@ def train_suite(traces: pd.DataFrame, *, epochs: int = TRAIN_EPOCHS,
 def get_suite(spark, benchmark: str) -> ModelSuite:
     """Cached trained models for a benchmark (trains on first use)."""
     d = models_dir(benchmark)
-    if _is_current(d, ModelSuite.exists(d)):
+    if ModelSuite.exists(d) and _is_current(d):
         return ModelSuite.load(d)
     traces = get_traces(spark, benchmark)
     suite = train_suite(traces)
