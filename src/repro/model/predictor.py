@@ -41,10 +41,11 @@ from repro.model.features import (
 )
 from repro.model.gtn import EMB_DIM, GTNEmbedder
 from repro.model.mlp import MLPRegressor
-from repro.params import C_IDS, FULL_IDS, S_IDS, to_vector
+from repro.params import C_IDS, FULL_IDS, S_IDS, normalize_matrix
 from repro.simspark.costmodel import DEFAULT_COSTS
 
 QS_IDS = C_IDS + S_IDS  # θp dropped at QS time
+QS_COLS = [FULL_IDS.index(i) for i in QS_IDS]  # their columns in a 19-knob row
 CONF_DIM_FULL = len(FULL_IDS)
 CONF_DIM_QS = len(QS_IDS)
 
@@ -52,6 +53,15 @@ SUBQ_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM + DERIVED_
 QS_DIM = (EMB_DIM + len(JOIN_ALGS) + CONF_DIM_QS + ALPHA_DIM + BETA_DIM
           + GAMMA_DIM + DERIVED_DIM)
 LQP_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM
+
+# QS row column blocks, in order: embedding ‖ join-algorithm one-hot ‖
+# (θc, θs) ‖ α ‖ β ‖ γ ‖ derived partitioning
+_QS_HOT0 = EMB_DIM
+_QS_CONF0 = _QS_HOT0 + len(JOIN_ALGS)
+_QS_TAIL0 = _QS_CONF0 + CONF_DIM_QS
+_QS_DERIVED0 = QS_DIM - DERIVED_DIM
+_ALG_ONEHOT = np.array([join_alg_onehot(a) for a in JOIN_ALGS])
+_ALG_ROW = {a: i for i, a in enumerate(JOIN_ALGS)}  # any other name: the "" row
 
 # subQ row columns fixed per stage: the embedding and α ‖ β ‖ γ. The rest,
 # the 19 knobs and the derived partitioning, vary with the configuration.
@@ -86,8 +96,8 @@ def _embed(dag: SubQDag, op_ids: list[int],
 def encode_confs(confs: list[dict], ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Configuration dicts → (normalized knob rows over ``ids``,
     natural-unit 19-knob rows in ``FULL_IDS`` order)."""
-    return (np.array([to_vector(c, ids) for c in confs]),
-            np.array([[c[i] for i in FULL_IDS] for c in confs]))
+    M_nat = np.array([[c[i] for i in FULL_IDS] for c in confs], dtype=np.float64)
+    return normalize_matrix(M_nat[:, [FULL_IDS.index(i) for i in ids]], ids), M_nat
 
 
 def observed_gamma(stage_run) -> np.ndarray:
@@ -157,13 +167,15 @@ class StageFeatures:
         """QS model rows: one join algorithm, (θc, θs) row and natural-unit
         19-knob row per candidate. ``input_bytes`` replaces the stage's
         statistics with the bytes a runtime request observed."""
-        n = len(U_qs)
-        hot = {a: join_alg_onehot(a) for a in set(join_algs)}
-        tail = np.concatenate([self.alpha, self.beta, gamma])
+        X = np.empty((len(U_qs), QS_DIM))
+        X[:, :_QS_HOT0] = self.emb
+        X[:, _QS_HOT0:_QS_CONF0] = _ALG_ONEHOT[[_ALG_ROW.get(a, _ALG_ROW[""])
+                                                for a in join_algs]]
+        X[:, _QS_CONF0:_QS_TAIL0] = U_qs
+        X[:, _QS_TAIL0:_QS_DERIVED0] = np.concatenate([self.alpha, self.beta, gamma])
         in_bytes = self.input_bytes if input_bytes is None else input_bytes
-        return np.concatenate(
-            [np.tile(self.emb, (n, 1)), np.array([hot[a] for a in join_algs]), U_qs,
-             np.tile(tail, (n, 1)), self._derived(M_nat, in_bytes)], axis=1)
+        X[:, _QS_DERIVED0:] = self._derived(M_nat, in_bytes)
+        return X
 
 
 def lqp_rows(dag: SubQDag, U_full: np.ndarray, stage_runs) -> np.ndarray:

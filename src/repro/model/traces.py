@@ -38,7 +38,7 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
     run = run_query(dag, conf, aqe=True, noisy=True,
                     noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
-    U_qs, _ = P.encode_confs([conf], P.QS_IDS)
+    U_qs = U_full[:, P.QS_COLS]
     rows: list[dict] = []
 
     def add(kind: str, sq_id: int, X: np.ndarray, latency: float, io_mb: float) -> None:

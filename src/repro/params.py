@@ -51,11 +51,7 @@ class Knob:
         return float(round(v)) if self.integer else float(v)
 
     def normalize(self, v: float) -> float:
-        v = min(max(v, self.lo), self.hi)
-        if self.log:
-            lo, hi = np.log10(self.lo), np.log10(self.hi)
-            return float((np.log10(v) - lo) / (hi - lo))
-        return float((v - self.lo) / (self.hi - self.lo))
+        return float(normalize_matrix(np.array([v], dtype=np.float64), [self.kid])[0])
 
     def denormalize(self, u: float) -> float:
         u = min(max(u, 0.0), 1.0)
@@ -139,7 +135,7 @@ def merge_conf(theta_c: dict, theta_p: dict, theta_s: dict) -> dict[str, float]:
 def to_vector(conf: dict[str, float], ids: list[str] | None = None) -> np.ndarray:
     """Encode a configuration (or a named subset) as a normalized vector."""
     ids = ids or [k.kid for k in ALL_KNOBS]
-    return np.array([KNOB_BY_ID[i].normalize(conf[i]) for i in ids], dtype=np.float64)
+    return normalize_matrix(np.array([conf[i] for i in ids], dtype=np.float64), ids)
 
 
 def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict[str, float]:
@@ -165,14 +161,15 @@ def lhs_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
 
 @functools.lru_cache(maxsize=64)
 def _bounds(ids: tuple[str, ...]):
-    """(lo, hi - lo, log columns, their log10 lo and log10 span, integer
-    columns) of the named knobs; cached, so the arrays are read-only."""
+    """(lo, hi, hi - lo, log columns, their log10 lo and log10 span,
+    integer columns) of the named knobs; cached, so the arrays are
+    read-only."""
     ks = [KNOB_BY_ID[i] for i in ids]
     lo = np.array([k.lo for k in ks])
     hi = np.array([k.hi for k in ks])
     log = np.flatnonzero([k.log for k in ks])
     log_lo, log_hi = np.log10(lo[log]), np.log10(hi[log])
-    out = (lo, hi - lo, log, log_lo, log_hi - log_lo,
+    out = (lo, hi, hi - lo, log, log_lo, log_hi - log_lo,
            np.flatnonzero([k.integer for k in ks]))
     for a in out:
         a.setflags(write=False)
@@ -182,11 +179,22 @@ def _bounds(ids: tuple[str, ...]):
 def denormalize_matrix(U: np.ndarray, ids: list[str]) -> np.ndarray:
     """Vectorized [0,1]^d → natural units for a batch of configurations."""
     U = np.clip(np.asarray(U, dtype=np.float64), 0.0, 1.0)
-    lo, span, log, log_lo, log_span, integer = _bounds(tuple(ids))
+    lo, _, span, log, log_lo, log_span, integer = _bounds(tuple(ids))
     M = lo + U * span
     M[..., log] = 10 ** (log_lo + U[..., log] * log_span)
     M[..., integer] = np.round(M[..., integer])
     return M
+
+
+def normalize_matrix(M: np.ndarray, ids: list[str]) -> np.ndarray:
+    """Vectorized natural units → [0,1]^d for a batch of configurations,
+    the inverse of :func:`denormalize_matrix`: clamp to [lo, hi], then
+    linear, or log10 for ``log`` knobs."""
+    lo, hi, span, log, log_lo, log_span, _ = _bounds(tuple(ids))
+    M = np.minimum(np.maximum(np.asarray(M, dtype=np.float64), lo), hi)
+    U = (M - lo) / span
+    U[..., log] = (np.log10(M[..., log]) - log_lo) / log_span
+    return U
 
 
 # Refined search ranges for optimization-time candidate generation

@@ -12,13 +12,19 @@ trained and evaluated for Table 3 only):
   Fig. 3(b)'s runtime plan surgery does;
 * on each new query stage, θs is re-tuned over a small (s10, s11) grid.
 
-Both hooks share one scoring path: candidate configurations → QS rows
-from each stage's :class:`~repro.model.predictor.StageFeatures` (built once
-per stage at construction; γ is the idle ``IDLE_GAMMA``) → predicted
-(latency, cost) → the weighted pick on min-max-normalized objectives
-(``pareto.weighted_picks``, shared with WS and SO-FW), which replaces the
-current θ only if its raw weighted score beats the current one's by a
-margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``).
+Both hooks share one scoring path, which starts from a knob matrix: one
+natural-unit 19-knob row per candidate (``FULL_IDS`` order; row 0 is the
+current configuration) → its (θc, θs) columns normalized in one
+``params.normalize_matrix`` call → QS rows from the stage's
+:class:`~repro.model.predictor.StageFeatures` (built once per stage at
+construction; γ is the idle ``IDLE_GAMMA``) → predicted (latency, cost),
+one model call per distinct join algorithm → the weighted pick on
+min-max-normalized objectives (``pareto.weighted_picks``, shared with WS
+and SO-FW), which replaces the current θ only if its raw weighted score
+beats the current one's by a margin (``THETA_P_MARGIN``,
+``THETA_S_MARGIN``). The θs hook tiles the current row and writes its
+grid into the θs columns of rows 1–16; the θp hook writes its five
+candidates' θp next to θc.
 
 Request pruning (§C.2.2) keeps the call volume down:
 
@@ -40,7 +46,8 @@ from repro.core.plan import SubQDag
 from repro.model import predictor as P
 from repro.moo.hmooc import QueryConfig
 from repro.moo.pareto import weighted_picks
-from repro.params import MB, KNOB_BY_ID, P_IDS, S_IDS
+from repro.params import (C_IDS, D_C, D_P, FULL_IDS, KNOB_BY_ID, MB, P_IDS, S_IDS,
+                          normalize_matrix)
 from repro.simspark.costmodel import (SMJ, choose_join_algorithm, exec_mem,
                                       resource_rate_h)
 from repro.simspark.executor import join_sides
@@ -81,6 +88,11 @@ THETA_S_MARGIN = 0.97
 _THETA_S_GRID = [{"s10": float(a), "s11": b}
                  for a in np.linspace(0.1, 0.8, 4)
                  for b in (1 * MB, 4 * MB, 16 * MB, 64 * MB)]
+# the same grid as (s10, s11) rows, and the first θs column of a 19-knob row
+_THETA_S_ROWS = np.array([[ts[k] for k in S_IDS] for ts in _THETA_S_GRID])
+_S_COL0 = D_C + D_P
+# θs under which a θp request scores its candidates
+_THETA_P_REQUEST_S = (0.2, 1 * MB)
 
 
 class OnlineOptimizer:
@@ -94,25 +106,31 @@ class OnlineOptimizer:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.time_spent_s = 0.0
         self._rate_s = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"]) / 3600.0
+        self._c_row = [self.theta_c[i] for i in C_IDS]
         # scan stages are never scored: both hooks prune them
         self._stages = {i: P.StageFeatures.of(dag, i, true_stats=True)
                         for i, s in dag.subqs.items() if s.kind != "scan"}
         self._mem_exec = exec_mem(theta_c)
 
     # -- helpers ---------------------------------------------------------------
-    def _choose(self, sq_id: int, confs: list[dict], algs: list[str], margin: float,
+    def _choose(self, sq_id: int, M_nat: np.ndarray, algs: list[str], margin: float,
                 *, input_bytes: float | None = None) -> int:
-        """Index of the candidate to run: the QS model scores every
-        configuration (one prediction per distinct join algorithm), the
-        weighted pick wins only if it beats candidate 0, the current one,
-        by ``margin``."""
-        U_qs, M_nat = P.encode_confs(confs, P.QS_IDS)
+        """Index of the candidate to run: the QS model scores every row of
+        the natural-unit 19-knob matrix ``M_nat`` (one prediction per
+        distinct join algorithm, in sorted order), the weighted pick wins
+        only if it beats row 0, the current configuration, by ``margin``."""
+        U_qs = normalize_matrix(M_nat[:, P.QS_COLS], P.QS_IDS)
         X = self._stages[sq_id].qs_rows(algs, U_qs, M_nat, P.IDLE_GAMMA,
                                         input_bytes=input_bytes)
-        F = np.zeros((len(confs), 2))
-        for a in sorted(set(algs)):
-            mask = np.array([x == a for x in algs])
-            F[mask] = self.suite.qs.objectives(X[mask], self._rate_s, clamp_latency=False)
+        groups = sorted(set(algs))
+        if len(groups) == 1:
+            F = self.suite.qs.objectives(X, self._rate_s, clamp_latency=False)
+        else:
+            F = np.empty((len(algs), 2))
+            for a in groups:
+                mask = np.array([x == a for x in algs])
+                F[mask] = self.suite.qs.objectives(X[mask], self._rate_s,
+                                                   clamp_latency=False)
         best = int(weighted_picks(F, self.weights[None])[0])
         score = (F * self.weights).sum(axis=1)
         if best != 0 and score[best] > margin * score[0]:
@@ -147,10 +165,13 @@ class OnlineOptimizer:
         # stage: the join-algorithm one-hot each candidate's thresholds
         # induce (under AQE's demote-only rule) is a sharp, stage-local
         # signal — the whole-plan LQP̄ model barely resolves one join.
-        confs = [{**self.theta_c, **c, "s10": 0.2, "s11": 1 * MB} for c in cands]
-        algs = [choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
-                                      compile_alg=SMJ) for conf in confs]
-        best = self._choose(sq_id, confs, algs, THETA_P_MARGIN)
+        M = np.empty((len(cands), len(FULL_IDS)))
+        M[:, :D_C] = self._c_row
+        M[:, D_C:_S_COL0] = [[c[i] for i in P_IDS] for c in cands]
+        M[:, _S_COL0:] = _THETA_P_REQUEST_S
+        algs = [choose_join_algorithm(bb, pb, c, rows_build=br, runtime=True,
+                                      compile_alg=SMJ) for c in cands]
+        best = self._choose(sq_id, M, algs, THETA_P_MARGIN)
         self.time_spent_s += time.perf_counter() - t0
         return cands[best]
 
@@ -168,8 +189,10 @@ class OnlineOptimizer:
             bb, pb, br = join_sides(dag, sq_id, true=True)
             alg = choose_join_algorithm(bb, pb, conf, rows_build=br, runtime=True,
                                         compile_alg=None)
-        grid = [{"s10": conf["s10"], "s11": conf["s11"]}, *_THETA_S_GRID]
-        best = self._choose(sq_id, [{**conf, **ts} for ts in grid], [alg] * len(grid),
-                            THETA_S_MARGIN, input_bytes=input_bytes)
+        M = np.tile(np.array([conf[i] for i in FULL_IDS], dtype=np.float64),
+                    (1 + len(_THETA_S_ROWS), 1))
+        M[1:, _S_COL0:] = _THETA_S_ROWS
+        best = self._choose(sq_id, M, [alg] * len(M), THETA_S_MARGIN,
+                            input_bytes=input_bytes)
         self.time_spent_s += time.perf_counter() - t0
-        return dict(grid[best])
+        return dict(_THETA_S_GRID[best - 1]) if best else {k: conf[k] for k in S_IDS}

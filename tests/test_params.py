@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro import params as P
+from repro.model.predictor import QS_IDS
 
 
 @pytest.mark.parametrize("knob", P.ALL_KNOBS, ids=[k.kid for k in P.ALL_KNOBS])
@@ -133,6 +134,33 @@ def test_matrix_bit_identical_to_reference(ids):
     P.denormalize_matrix(U, ids)[:] = -1.0     # a caller's edit of the output
     np.testing.assert_array_equal(P.denormalize_matrix(U, ids),
                                   _denormalize_reference(U, ids))
+
+
+def _normalize_reference(knob, v):
+    """``Knob.normalize`` as first written: one scalar at a time."""
+    v = min(max(v, knob.lo), knob.hi)
+    if knob.log:
+        lo, hi = np.log10(knob.lo), np.log10(knob.hi)
+        return float((np.log10(v) - lo) / (hi - lo))
+    return float((v - knob.lo) / (knob.hi - knob.lo))
+
+
+@pytest.mark.parametrize("ids", [P.FULL_IDS, QS_IDS, P.C_IDS, P.P_IDS + P.S_IDS],
+                         ids=["full", "qs", "c", "ps"])
+def test_normalize_matrix_bit_identical_to_scalar(ids):
+    ks = [P.KNOB_BY_ID[i] for i in ids]
+    lhs = [[c[i] for i in ids] for c in P.lhs_sample(200, ids, seed=3)]
+    edges = [[k.lo for k in ks], [k.hi for k in ks],
+             [k.lo - 0.5 * (k.hi - k.lo) for k in ks],   # below lo
+             [k.lo / 2 for k in ks], [k.hi * 2 + 1 for k in ks]]   # above hi
+    M = np.array(lhs + edges)
+    ref = np.array([[_normalize_reference(k, v) for k, v in zip(ks, row)] for row in M])
+    U = P.normalize_matrix(M, ids)
+    assert np.array_equal(U, ref)
+    assert np.array_equal(P.normalize_matrix(M[7], ids), ref[7])
+    for row, ref_row in zip(M, ref):
+        assert np.array_equal(P.to_vector(dict(zip(ids, row)), ids), ref_row)
+        assert [k.normalize(v) for k, v in zip(ks, row)] == ref_row.tolist()
 
 
 def test_spark_conf_items_rendering():

@@ -10,14 +10,18 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
-from repro.model.features import DERIVED_DIM, GAMMA_DIM, JOIN_ALGS
+from repro.experiments.table5 import PREFS
+from repro.model.features import (DERIVED_DIM, GAMMA_DIM, JOIN_ALGS,
+                                  derived_partition_features, join_alg_onehot)
 from repro.model.gtn import EMB_DIM
-from repro.model.predictor import FULL_IDS, QS_DIM, ModelSuite, TargetModels
+from repro.model.predictor import (FULL_IDS, IDLE_GAMMA, QS_DIM, QS_IDS, ModelSuite,
+                                   TargetModels)
 from repro.model.traces import trace_rows
 from repro.moo.hmooc import hmooc
 from repro.moo.objectives import CompileTimeObjectives
-from repro.params import C_IDS, lhs_sample, to_vector
-from repro.runtime.optimizer import OnlineOptimizer
+from repro.params import C_IDS, GB, MB, Knob, lhs_sample, to_vector
+from repro.runtime.optimizer import _THETA_S_GRID, OnlineOptimizer
+from repro.simspark.executor import run_query
 from tests.conftest import FoldedRegressor
 
 QUERIES = [("tpch", "q9"), ("tpcds", "q17")]
@@ -130,3 +134,102 @@ def test_qs_keep_current_row_matches_trace(bench, template, spy_suite):
             np.testing.assert_array_equal(X[0][same], feats[same])
             served += 1
     assert served > 0
+
+
+class RecordingOptimizer(OnlineOptimizer):
+    """Keeps each served request: the hook, its current θ, and the
+    candidate matrix, join algorithms and observed bytes it scored."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.requests: list[dict] = []
+
+    def on_collapsed_lqp(self, dag, sq_id, known, theta_p):
+        self._hook = ("lqp", theta_p)
+        return super().on_collapsed_lqp(dag, sq_id, known, theta_p)
+
+    def on_query_stage(self, dag, sq_id, input_bytes, conf):
+        self._hook = ("qs", conf)
+        return super().on_query_stage(dag, sq_id, input_bytes, conf)
+
+    def _choose(self, sq_id, M_nat, algs, margin, *, input_bytes=None):
+        self.requests.append(dict(hook=self._hook, sq_id=sq_id, M=M_nat.copy(),
+                                  algs=list(algs), input_bytes=input_bytes))
+        return super()._choose(sq_id, M_nat, algs, margin, input_bytes=input_bytes)
+
+
+def _qs_rows_reference(st, confs, algs, input_bytes):
+    """QS rows as the dict path built them: one ``to_vector`` per
+    configuration and the blocks joined by ``np.concatenate``."""
+    n = len(confs)
+    U_qs = np.array([to_vector(c, QS_IDS) for c in confs])
+    M_nat = np.array([[c[i] for i in FULL_IDS] for c in confs])
+    tail = np.concatenate([st.alpha, st.beta, IDLE_GAMMA])
+    in_bytes = st.input_bytes if input_bytes is None else input_bytes
+    return np.concatenate(
+        [np.tile(st.emb, (n, 1)), np.array([join_alg_onehot(a) for a in algs]), U_qs,
+         np.tile(tail, (n, 1)), derived_partition_features(st.kind, in_bytes, M_nat, st.skew)],
+        axis=1)
+
+
+def _row(conf):
+    return [conf[i] for i in FULL_IDS]
+
+
+@pytest.mark.parametrize("bench,template", QUERIES)
+def test_runtime_scores_dict_path_rows(bench, template, spy_suite, monkeypatch):
+    """Every QS row a served request scores equals the dict-path row, and
+    no knob is normalized one scalar at a time while requests are served."""
+    dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))
+    spy = spy_suite.qs.latency
+    scalar_calls = []
+    normalize = Knob.normalize
+    monkeypatch.setattr(Knob, "normalize",
+                        lambda self, v: scalar_calls.append(self.kid) or normalize(self, v))
+    conf = CONFS[0]
+    theta_c = {k: conf[k] for k in C_IDS}
+    served = {"lqp": 0, "qs": 0, "mixed": 0}
+    for pi, pref in enumerate(PREFS):
+        spy.seen.clear()
+        opt = RecordingOptimizer(dag, spy_suite, theta_c, pref)
+        run_query(dag, conf, runtime_opt=opt, noise_seed=pi)
+        assert scalar_calls == []
+        seen = iter(spy.seen)
+        for req in opt.requests:
+            kind, current = req["hook"]
+            M, algs = req["M"], req["algs"]
+            if kind == "qs":
+                grid = [{k: current[k] for k in ("s10", "s11")}, *_THETA_S_GRID]
+                np.testing.assert_array_equal(M, [_row({**current, **ts}) for ts in grid])
+            else:
+                np.testing.assert_array_equal(
+                    M[0], _row({**theta_c, **current, "s10": 0.2, "s11": 1 * MB}))
+            X_ref = _qs_rows_reference(opt._stages[req["sq_id"]],
+                                       [dict(zip(FULL_IDS, r)) for r in M], algs,
+                                       req["input_bytes"])
+            groups = sorted(set(algs))
+            for a in groups:
+                X = next(seen)
+                assert np.array_equal(X, X_ref[[x == a for x in algs]])
+            served[kind] += 1
+            served["mixed"] += len(groups) > 1
+        assert next(seen, None) is None
+    assert min(served.values()) > 0, served
+
+
+def test_theta_s_candidates_are_current_conf_then_grid(fake_suite):
+    """Row 0 of a θs request's candidate matrix is the current
+    configuration; row i is it with the i-th grid (s10, s11) written in."""
+    bench, template = QUERIES[0]
+    dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))
+    conf = CONFS[1]
+    opt = RecordingOptimizer(dag, fake_suite, {k: conf[k] for k in C_IDS}, (0.5, 0.5))
+    sq_id = next(i for i, s in dag.subqs.items() if s.kind != "scan")
+    assert opt.on_query_stage(dag, sq_id, 10 * GB, conf) is not None
+    (req,) = opt.requests
+    M = req["M"]
+    assert M.shape == (1 + len(_THETA_S_GRID), len(FULL_IDS))
+    assert np.array_equal(M[0], _row(conf))
+    for row, ts in zip(M[1:], _THETA_S_GRID):
+        assert np.array_equal(row, _row({**conf, **ts}))
+    assert len(set(map(tuple, M[1:, -2:]))) == len(_THETA_S_GRID)
