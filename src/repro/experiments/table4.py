@@ -20,7 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import common
-from repro.tuner import run_default, run_hmooc3, run_hmooc3_plus, run_mo_ws
+from repro.moo.baselines import weighted_sum
+from repro.params import default_conf
+from repro.simspark.executor import run_query
+from repro.tuner import run_recommended
 
 WEIGHTS = (0.9, 0.1)
 
@@ -51,20 +54,21 @@ def run_table4(compiled: common.CompileSet) -> dict:
         dag = obj.dag
         noise = 1000 + qi
 
-        d = run_default(dag, noise_seed=noise)
-        mw = run_mo_ws(obj, WEIGHTS, noise_seed=noise)
-        h3 = run_hmooc3(dag, res, WEIGHTS, noise_seed=noise)
-        h3p = run_hmooc3_plus(dag, compiled.suite, res, WEIGHTS, noise_seed=noise)
+        d = run_query(dag, default_conf(), noise_seed=noise)
+        mw = run_recommended(dag, weighted_sum(obj), WEIGHTS, noise_seed=noise)
+        h3 = run_recommended(dag, res, WEIGHTS, noise_seed=noise)
+        h3p = run_recommended(dag, res, WEIGHTS, noise_seed=noise,
+                              plugin_suite=compiled.suite)
 
         per_q.append(dict(
             query=q, n_subqs=dag.n_subqs(),
             default=dict(latency=d.latency_s, cost=d.cost_usd),
             methods={
-                "mo-ws": dict(latency=mw.latency_s, cost=mw.cost_usd,
+                "mo-ws": dict(latency=mw.run.latency_s, cost=mw.run.cost_usd,
                               solve=mw.solving_time_s),
-                "hmooc3": dict(latency=h3.latency_s, cost=h3.cost_usd,
+                "hmooc3": dict(latency=h3.run.latency_s, cost=h3.run.cost_usd,
                                solve=h3.solving_time_s),
-                "hmooc3+": dict(latency=h3p.latency_s, cost=h3p.cost_usd,
+                "hmooc3+": dict(latency=h3p.run.latency_s, cost=h3p.run.cost_usd,
                                 solve=h3p.solving_time_s,
                                 lqp_requests=h3p.run.lqp_requests,
                                 lqp_opps=h3p.run.lqp_request_opportunities,

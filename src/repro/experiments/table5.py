@@ -16,7 +16,9 @@ import numpy as np
 
 from repro.experiments import common
 from repro.moo.baselines import so_fixed_weights
-from repro.tuner import run_default, run_hmooc3_plus, run_so_fw
+from repro.params import default_conf
+from repro.simspark.executor import run_query
+from repro.tuner import run_recommended
 
 PREFS = [(0.0, 1.0), (0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (1.0, 0.0)]
 
@@ -42,15 +44,16 @@ PAPER_TABLE5 = {
 def run_table5(compiled: common.CompileSet) -> dict:
     prefs_out: dict = {}
     per_q = [(obj.dag, res, so_fixed_weights(obj, PREFS),
-              run_default(obj.dag, noise_seed=2000 + qi))
+              run_query(obj.dag, default_conf(), noise_seed=2000 + qi))
              for qi, (res, obj) in enumerate(compiled.queries.values())]
 
     for pref in PREFS:
         dl_so, dc_so, dl_h, dc_h = [], [], [], []
         for qi, (dag, res, so_fw, d) in enumerate(per_q):
             noise = 2000 + qi
-            so = run_so_fw(dag, so_fw[pref], pref, noise_seed=noise)
-            h3p = run_hmooc3_plus(dag, compiled.suite, res, pref, noise_seed=noise)
+            so = run_recommended(dag, so_fw[pref], pref, noise_seed=noise).run
+            h3p = run_recommended(dag, res, pref, noise_seed=noise,
+                                  plugin_suite=compiled.suite).run
             dl_so.append(so.latency_s / d.latency_s - 1.0)
             dc_so.append(so.cost_usd / d.cost_usd - 1.0)
             dl_h.append(h3p.latency_s / d.latency_s - 1.0)

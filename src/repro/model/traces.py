@@ -35,8 +35,7 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
     """All trace rows for one (parametric query, configuration) run."""
     plan = build_query(benchmark, template, sf=sf, variant=variant)
     dag = partition_subqs(plan)
-    run = run_query(dag, conf, aqe=True, noisy=True,
-                    noise_seed=conf_id * 7919 + variant)
+    run = run_query(dag, conf, aqe=True, noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
     U_qs = U_full[:, P.QS_COLS]
     rows: list[dict] = []

@@ -69,7 +69,8 @@ def _sq_dist(U: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _kmeans(U: np.ndarray, k: int, *, iters: int = 20, seed: int = 0):
-    """Tiny k-means over normalized θc vectors; returns (labels, rep_idx)."""
+    """Tiny k-means over normalized θc vectors; returns (labels, rep_idx,
+    centers)."""
     rng = np.random.default_rng(seed)
     k = min(k, len(U))
     centers = U[rng.choice(len(U), k, replace=False)]

@@ -1,6 +1,6 @@
 """Adaptive query execution over the stage cost model.
 
-``run_query`` executes a subQ DAG the way Spark with AQE does:
+``execute`` runs a subQ DAG the way Spark with AQE does:
 
 1. compile-time physical planning — join algorithms chosen from the
    *CBO-estimated* build sides with the submitted ``θp``;
@@ -11,8 +11,11 @@
    whatever ``θp`` is current — a runtime optimizer plugin (paper's OPT
    runtime component) may re-tune ``θp`` for the collapsed plan and ``θs``
    for each new stage;
-4. measured latencies carry multiplicative run-to-run noise so traces are
-   realistically noisy modeling targets.
+4. the execution is noise-free; ``QueryRun.sample`` draws the multiplicative
+   run-to-run noise (per stage on task-seconds and IO, then on the query
+   latency) so traces are realistically noisy modeling targets. Nothing
+   that decides the plan reads the noise, so one execution can be sampled
+   under many seeds. ``run_query`` is ``execute`` sampled under one seed.
 
 Latency is the wall clock of a shared-core schedule: executor start-up,
 then per topological level ``max(level task-seconds / cores, slowest
@@ -21,14 +24,15 @@ latency* (paper §4.2) is total task-seconds divided by total cores.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Protocol
 
 import numpy as np
 
 from repro.core.operators import _hash01
 from repro.core.plan import SubQDag
-from repro.params import GB
+from repro.params import GB, split_conf
 from repro.simspark.costmodel import (
     BHJ, DEFAULT_COSTS, SMJ, StageMetrics,
     choose_join_algorithm, resource_rate_h, stage_cost,
@@ -55,8 +59,10 @@ class StageRun:
     sq_id: int
     level: int
     metrics: StageMetrics
-    analytical_latency_s: float  # measured task-seconds / total cores (noisy)
-    io_bytes: float              # measured (noisy)
+    # task-seconds / total cores and IO bytes: noise-free in an execution,
+    # noisy in a sample
+    analytical_latency_s: float
+    io_bytes: float
     n_parallel: int              # contention γ: sibling stages in the level
     parallel_tasks: int
     parallel_work_s: float
@@ -68,12 +74,15 @@ class StageRun:
 
 @dataclass
 class QueryRun:
-    """End-to-end outcome of one simulated query execution."""
+    """End-to-end outcome of one simulated query execution: noise-free as
+    ``execute`` returns it, noisy as ``sample`` returns it."""
 
     latency_s: float
     analytical_latency_s: float
     io_gb: float
     cost_usd: float
+    theta_c: dict
+    noise_key: int   # the plan's share of every sample's RNG seed
     stages: dict[int, StageRun] = field(default_factory=dict)
     join_algs: dict[int, str] = field(default_factory=dict)
     compile_join_algs: dict[int, str] = field(default_factory=dict)
@@ -81,6 +90,49 @@ class QueryRun:
     qs_requests: int = 0
     lqp_request_opportunities: int = 0
     qs_request_opportunities: int = 0
+
+    def sample(self, noise_seed: int) -> "QueryRun":
+        """This execution under one run-to-run noise draw, as a new run:
+        per stage (in ``stages`` order) a latency and an IO multiplier,
+        then one on the query latency."""
+        rng = np.random.default_rng(noise_seed + self.noise_key)
+        cores = _total_cores(self.theta_c)
+        stages = {}
+        for sq_id, s in self.stages.items():
+            lat_noise = float(np.exp(rng.normal(0.0, 0.12)))
+            io_noise = float(np.exp(rng.normal(0.0, 0.015)))
+            stages[sq_id] = replace(
+                s, analytical_latency_s=s.metrics.task_sec_total * lat_noise / cores,
+                io_bytes=s.metrics.io_bytes * io_noise)
+        return _tally(replace(self, stages=stages), float(np.exp(rng.normal(0.0, 0.05))))
+
+
+def _total_cores(theta_c: dict) -> float:
+    return max(1.0, theta_c["k1"] * theta_c["k3"])
+
+
+def _tally(run: QueryRun, q_noise: float) -> QueryRun:
+    """Set ``run``'s end-to-end latency, IO and cost from its stages: a
+    shared-core schedule of its levels after executor start-up, the
+    latency scaled by ``q_noise``."""
+    costs, theta_c = DEFAULT_COSTS, run.theta_c
+    cores = _total_cores(theta_c)
+    latency = costs.startup_base_s + costs.startup_per_exec_s * theta_c["k3"]
+    total_task_sec = 0.0
+    total_io = 0.0
+    for _, level in groupby(run.stages.values(), key=lambda s: s.level):
+        level = list(level)
+        work = sum(s.analytical_latency_s for s in level) * cores
+        wall = max(work / cores, max(s.metrics.max_task_s for s in level))
+        latency += wall + costs.stage_overhead_s * (1.0 + 0.1 * (len(level) - 1))
+        total_task_sec += work
+        total_io += sum(s.io_bytes for s in level)
+    run.latency_s = latency * q_noise
+    run.analytical_latency_s = total_task_sec / cores
+    run.io_gb = total_io / GB
+    rate = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"])
+    run.cost_usd = run.latency_s / 3600.0 * rate + run.io_gb * costs.price_io_gb
+    return run
 
 
 def _levels(dag: SubQDag) -> dict[int, int]:
@@ -122,28 +174,20 @@ def compile_time_join_algs(dag: SubQDag, theta_p: dict) -> dict[int, str]:
         if sq.boundary_type == "join":
             bb, pb, br = join_sides(dag, sq_id, true=False)
             algs[sq_id] = choose_join_algorithm(
-                bb, pb, {**theta_p}, rows_build=br, runtime=False)
+                bb, pb, theta_p, rows_build=br, runtime=False)
     return algs
 
 
-def run_query(
+def execute(
     dag: SubQDag,
     conf: dict,
     *,
     aqe: bool = True,
     runtime_opt: RuntimeOptimizer | None = None,
-    noise_seed: int = 0,
-    noisy: bool = True,
 ) -> QueryRun:
-    """Simulate one execution of ``dag`` under the 19-knob ``conf``."""
-    from repro.params import split_conf
-
+    """Simulate one noise-free execution of ``dag`` under the 19-knob ``conf``."""
     theta_c, theta_p, theta_s = split_conf(conf)
-    costs = DEFAULT_COSTS
-    total_cores = max(1.0, theta_c["k1"] * theta_c["k3"])
-    # _hash01 is a blake2b digest: the same in every process, unlike the
-    # per-process salted built-in hash()
-    rng = np.random.default_rng(noise_seed + 104729 * int(_hash01(dag.plan.name) * 9973))
+    total_cores = _total_cores(theta_c)
 
     compile_algs = compile_time_join_algs(dag, theta_p)
     lvl = _levels(dag)
@@ -151,13 +195,14 @@ def run_query(
     for sq_id, L in lvl.items():
         by_level.setdefault(L, []).append(sq_id)
 
-    run = QueryRun(0.0, 0.0, 0.0, 0.0, compile_join_algs=dict(compile_algs))
+    # _hash01 is a blake2b digest: the same in every process, unlike the
+    # per-process salted built-in hash()
+    run = QueryRun(0.0, 0.0, 0.0, 0.0, theta_c,
+                   noise_key=104729 * int(_hash01(dag.plan.name) * 9973),
+                   compile_join_algs=dict(compile_algs))
     known: dict[int, dict] = {}
     pending_joins = {i for i, s in dag.subqs.items() if s.boundary_type == "join"}
     cur_theta_p = dict(theta_p)
-    latency = costs.startup_base_s + costs.startup_per_exec_s * theta_c["k3"]
-    total_task_sec = 0.0
-    total_io = 0.0
 
     for L in sorted(by_level):
         stage_runs: list[StageRun] = []
@@ -212,14 +257,10 @@ def run_query(
                 probe_bytes=pb,
                 aqe=aqe,
             )
-            lat_noise = float(np.exp(rng.normal(0.0, 0.12))) if noisy else 1.0
-            io_noise = float(np.exp(rng.normal(0.0, 0.015))) if noisy else 1.0
-            task_sec = m.task_sec_total * lat_noise
-            io_b = m.io_bytes * io_noise
             sr = StageRun(
                 sq_id=sq_id, level=L, metrics=m,
-                analytical_latency_s=task_sec / total_cores,
-                io_bytes=io_b,
+                analytical_latency_s=m.task_sec_total / total_cores,
+                io_bytes=m.io_bytes,
                 n_parallel=len(by_level[L]),
                 parallel_tasks=0, parallel_work_s=0.0,
                 theta_p_used=dict(cur_theta_p), theta_s_used=dict(cur_theta_s),
@@ -239,17 +280,16 @@ def run_query(
             s.parallel_tasks = lvl_tasks - s.metrics.n_tasks
             s.parallel_work_s = lvl_work - s.metrics.task_sec_total
             run.stages[s.sq_id] = s
+    return _tally(run, 1.0)
 
-        work = sum(s.analytical_latency_s for s in stage_runs) * total_cores
-        wall = max(work / total_cores, max(s.metrics.max_task_s for s in stage_runs))
-        latency += wall + costs.stage_overhead_s * (1.0 + 0.1 * (len(stage_runs) - 1))
-        total_task_sec += work
-        total_io += sum(s.io_bytes for s in stage_runs)
 
-    q_noise = float(np.exp(rng.normal(0.0, 0.05))) if noisy else 1.0
-    run.latency_s = latency * q_noise
-    run.analytical_latency_s = total_task_sec / total_cores
-    run.io_gb = total_io / GB
-    rate = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"])
-    run.cost_usd = run.latency_s / 3600.0 * rate + run.io_gb * costs.price_io_gb
-    return run
+def run_query(
+    dag: SubQDag,
+    conf: dict,
+    *,
+    aqe: bool = True,
+    runtime_opt: RuntimeOptimizer | None = None,
+    noise_seed: int = 0,
+) -> QueryRun:
+    """One simulated run of ``dag``: its execution under one noise draw."""
+    return execute(dag, conf, aqe=aqe, runtime_opt=runtime_opt).sample(noise_seed)

@@ -8,6 +8,9 @@ from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model.predictor import eval_metrics
 from repro.model.traces import split_traces
+from repro.moo.baselines import weighted_sum
+from repro.params import default_conf
+from repro.simspark.executor import run_query
 from repro import tuner
 
 W = (0.9, 0.1)
@@ -23,10 +26,10 @@ def test_trained_models_usable(small_suite, tiny_traces):
 @pytest.mark.parametrize("q", ["q3", "q9", "q18"])
 def test_hmooc3_beats_default(small_suite, q):
     dag = partition_subqs(build_query("tpch", q, sf=100.0))
-    d = tuner.run_default(dag, noise_seed=42)
+    d = run_query(dag, default_conf(), noise_seed=42)
     res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
-    h = tuner.run_hmooc3(dag, res, W, noise_seed=42)
-    assert h.latency_s < d.latency_s
+    h = tuner.run_recommended(dag, res, W, noise_seed=42)
+    assert h.run.latency_s < d.latency_s
 
 
 def test_hmooc3_plus_close_to_or_better_than_hmooc3(small_suite):
@@ -36,17 +39,17 @@ def test_hmooc3_plus_close_to_or_better_than_hmooc3(small_suite):
     for qi, q in enumerate(["q3", "q9", "q14", "q18"]):
         dag = partition_subqs(build_query("tpch", q, sf=100.0))
         res, _ = tuner.compile_hmooc3(dag, small_suite, seed=0)
-        h3 = tuner.run_hmooc3(dag, res, W, noise_seed=qi)
-        h3p = tuner.run_hmooc3_plus(dag, small_suite, res, W, noise_seed=qi)
-        ratios.append(h3p.latency_s / h3.latency_s)
+        h3 = tuner.run_recommended(dag, res, W, noise_seed=qi)
+        h3p = tuner.run_recommended(dag, res, W, noise_seed=qi, plugin_suite=small_suite)
+        ratios.append(h3p.run.latency_s / h3.run.latency_s)
     assert np.mean(ratios) < 1.15
 
 
 def test_hmooc3_faster_solving_than_mo_ws(small_suite):
     dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
     res, obj = tuner.compile_hmooc3(dag, small_suite, seed=0)
-    h = tuner.run_hmooc3(dag, res, W, noise_seed=0)
-    m = tuner.run_mo_ws(obj, W, noise_seed=0)
+    h = tuner.run_recommended(dag, res, W, noise_seed=0)
+    m = tuner.run_recommended(dag, weighted_sum(obj), W, noise_seed=0)
     assert h.solving_time_s < m.solving_time_s
 
 

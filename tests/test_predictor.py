@@ -12,7 +12,7 @@ from repro.model.gtn import EMB_DIM
 from repro.model.mlp import MLPRegressor
 from repro.params import default_conf
 from repro.simspark.costmodel import DEFAULT_COSTS
-from repro.simspark.executor import run_query
+from repro.simspark.executor import execute
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def test_dims_consistent(dag):
         ["SMJ"], U_qs, M, P.IDLE_GAMMA)
     assert qs_row.shape == (1, P.QS_DIM)
 
-    r = run_query(dag, conf, noisy=False)
+    r = execute(dag, conf)
     lqp_row = P.lqp_rows(dag, U, r.stages.values())
     assert lqp_row.shape == (1, P.LQP_DIM)
 

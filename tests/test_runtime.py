@@ -7,7 +7,7 @@ from repro.core.workloads import build_query
 from repro.moo.hmooc import QueryConfig
 from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, default_conf, split_conf
 from repro.runtime.optimizer import OnlineOptimizer, aggregate_theta
-from repro.simspark.executor import run_query
+from repro.simspark.executor import execute
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_end_to_end_pruning_rate(dag, fake_suite):
     (paper: 86% TPC-H / 92% TPC-DS)."""
     theta_c, _, _ = split_conf(default_conf())
     opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
-    r = run_query(dag, default_conf(), runtime_opt=opt, noisy=False)
+    r = execute(dag, default_conf(), runtime_opt=opt)
     opps = r.lqp_request_opportunities + r.qs_request_opportunities
     reqs = r.lqp_requests + r.qs_requests
     assert reqs < opps

@@ -3,8 +3,9 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
-from repro.moo.baselines import so_fixed_weights
-from repro.params import KNOB_BY_ID
+from repro.moo.baselines import so_fixed_weights, weighted_sum
+from repro.params import KNOB_BY_ID, default_conf
+from repro.simspark.executor import run_query
 from repro import tuner
 
 
@@ -28,9 +29,8 @@ def obj(compiled_pair):
     return compiled_pair[1]
 
 
-def _check(outcome, method):
-    assert outcome.method == method
-    assert outcome.latency_s > 0 and outcome.cost_usd > 0
+def _check(outcome):
+    assert outcome.run.latency_s > 0 and outcome.run.cost_usd > 0
     assert set(outcome.conf0) == set(KNOB_BY_ID)
     for kid, v in outcome.conf0.items():
         k = KNOB_BY_ID[kid]
@@ -38,33 +38,34 @@ def _check(outcome, method):
 
 
 def test_run_default(dag):
-    out = tuner.run_default(dag, noise_seed=1)
-    _check(out, "default")
-    assert out.solving_time_s == 0.0
-    assert out.conf0["k1"] == 2.0  # the cluster-baseline default
+    conf = default_conf()
+    out = run_query(dag, conf, noise_seed=1)
+    assert out.latency_s > 0 and out.cost_usd > 0
+    assert conf["k1"] == 2.0  # the cluster-baseline default
 
 
-def test_run_mo_ws(obj):
-    out = tuner.run_mo_ws(obj, (0.9, 0.1), noise_seed=1)
-    _check(out, "mo-ws")
+def test_run_mo_ws(dag, obj):
+    out = tuner.run_recommended(dag, weighted_sum(obj), (0.9, 0.1), noise_seed=1)
+    _check(out)
     assert out.solving_time_s > 0
 
 
 def test_run_so_fw(dag, obj):
     so = so_fixed_weights(obj, [(0.5, 0.5)])
-    out = tuner.run_so_fw(dag, so[(0.5, 0.5)], (0.5, 0.5), noise_seed=1)
-    _check(out, "so-fw")
+    out = tuner.run_recommended(dag, so[(0.5, 0.5)], (0.5, 0.5), noise_seed=1)
+    _check(out)
     assert out.solving_time_s == so[(0.5, 0.5)].solving_time_s
 
 
 def test_run_hmooc3(dag, compiled):
-    out = tuner.run_hmooc3(dag, compiled, (0.9, 0.1), noise_seed=1)
-    _check(out, "hmooc3")
+    out = tuner.run_recommended(dag, compiled, (0.9, 0.1), noise_seed=1)
+    _check(out)
 
 
 def test_run_hmooc3_plus(dag, fake_suite, compiled):
-    out = tuner.run_hmooc3_plus(dag, fake_suite, compiled, (0.9, 0.1), noise_seed=1)
-    _check(out, "hmooc3+")
+    out = tuner.run_recommended(dag, compiled, (0.9, 0.1), noise_seed=1,
+                                plugin_suite=fake_suite)
+    _check(out)
     # runtime plugin issued (and pruned) requests
     assert out.run.lqp_request_opportunities > 0
     assert out.run.lqp_requests <= out.run.lqp_request_opportunities
@@ -81,9 +82,9 @@ def test_hmooc3_plus_includes_runtime_solving_time(dag, fake_suite, compiled,
         return plugins[-1]
 
     monkeypatch.setattr(tuner, "OnlineOptimizer", recording)
-    out3 = tuner.run_hmooc3(dag, compiled, (0.9, 0.1), noise_seed=1)
-    out3p = tuner.run_hmooc3_plus(dag, fake_suite, compiled, (0.9, 0.1),
-                                  noise_seed=1)
+    out3 = tuner.run_recommended(dag, compiled, (0.9, 0.1), noise_seed=1)
+    out3p = tuner.run_recommended(dag, compiled, (0.9, 0.1), noise_seed=1,
+                                  plugin_suite=fake_suite)
     # one shared compile: HMOOC3+ adds exactly the plugin's runtime solving
     [rt] = plugins
     assert rt.time_spent_s >= 0.0
@@ -102,6 +103,6 @@ def test_submit_conf_resolves_fine_grained(dag, compiled):
 
 
 def test_paired_noise_seeds(dag, fake_suite):
-    a = tuner.run_default(dag, noise_seed=7)
-    b = tuner.run_default(dag, noise_seed=7)
+    a = run_query(dag, default_conf(), noise_seed=7)
+    b = run_query(dag, default_conf(), noise_seed=7)
     assert a.latency_s == b.latency_s
