@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices, wun_select
-from repro.params import C_IDS, P_IDS, S_IDS, from_vector, refined_lhs
+from repro.params import (C_IDS, D_P, P_IDS, S_IDS, denormalize_matrix, from_vector,
+                          refined_lhs)
 
 
 @dataclass
@@ -42,10 +43,10 @@ class QueryConfig:
     def decode(cls, u_c: np.ndarray, u_ps, sq_ids: list[int]) -> "QueryConfig":
         """Decode normalized θc plus one normalized θp‖θs row per subQ."""
         qc = cls(theta_c=from_vector(u_c, C_IDS))
-        for sq, u in zip(sq_ids, u_ps):
-            ps = from_vector(u, P_IDS + S_IDS)
-            qc.theta_p[sq] = {k: ps[k] for k in P_IDS}
-            qc.theta_s[sq] = {k: ps[k] for k in S_IDS}
+        M = denormalize_matrix(u_ps, P_IDS + S_IDS).tolist()
+        for sq, row in zip(sq_ids, M):
+            qc.theta_p[sq] = dict(zip(P_IDS, row[:D_P]))
+            qc.theta_s[sq] = dict(zip(S_IDS, row[D_P:]))
         return qc
 
 

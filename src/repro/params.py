@@ -54,13 +54,7 @@ class Knob:
         return float(normalize_matrix(np.array([v], dtype=np.float64), [self.kid])[0])
 
     def denormalize(self, u: float) -> float:
-        u = min(max(u, 0.0), 1.0)
-        if self.log:
-            lo, hi = np.log10(self.lo), np.log10(self.hi)
-            v = 10 ** (lo + u * (hi - lo))
-        else:
-            v = self.lo + u * (self.hi - self.lo)
-        return self.clamp(v)
+        return float(denormalize_matrix(np.array([u], dtype=np.float64), [self.kid])[0])
 
 
 # --- θc: context parameters (query-level, fixed at submission) -------------
@@ -143,7 +137,7 @@ def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict[str, floa
     ids = ids or [k.kid for k in ALL_KNOBS]
     if len(vec) != len(ids):
         raise ValueError(f"vector length {len(vec)} != {len(ids)} knobs")
-    return {i: KNOB_BY_ID[i].denormalize(float(u)) for i, u in zip(ids, vec)}
+    return dict(zip(ids, denormalize_matrix(vec, ids).tolist()))
 
 
 def lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,8 +149,8 @@ def lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def lhs_sample(n: int, ids: list[str], seed: int = 0) -> list[dict[str, float]]:
     """Latin Hypercube Sampling over the named knobs (paper §6: LHS [31])."""
-    u = lhs_unit(n, len(ids), np.random.default_rng(seed))
-    return [from_vector(row, ids) for row in u]
+    M = denormalize_matrix(lhs_unit(n, len(ids), np.random.default_rng(seed)), ids)
+    return [dict(zip(ids, row)) for row in M.tolist()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -177,11 +171,14 @@ def _bounds(ids: tuple[str, ...]):
 
 
 def denormalize_matrix(U: np.ndarray, ids: list[str]) -> np.ndarray:
-    """Vectorized [0,1]^d → natural units for a batch of configurations."""
+    """Vectorized [0,1]^d → natural units for a batch of configurations,
+    the one decoder: clip to [0, 1], then linear, or a power of 10 for
+    ``log`` knobs, clamped to [lo, hi] and rounded for ``integer`` knobs."""
     U = np.clip(np.asarray(U, dtype=np.float64), 0.0, 1.0)
-    lo, _, span, log, log_lo, log_span, integer = _bounds(tuple(ids))
+    lo, hi, span, log, log_lo, log_span, integer = _bounds(tuple(ids))
     M = lo + U * span
     M[..., log] = 10 ** (log_lo + U[..., log] * log_span)
+    np.clip(M, lo, hi, out=M)
     M[..., integer] = np.round(M[..., integer])
     return M
 

@@ -98,6 +98,17 @@ def test_refined_lhs_stratified_within_bounds(ids):
         assert sorted(strata) == list(range(n)), kid
 
 
+def _denormalize_scalar_reference(knob, u):
+    """``Knob.denormalize`` as first written: one scalar at a time."""
+    u = min(max(u, 0.0), 1.0)
+    if knob.log:
+        lo, hi = np.log10(knob.lo), np.log10(knob.hi)
+        v = 10 ** (lo + u * (hi - lo))
+    else:
+        v = knob.lo + u * (knob.hi - knob.lo)
+    return knob.clamp(v)
+
+
 def test_matrix_matches_scalar():
     rng = np.random.default_rng(1)
     ids = [k.kid for k in P.ALL_KNOBS]
@@ -105,12 +116,16 @@ def test_matrix_matches_scalar():
     M = P.denormalize_matrix(U, ids)
     for r in range(8):
         conf = P.from_vector(U[r], ids)
+        assert list(conf.values()) == M[r].tolist()   # one-row case, bit for bit
         for j, kid in enumerate(ids):
-            assert M[r, j] == pytest.approx(conf[kid], rel=1e-9), kid
+            ref = _denormalize_scalar_reference(P.KNOB_BY_ID[kid], U[r, j])
+            assert M[r, j] == pytest.approx(ref, rel=1e-9), kid
+            assert P.KNOB_BY_ID[kid].denormalize(U[r, j]) == M[r, j]
 
 
 def _denormalize_reference(U, ids):
-    """``denormalize_matrix`` as first written: both branches on every column."""
+    """``denormalize_matrix`` as first written, both branches on every
+    column, plus the clamp to [lo, hi] after the power."""
     U = np.clip(np.asarray(U, dtype=np.float64), 0.0, 1.0)
     ks = [P.KNOB_BY_ID[i] for i in ids]
     lo, hi = np.array([k.lo for k in ks]), np.array([k.hi for k in ks])
@@ -118,8 +133,44 @@ def _denormalize_reference(U, ids):
     lin = lo + U * (hi - lo)
     lo_s, hi_s = np.where(is_log, lo, 1.0), np.where(is_log, hi, 1.0)
     logv = 10 ** (np.log10(lo_s) + U * (np.log10(hi_s) - np.log10(lo_s)))
-    M = np.where(is_log, logv, lin)
+    M = np.clip(np.where(is_log, logv, lin), lo, hi)
     return np.where(is_int, np.round(M), M)
+
+
+def test_denormalize_edges_in_domain():
+    """All-0 and all-1 rows decode inside every knob's domain, through the
+    matrix and through every caller of it."""
+    from repro.moo.hmooc import QueryConfig
+    ids = P.FULL_IDS
+    for u in (0.0, 1.0):
+        row = np.full(len(ids), u)
+        for conf in (dict(zip(ids, P.denormalize_matrix(row, ids))), P.from_vector(row, ids),
+                     {i: P.KNOB_BY_ID[i].denormalize(u) for i in ids}):
+            for kid, v in conf.items():
+                k = P.KNOB_BY_ID[kid]
+                assert k.lo <= v <= k.hi, (u, kid, v)
+        qc = QueryConfig.decode(row[:P.D_C], np.full((2, P.D_P + P.D_S), u), [3, 5])
+        for conf in (qc.theta_c, *qc.theta_p.values(), *qc.theta_s.values()):
+            for kid, v in conf.items():
+                k = P.KNOB_BY_ID[kid]
+                assert k.lo <= v <= k.hi, (u, kid, v)
+
+
+def test_decode_matches_matrix_bit_for_bit():
+    from repro.moo.hmooc import QueryConfig
+    rng = np.random.default_rng(4)
+    ps_ids = P.P_IDS + P.S_IDS
+    for _ in range(50):
+        u_c, u_ps = rng.random(P.D_C), rng.random((4, len(ps_ids)))
+        qc = QueryConfig.decode(u_c, u_ps, [0, 2, 4, 6])
+        assert list(qc.theta_c.values()) == P.denormalize_matrix(u_c, P.C_IDS).tolist()
+        M = P.denormalize_matrix(u_ps, ps_ids)
+        for r, sq in enumerate([0, 2, 4, 6]):
+            assert ({**qc.theta_p[sq], **qc.theta_s[sq]}
+                    == dict(zip(ps_ids, M[r].tolist())))
+    confs = P.lhs_sample(20, P.FULL_IDS, seed=8)
+    M = P.denormalize_matrix(P.lhs_unit(20, 19, np.random.default_rng(8)), P.FULL_IDS)
+    assert [list(c.values()) for c in confs] == M.tolist()
 
 
 @pytest.mark.parametrize("ids", [[k.kid for k in P.ALL_KNOBS], P.P_IDS + P.S_IDS,
