@@ -11,11 +11,9 @@
    whatever ``θp`` is current — a runtime optimizer plugin (paper's OPT
    runtime component) may re-tune ``θp`` for the collapsed plan and ``θs``
    for each new stage;
-4. the execution is noise-free; ``QueryRun.sample`` draws the multiplicative
-   run-to-run noise (per stage on task-seconds and IO, then on the query
-   latency) so traces are realistically noisy modeling targets. Nothing
-   that decides the plan reads the noise, so one execution can be sampled
-   under many seeds. ``run_query`` is ``execute`` sampled under one seed.
+4. the execution is noise-free; ``QueryRun.sample(noise_seed)`` adds the
+   run-to-run noise that makes traces realistic modeling targets, and
+   ``run_query`` is ``execute`` sampled under one seed.
 
 Latency is the wall clock of a shared-core schedule: executor start-up,
 then per topological level ``max(level task-seconds / cores, slowest
@@ -34,8 +32,7 @@ from repro.core.operators import _hash01
 from repro.core.plan import SubQDag
 from repro.params import GB, split_conf
 from repro.simspark.costmodel import (
-    BHJ, DEFAULT_COSTS, SMJ, StageMetrics,
-    choose_join_algorithm, resource_rate_h, stage_cost,
+    DEFAULT_COSTS, StageMetrics, choose_join_algorithm, resource_rate_h, stage_cost,
 )
 
 
@@ -59,10 +56,8 @@ class StageRun:
     sq_id: int
     level: int
     metrics: StageMetrics
-    # task-seconds / total cores and IO bytes: noise-free in an execution,
-    # noisy in a sample
-    analytical_latency_s: float
-    io_bytes: float
+    analytical_latency_s: float  # task-seconds / total cores; with noise in a sample only
+    io_bytes: float              # with noise in a sample only
     n_parallel: int              # contention γ: sibling stages in the level
     parallel_tasks: int
     parallel_work_s: float
@@ -75,7 +70,7 @@ class StageRun:
 @dataclass
 class QueryRun:
     """End-to-end outcome of one simulated query execution: noise-free as
-    ``execute`` returns it, noisy as ``sample`` returns it."""
+    ``execute`` returns it, under one noise draw as ``sample`` returns it."""
 
     latency_s: float
     analytical_latency_s: float

@@ -64,11 +64,11 @@ def test_noiseless_mode(dag):
     assert a.sample(1).latency_s != a.sample(2).latency_s
 
 
-_NOISY_STAGE = ("analytical_latency_s", "io_bytes")
-_NOISY_RUN = ("latency_s", "analytical_latency_s", "io_gb", "cost_usd", "stages")
+_NOISE_STAGE = ("analytical_latency_s", "io_bytes")
+_NOISE_RUN = ("latency_s", "analytical_latency_s", "io_gb", "cost_usd", "stages")
 
 
-def test_sample_scales_only_noisy_fields():
+def test_sample_keeps_noise_free_fields():
     """A sample keeps every noise-free field of its execution and only
     scales per-stage task-seconds and IO and the query latency; sampling
     is ``run_query`` and leaves the execution as it was."""
@@ -83,13 +83,13 @@ def test_sample_scales_only_noisy_fields():
                 assert asdict(r) == asdict(run_query(d, default_conf(), noise_seed=seed))
                 assert r is not x and r.stages is not x.stages
                 rd = asdict(r)
-                assert ({k: v for k, v in rd.items() if k not in _NOISY_RUN}
-                        == {k: v for k, v in before.items() if k not in _NOISY_RUN})
+                assert ({k: v for k, v in rd.items() if k not in _NOISE_RUN}
+                        == {k: v for k, v in before.items() if k not in _NOISE_RUN})
                 assert list(r.stages) == list(x.stages)
                 for sq_id, s in rd["stages"].items():
                     e = before["stages"][sq_id]
-                    assert ({k: v for k, v in s.items() if k not in _NOISY_STAGE}
-                            == {k: v for k, v in e.items() if k not in _NOISY_STAGE})
+                    assert ({k: v for k, v in s.items() if k not in _NOISE_STAGE}
+                            == {k: v for k, v in e.items() if k not in _NOISE_STAGE})
                     # noise multipliers are exp(N(0, 0.12)) and exp(N(0, 0.015))
                     lat = s["analytical_latency_s"] / e["analytical_latency_s"]
                     io = s["io_bytes"] / e["io_bytes"] if e["io_bytes"] else 1.0
