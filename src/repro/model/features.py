@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.operators import OP_TYPES
 from repro.core.plan import SubQDag
 from repro.params import FULL_IDS
+from repro.simspark.costmodel import scan_partitions_vec, shuffle_partitions_vec
 
 PRED_EMB_DIM = 8
 OP_FEAT_DIM = len(OP_TYPES) + 2 + PRED_EMB_DIM
@@ -105,11 +106,13 @@ ALPHA_DIM, BETA_DIM, GAMMA_DIM, DERIVED_DIM = 4, 3, 3, 3
 _COL = {kid: i for i, kid in enumerate(FULL_IDS)}  # M_nat column of each knob
 
 
-def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
-                               skew: float) -> np.ndarray:
+def derived_partition_features(kind: str, input_bytes, M_nat: np.ndarray,
+                               skew) -> np.ndarray:
     """(n, DERIVED_DIM) physical-partitioning hints per natural-unit
     19-knob row (columns in ``FULL_IDS`` order): task count, bytes per task
-    and total executor cores (log-scaled).
+    and total executor cores (log-scaled). ``input_bytes`` and ``skew`` are
+    one stage's scalars, or one value per row for a batch of stages of the
+    same ``kind``.
 
     These are properties of the physical stage Spark itself derives from
     the knobs — the task count and bytes-per-task that dominate stage
@@ -117,7 +120,6 @@ def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
     model (``repro.simspark.costmodel``) so features stay consistent
     between training traces and optimization-time prediction.
     """
-    from repro.simspark.costmodel import scan_partitions_vec, shuffle_partitions_vec
     M_nat = np.atleast_2d(np.asarray(M_nat, dtype=np.float64))
     if kind == "scan":
         p = scan_partitions_vec(input_bytes, M_nat[:, _COL["s8"]],
@@ -126,7 +128,8 @@ def derived_partition_features(kind: str, input_bytes: float, M_nat: np.ndarray,
         p, _ = shuffle_partitions_vec(input_bytes, M_nat[:, _COL["s1"]],
                                       M_nat[:, _COL["s5"]], M_nat[:, _COL["s10"]],
                                       M_nat[:, _COL["s11"]], skew)
-    bpt = max(input_bytes, 1.0) / np.maximum(p, 1.0)
-    cores = M_nat[:, _COL["k1"]] * M_nat[:, _COL["k3"]]
-    return np.stack([np.log1p(p) / 12.0, np.log1p(bpt) / 30.0,
-                     np.log1p(cores) / 8.0], axis=1)
+    out = np.empty((len(M_nat), DERIVED_DIM))
+    out[:, 0] = np.log1p(p) / 12.0
+    out[:, 1] = np.log1p(np.maximum(input_bytes, 1.0) / np.maximum(p, 1.0)) / 30.0
+    out[:, 2] = np.log1p(M_nat[:, _COL["k1"]] * M_nat[:, _COL["k3"]]) / 8.0
+    return out

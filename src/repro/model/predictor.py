@@ -19,9 +19,12 @@ on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
 :class:`StageFeatures` holds what is fixed for one stage under one
 statistics view (``StageFeatures.pair`` builds the estimated and the true
 view from one GTN forward); its ``subq_rows``/``qs_rows`` append a batch
-of knob rows. Compile time folds a stage's fixed subQ columns (``subq_fixed``,
-at ``SUBQ_FIXED_COLS``) into the models and passes only the varying ones
-(``subq_varying``). ``lqp_rows`` builds the whole-plan rows, and
+of knob rows. ``StageFeatures.stack`` joins the views of several stages of
+one kind into one whose rows are one per stage, so trace generation lays
+out a whole execution's rows with the same builders. Compile time folds a
+stage's fixed subQ columns (``subq_fixed``, at ``SUBQ_FIXED_COLS``) into
+the models and passes only the varying ones (``subq_varying``).
+``lqp_rows`` builds the whole-plan rows around the ``plan_embedding``, and
 ``TargetModels.objectives`` turns predictions into (latency, cost).
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
@@ -110,14 +113,16 @@ def observed_gamma(stage_run) -> np.ndarray:
 @dataclass(frozen=True)
 class StageFeatures:
     """The model inputs fixed for one stage under one statistics view:
-    CBO estimates at compile time, actual statistics at runtime."""
+    CBO estimates at compile time, actual statistics at runtime. A
+    ``stack`` of stages carries one leading row per stage in every field
+    but ``kind``."""
 
     emb: np.ndarray      # GTN embedding of the stage's operators
     alpha: np.ndarray    # input/output rows and bytes
     beta: np.ndarray     # partition-size distribution implied by the skew
     kind: str            # 'scan' | 'shuffle'
-    input_bytes: float
-    skew: float
+    input_bytes: float | np.ndarray
+    skew: float | np.ndarray
 
     @classmethod
     def of(cls, dag: SubQDag, sq_id: int, *, true_stats: bool) -> "StageFeatures":
@@ -129,6 +134,18 @@ class StageFeatures:
         """The (estimated, true) views of one stage from one GTN forward."""
         est, true = _embed(dag, dag.subqs[sq_id].op_ids, (False, True))
         return cls._view(dag, sq_id, False, est), cls._view(dag, sq_id, True, true)
+
+    @classmethod
+    def stack(cls, views: list["StageFeatures"]) -> "StageFeatures":
+        """Views of stages of one kind as one: ``subq_rows``/``qs_rows`` of
+        the stack lay out row i for stage i from the i-th knob row, γ row
+        and join algorithm."""
+        (kind,) = {v.kind for v in views}
+        return cls(emb=np.stack([v.emb for v in views]),
+                   alpha=np.stack([v.alpha for v in views]),
+                   beta=np.stack([v.beta for v in views]), kind=kind,
+                   input_bytes=np.array([v.input_bytes for v in views]),
+                   skew=np.array([v.skew for v in views]))
 
     @classmethod
     def _view(cls, dag: SubQDag, sq_id: int, true_stats: bool,
@@ -143,12 +160,13 @@ class StageFeatures:
             beta=beta_features(skew), kind=dag.subqs[sq_id].kind, input_bytes=in_bytes,
             skew=skew)
 
-    def _derived(self, M_nat: np.ndarray, input_bytes: float) -> np.ndarray:
+    def _derived(self, M_nat: np.ndarray, input_bytes) -> np.ndarray:
         return derived_partition_features(self.kind, input_bytes, M_nat, self.skew)
 
     def subq_fixed(self) -> np.ndarray:
         """The ``SUBQ_FIXED_COLS`` of every subQ row of this stage (β = γ = 0)."""
-        return np.concatenate([self.emb, self.alpha, np.zeros(BETA_DIM + GAMMA_DIM)])
+        zeros = np.zeros(self.alpha.shape[:-1] + (BETA_DIM + GAMMA_DIM,))
+        return np.concatenate([self.emb, self.alpha, zeros], axis=-1)
 
     def subq_varying(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
         """The other subQ row columns, in order, for normalized 19-knob rows
@@ -166,22 +184,29 @@ class StageFeatures:
                 gamma: np.ndarray, *, input_bytes: float | None = None) -> np.ndarray:
         """QS model rows: one join algorithm, (θc, θs) row and natural-unit
         19-knob row per candidate. ``input_bytes`` replaces the stage's
-        statistics with the bytes a runtime request observed."""
+        statistics with the bytes a runtime request observed. ``gamma`` is
+        one γ for every row, or one per row."""
         X = np.empty((len(U_qs), QS_DIM))
         X[:, :_QS_HOT0] = self.emb
         X[:, _QS_HOT0:_QS_CONF0] = _ALG_ONEHOT[[_ALG_ROW.get(a, _ALG_ROW[""])
                                                 for a in join_algs]]
         X[:, _QS_CONF0:_QS_TAIL0] = U_qs
-        X[:, _QS_TAIL0:_QS_DERIVED0] = np.concatenate([self.alpha, self.beta, gamma])
+        X[:, _QS_TAIL0:_QS_DERIVED0] = np.concatenate([self.alpha, self.beta, gamma], axis=-1)
         in_bytes = self.input_bytes if input_bytes is None else input_bytes
         X[:, _QS_DERIVED0:] = self._derived(M_nat, in_bytes)
         return X
 
 
-def lqp_rows(dag: SubQDag, U_full: np.ndarray, stage_runs) -> np.ndarray:
-    """LQP̄ model rows for the collapsed plan after one execution: α over
-    the scans' input and the root's output, β the mean skew, γ the peak
-    parallelism and the total tasks and task seconds of ``stage_runs``."""
+def plan_embedding(dag: SubQDag) -> np.ndarray:
+    """GTN embedding of the whole collapsed plan over true statistics."""
+    return _embed(dag, dag.plan.topological(), True)
+
+
+def lqp_rows(dag: SubQDag, emb: np.ndarray, U_full: np.ndarray, stage_runs) -> np.ndarray:
+    """LQP̄ model rows for the collapsed plan after one execution: its
+    ``plan_embedding`` ``emb``, α over the scans' input and the root's
+    output, β the mean skew, γ the peak parallelism and the total tasks and
+    task seconds of ``stage_runs``."""
     stage_runs = list(stage_runs)
     scans = [i for i, s in dag.subqs.items() if s.kind == "scan"]
     root = dag.roots()[0]
@@ -195,7 +220,6 @@ def lqp_rows(dag: SubQDag, U_full: np.ndarray, stage_runs) -> np.ndarray:
                            sum(s.metrics.task_sec_total for s in stage_runs))
     n = len(U_full)
     tail = np.concatenate([alpha, beta, gamma])
-    emb = _embed(dag, dag.plan.topological(), True)
     return np.concatenate([np.tile(emb, (n, 1)), U_full, np.tile(tail, (n, 1))], axis=1)
 
 

@@ -71,6 +71,18 @@ class FoldedRegressor:
         return self.inner.predict(self.full_rows(X))
 
 
+@pytest.fixture
+def fresh_plan_memo():
+    """An empty trace plan memo (``traces.plan_features``) around a test
+    that patches the GTN or a feature function: the test's trace rows are
+    built under its patch, and no later test reuses a plan built under it."""
+    from repro.model.traces import plan_features
+
+    plan_features.cache_clear()
+    yield
+    plan_features.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def fake_suite() -> ModelSuite:
     return ModelSuite(

@@ -249,3 +249,25 @@ def test_startup_scales_with_executors(dag):
     assert (DEFAULT_COSTS.startup_base_s + DEFAULT_COSTS.startup_per_exec_s * 16
             > DEFAULT_COSTS.startup_base_s + DEFAULT_COSTS.startup_per_exec_s * 2)
     assert r1.latency_s > 0 and r2.latency_s > 0
+
+
+@pytest.mark.parametrize("with_plugin", [False, True])
+def test_execute_leaves_the_dag_unchanged(with_plugin, fake_suite):
+    """Trace generation shares one DAG per plan across all its executions,
+    and an adapt run reuses one DAG for six: ``execute`` must change no
+    field of any operator or subQ, with or without a runtime plugin."""
+    from repro.params import C_IDS, lhs_sample
+    from repro.runtime.optimizer import OnlineOptimizer
+
+    requests = 0
+    for bench, q in (("tpch", "q9"), ("tpch", "q18"), ("tpcds", "q17")):
+        dag = partition_subqs(build_query(bench, q, sf=100.0, variant=1))
+        before = asdict(dag.plan), {i: asdict(sq) for i, sq in dag.subqs.items()}
+        for conf in [default_conf(), *lhs_sample(2, list(default_conf()), seed=2)]:
+            opt = (OnlineOptimizer(dag, fake_suite, {k: conf[k] for k in C_IDS}, (0.5, 0.5))
+                   if with_plugin else None)
+            r = execute(dag, conf, runtime_opt=opt)
+            requests += r.lqp_requests + r.qs_requests
+        # the plan's fields, every Operator's (in ``ops``) and every SubQ's
+        assert (asdict(dag.plan), {i: asdict(sq) for i, sq in dag.subqs.items()}) == before
+    assert (requests > 0) == with_plugin

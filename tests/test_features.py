@@ -113,3 +113,28 @@ def test_derived_features_batched():
     d = FT.derived_partition_features("shuffle", 100 * 1024**3, M, 0.0)
     assert d.shape == (5, FT.DERIVED_DIM)
     assert np.all(np.diff(d[:, 0]) >= 0)  # more s5 -> more partitions
+
+
+@pytest.mark.parametrize("benchmark", ["tpch", "tpcds"])
+def test_derived_features_per_stage_arrays_equal_scalar_calls(benchmark):
+    """Per-row ``input_bytes``/``skew`` arrays give, bit for bit, the rows
+    of one scalar call per stage: every stage of every query, under both
+    statistics views, both kinds' formulas and four LHS configurations."""
+    from repro.core.workloads import benchmark_queries
+    from repro.params import lhs_sample
+
+    confs = lhs_sample(4, FULL_IDS, seed=5)
+    for q in benchmark_queries(benchmark):
+        dag = partition_subqs(build_query(benchmark, q, sf=100.0))
+        stages = [(dag.input_bytes(i, true=t), dag.skew(i)) for i in dag.subqs
+                  for t in (False, True)]
+        in_bytes = np.array([b for b, _ in stages])
+        skew = np.array([s for _, s in stages])
+        for conf in confs:
+            row = np.array([[conf[i] for i in FULL_IDS]])
+            M = np.repeat(row, len(stages), axis=0)
+            for kind in ("scan", "shuffle"):
+                batched = FT.derived_partition_features(kind, in_bytes, M, skew)
+                singles = np.vstack([FT.derived_partition_features(kind, b, row, s)
+                                     for b, s in stages])
+                assert np.array_equal(batched, singles), (q, kind)

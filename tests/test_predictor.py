@@ -33,7 +33,7 @@ def test_dims_consistent(dag):
     assert qs_row.shape == (1, P.QS_DIM)
 
     r = execute(dag, conf)
-    lqp_row = P.lqp_rows(dag, U, r.stages.values())
+    lqp_row = P.lqp_rows(dag, P.plan_embedding(dag), U, r.stages.values())
     assert lqp_row.shape == (1, P.LQP_DIM)
 
 

@@ -6,12 +6,13 @@ import pandas as pd
 import pytest
 
 from repro.core.plan import partition_subqs
-from repro.core.workloads import build_query
+from repro.core.workloads import TPCH_QUERIES, build_query
 from repro.model import predictor as P
 from repro.model.gtn import GTNEmbedder
-from repro.model.traces import (TRACE_SCHEMA, generate_traces_spark,
+from repro.model.traces import (TRACE_SCHEMA, generate_traces_spark, plan_features,
                                 split_traces, task_grid, trace_rows)
-from repro.params import default_conf
+from repro.params import FULL_IDS, default_conf, lhs_sample
+from repro.simspark.executor import run_query
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,9 @@ def test_rows_deterministic():
     np.testing.assert_allclose(a[0]["feats"], b[0]["feats"])
 
 
-def test_one_embed_per_stage_plus_one_for_the_plan(monkeypatch):
-    """Both statistics views of a stage come from one GTN forward."""
+def test_one_embed_per_stage_plus_one_for_the_plan(monkeypatch, fresh_plan_memo):
+    """Both statistics views of a stage come from one GTN forward, and a
+    plan's embeddings are computed once for all its configurations."""
     calls = []
     embed = GTNEmbedder.embed
 
@@ -68,6 +70,67 @@ def test_one_embed_per_stage_plus_one_for_the_plan(monkeypatch):
     n_stages = partition_subqs(build_query("tpch", "q3", sf=100.0)).n_subqs()
     assert len(calls) == n_stages + 1
     assert all(len(shape) == 3 and shape[0] == 2 for shape in calls[:-1])
+    calls.clear()
+    trace_rows("tpch", "q3", 0, lhs_sample(1, FULL_IDS, seed=1)[0], 1)
+    assert calls == []
+
+
+def _reference_rows(benchmark, template, variant, conf, conf_id, sf=100.0):
+    """Trace rows built one stage at a time from a fresh plan: both views
+    of each stage from ``StageFeatures.pair``, one-row ``subq_rows`` and
+    ``qs_rows``, then the ``lqp_rows`` of the plan."""
+    dag = partition_subqs(build_query(benchmark, template, sf=sf, variant=variant))
+    run = run_query(dag, conf, aqe=True, noise_seed=conf_id * 7919 + variant)
+    U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
+    U_qs = U_full[:, P.QS_COLS]
+    rows = []
+    for sq_id, sr in run.stages.items():
+        io_mb = sr.io_bytes / 1024**2
+        est, obs = P.StageFeatures.pair(dag, sq_id)
+        rows.append(("subq", sq_id, est.subq_rows(U_full, M_nat)[0],
+                     sr.analytical_latency_s, io_mb))
+        rows.append(("qs", sq_id, obs.qs_rows([sr.metrics.join_alg], U_qs, M_nat,
+                                              P.observed_gamma(sr))[0],
+                     sr.analytical_latency_s, io_mb))
+    rows.append(("lqp", -1, P.lqp_rows(dag, P.plan_embedding(dag), U_full,
+                                       run.stages.values())[0],
+                 run.latency_s, run.io_gb * 1024.0))
+    return rows
+
+
+def _as_tuples(rows, template, conf_id):
+    for r in rows:
+        assert (r["benchmark"], r["template"], r["variant"], r["conf_id"]) == (
+            "tpch", template, 1, conf_id)
+    return [(r["kind"], r["sq_id"], np.asarray(r["feats"]), r["latency"], r["io_mb"])
+            for r in rows]
+
+
+@pytest.mark.parametrize("template", TPCH_QUERIES)
+def test_rows_equal_per_stage_reference(template, fresh_plan_memo):
+    """A task's rows, from a cold memo and from a memo the other
+    configuration used, equal the per-stage reference exactly: same rows in
+    the same order, the same feature bits, latency and IO."""
+    confs = lhs_sample(2, FULL_IDS, seed=23)
+
+    def rows(conf_id):
+        return _as_tuples(trace_rows("tpch", template, 1, confs[conf_id], conf_id),
+                          template, conf_id)
+
+    cold = []
+    for conf_id in (0, 1):
+        plan_features.cache_clear()
+        cold.append(rows(conf_id))
+    warm = [rows(0), rows(1)]   # memo hits, each after the other configuration
+    assert plan_features.cache_info().hits == 2
+    for conf_id, conf in enumerate(confs):
+        ref = _reference_rows("tpch", template, 1, conf, conf_id)
+        for got in (cold[conf_id], warm[conf_id]):
+            assert len(got) == len(ref)
+            for (kind, sq_id, x, lat, io), (rkind, rsq, rx, rlat, rio) in zip(got, ref):
+                assert (kind, sq_id) == (rkind, rsq)
+                assert np.array_equal(x, rx), (kind, sq_id)
+                assert lat == rlat and io == rio
 
 
 def test_task_grid():
