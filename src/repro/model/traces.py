@@ -73,7 +73,7 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
                conf_id: int, *, sf: float = 100.0) -> list[dict]:
     """All trace rows for one (parametric query, configuration) run."""
     plan = plan_features(benchmark, template, variant, sf)
-    run = run_query(plan.dag, conf, aqe=True, noise_seed=conf_id * 7919 + variant)
+    run = run_query(plan.dag, conf, noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
     U_qs = U_full[:, P.QS_COLS]
     # row sq_id of each matrix is stage sq_id (partition_subqs numbers them 0..n-1)

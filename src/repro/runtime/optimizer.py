@@ -48,9 +48,9 @@ from repro.moo.hmooc import QueryConfig
 from repro.moo.pareto import weighted_picks
 from repro.params import (C_IDS, D_C, D_P, FULL_IDS, KNOB_BY_ID, MB, P_IDS, S_IDS,
                           normalize_matrix)
-from repro.simspark.costmodel import (SMJ, choose_join_algorithm, exec_mem,
-                                      resource_rate_h)
-from repro.simspark.executor import join_sides
+from repro.simspark.costmodel import (HASH_TABLE_FACTOR, SMJ, choose_join_algorithm,
+                                      exec_mem, initial_partitions, resource_rate_h)
+from repro.simspark.executor import StageRun, join_sides
 
 
 def aggregate_theta(qc: QueryConfig, dag: SubQDag) -> tuple[dict, dict]:
@@ -84,12 +84,10 @@ def aggregate_theta(qc: QueryConfig, dag: SubQDag) -> tuple[dict, dict]:
 THETA_P_MARGIN = 0.98
 THETA_S_MARGIN = 0.97
 
-# θs candidates of a QS request, after "keep the current θs"
-_THETA_S_GRID = [{"s10": float(a), "s11": b}
-                 for a in np.linspace(0.1, 0.8, 4)
-                 for b in (1 * MB, 4 * MB, 16 * MB, 64 * MB)]
-# the same grid as (s10, s11) rows, and the first θs column of a 19-knob row
-_THETA_S_ROWS = np.array([[ts[k] for k in S_IDS] for ts in _THETA_S_GRID])
+# θs candidates of a QS request, after "keep the current θs": (s10, s11)
+# rows, in S_IDS order; and the first θs column of a 19-knob row
+_THETA_S_ROWS = np.array([[a, b] for a in np.linspace(0.1, 0.8, 4)
+                          for b in (1 * MB, 4 * MB, 16 * MB, 64 * MB)])
 _S_COL0 = D_C + D_P
 # θs under which a θp request scores its candidates
 _THETA_P_REQUEST_S = (0.2, 1 * MB)
@@ -138,7 +136,7 @@ class OnlineOptimizer:
         return best
 
     # -- LQP̄ re-optimization ----------------------------------------------------
-    def on_collapsed_lqp(self, dag: SubQDag, sq_id: int, known: dict[int, dict],
+    def on_collapsed_lqp(self, dag: SubQDag, sq_id: int, known: dict[int, StageRun],
                          theta_p: dict) -> dict | None:
         sq = dag.subqs[sq_id]
         if sq.boundary_type != "join":
@@ -152,14 +150,15 @@ class OnlineOptimizer:
         # model only has to rank join-algorithm choices (the decision AQE's
         # parametric rules will actually consume), not re-tune everything.
         cands: list[dict] = [dict(theta_p)]
+        bb_per_p = bb / int(initial_partitions(theta_p["s5"]))  # candidates share s5
         for enable_bhj in (True, False):
             for enable_shj in (True, False):
                 c = dict(theta_p)
                 c["s4"] = KNOB_BY_ID["s4"].clamp(
-                    bb * 2.0 if enable_bhj and bb * 1.8 <= self._mem_exec else max(1.0, bb * 0.5))
-                p = max(1.0, round(c["s5"]))
+                    bb * 2.0 if enable_bhj and bb * HASH_TABLE_FACTOR <= self._mem_exec
+                    else max(1.0, bb * 0.5))
                 c["s3"] = KNOB_BY_ID["s3"].clamp(
-                    (bb / p) * 2.0 if enable_shj else max(1.0, (bb / p) * 0.5))
+                    bb_per_p * 2.0 if enable_shj else max(1.0, bb_per_p * 0.5))
                 cands.append(c)
         # Score candidates with the runtime QS model on the affected join
         # stage: the join-algorithm one-hot each candidate's thresholds
@@ -195,4 +194,6 @@ class OnlineOptimizer:
         best = self._choose(sq_id, M, [alg] * len(M), THETA_S_MARGIN,
                             input_bytes=input_bytes)
         self.time_spent_s += time.perf_counter() - t0
-        return dict(_THETA_S_GRID[best - 1]) if best else {k: conf[k] for k in S_IDS}
+        if not best:
+            return {k: conf[k] for k in S_IDS}
+        return dict(zip(S_IDS, _THETA_S_ROWS[best - 1].tolist()))

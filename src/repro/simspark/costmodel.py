@@ -17,6 +17,10 @@ The model captures the mechanisms Spark's knobs actually control:
 * **skew** — max-task inflation from the exchange's partition-size skew,
   mitigated by AQE skew splitting (``s6``/``s7``) and rebalance (``s10``).
 
+Every stage runs under AQE, as in the paper (§5.2). Each Spark decision
+has one formula here, which the simulator, the model features
+(``repro.model.features``) and the runtime plugin share.
+
 Latencies are seconds, sizes bytes. All functions are pure and numpy-only
 so the MOO solver can call them tens of thousands of times per second.
 """
@@ -29,6 +33,9 @@ import numpy as np
 from repro.params import GB, MB
 
 SMJ, SHJ, BHJ = "SMJ", "SHJ", "BHJ"
+
+# Memory of an in-memory hash table relative to the build-side bytes it holds
+HASH_TABLE_FACTOR = 1.8
 
 
 @dataclass(frozen=True)
@@ -96,22 +103,22 @@ def scan_partitions_vec(bytes_in, s8, s9, k4):
     return np.maximum(1, np.ceil(bytes_in / np.maximum(max_split, 1.0)))
 
 
-def scan_partitions(bytes_in: float, conf: dict) -> int:
-    return int(scan_partitions_vec(bytes_in, conf["s8"], conf["s9"], conf["k4"]))
+def initial_partitions(s5):
+    """Shuffle partitions a stage is planned with, before AQE coalesces:
+    ``s5`` rounded, at least 1. Scalar or array."""
+    return np.maximum(1, np.rint(s5))
 
 
-def shuffle_partitions_vec(input_bytes, s1, s5, s10, s11, skew, *, aqe: bool = True):
+def shuffle_partitions_vec(input_bytes, s1, s5, s10, s11, skew):
     """Vectorized post-shuffle partition count and effective skew.
 
-    Without AQE the count is exactly ``s5``. With AQE, contiguous partitions
-    are coalesced toward ``s1`` (never below ``s11``-sized chunks), and the
-    stage-level rebalance rule (``s10``) merges partitions smaller than
+    AQE coalesces contiguous partitions of the ``initial_partitions``
+    toward ``s1`` (never below ``s11``-sized chunks), and the stage-level
+    rebalance rule (``s10``) merges partitions smaller than
     ``s10 * advisory``, trimming both task count and skew.
     """
     input_bytes = np.maximum(input_bytes, 1.0)
-    p0 = np.maximum(1, np.round(s5))
-    if not aqe:
-        return p0, skew * np.ones_like(p0)
+    p0 = initial_partitions(s5)
     target = np.maximum(s1, s11)
     p = np.clip(np.ceil(input_bytes / target), 1, p0)
     frac_small = np.minimum(1.0, skew * 0.5)  # skewed exchanges emit tiny parts
@@ -120,34 +127,18 @@ def shuffle_partitions_vec(input_bytes, s1, s5, s10, s11, skew, *, aqe: bool = T
     return p, skew_eff
 
 
-def shuffle_partitions(input_bytes: float, conf: dict, *, aqe: bool,
-                       skew: float) -> tuple[int, float]:
-    p, se = shuffle_partitions_vec(input_bytes, conf["s1"], conf["s5"],
-                                   conf["s10"], conf["s11"], skew, aqe=aqe)
-    return int(p), float(se)
-
-
-def skew_limited_max(mean_bytes: float, skew: float, conf: dict, *, aqe: bool) -> tuple[float, float]:
+def skew_limited_max(mean_bytes: float, skew: float, conf: dict) -> tuple[float, float]:
     """Max-partition bytes after AQE skew splitting (s6/s7).
 
     Returns (max_partition_bytes, extra_partition_factor).
     """
     raw_max = mean_bytes * (1.0 + 3.0 * skew)
-    if not aqe:
-        return raw_max, 1.0
     threshold = max(conf["s6"], conf["s7"] * mean_bytes)
     if raw_max > threshold:
         # split skewed partitions down to the threshold
         extra = min(4.0, raw_max / max(threshold, 1.0))
         return threshold, extra
     return raw_max, 1.0
-
-
-def nonempty_ratio(rows: float, partitions: int) -> float:
-    """Fraction of non-empty post-shuffle partitions (s2's gate input)."""
-    if partitions <= 0:
-        return 1.0
-    return float(min(1.0, rows / partitions))
 
 
 def choose_join_algorithm(build_bytes: float, probe_bytes: float, conf: dict, *,
@@ -158,12 +149,14 @@ def choose_join_algorithm(build_bytes: float, probe_bytes: float, conf: dict, *,
     At compile time (``runtime=False``) the inputs are CBO estimates. At
     runtime AQE re-decides with actual sizes but may only *demote* an SMJ
     to SHJ/BHJ — a compile-time BHJ/SHJ is kept (Spark cannot convert back).
+    A runtime BHJ also needs the build side's share of non-empty
+    partitions (rows per partition, capped at 1) to reach ``s2``.
     """
     if runtime and compile_alg in (BHJ, SHJ):
         return compile_alg
-    p = int(max(1, round(conf["s5"])))
+    p = int(initial_partitions(conf["s5"]))
     if build_bytes <= conf["s4"]:
-        if not runtime or nonempty_ratio(rows_build, p) >= conf["s2"]:
+        if not runtime or min(1.0, rows_build / p) >= conf["s2"]:
             return BHJ
         return SHJ if build_bytes / p <= conf["s3"] else SMJ
     if build_bytes / p <= conf["s3"]:
@@ -189,27 +182,29 @@ def stage_cost(
     join_alg: str = "",
     build_bytes: float = 0.0,
     probe_bytes: float = 0.0,
-    aqe: bool = True,
 ) -> StageMetrics:
     """Cost one stage under configuration ``conf``; pure function of stats."""
     costs = DEFAULT_COSTS
     input_bytes = max(input_bytes, 1.0)
     input_rows = max(input_rows, 1.0)
     output_bytes = max(output_bytes, 0.0)
+    compress = conf["k7"] >= 0.5
 
     if kind == "scan":
-        p = scan_partitions(input_bytes, conf)
+        p = int(scan_partitions_vec(input_bytes, conf["s8"], conf["s9"], conf["k4"]))
         skew_eff = skew
         read_sec = input_bytes * costs.disk_read
         fetch_sec = 0.0
         read_bytes = input_bytes
     else:
-        p, skew_eff = shuffle_partitions(input_bytes, conf, aqe=aqe, skew=skew)
+        p, skew_eff = shuffle_partitions_vec(input_bytes, conf["s1"], conf["s5"],
+                                             conf["s10"], conf["s11"], skew)
+        p, skew_eff = int(p), float(skew_eff)
         shuffled = input_bytes - (build_bytes if join_alg == BHJ else 0.0)
         shuffled = max(shuffled, 0.0)
-        vol = shuffled * (costs.compress_ratio if conf["k7"] >= 0.5 else 1.0)
+        vol = shuffled * (costs.compress_ratio if compress else 1.0)
         read_sec = vol * costs.disk_read
-        if conf["k7"] >= 0.5:
+        if compress:
             read_sec += shuffled * costs.cpu_decompress
         # fetch rounds limited by reducer.maxSizeInFlight (k5)
         per_task = shuffled / p
@@ -250,13 +245,13 @@ def stage_cost(
             mem_need = max(mem_need, (bb + pb) / p * 1.2)
         elif join_alg == SHJ:
             cpu += bb * costs.cpu_hash_build + pb * costs.cpu_hash_probe
-            mem_need = max(mem_need, bb / p * 1.8)
+            mem_need = max(mem_need, bb / p * HASH_TABLE_FACTOR)
         else:  # BHJ: every executor materializes the build side
             cpu += bb * costs.cpu_hash_build * k3 + pb * costs.cpu_hash_probe
             broadcast_bytes = bb * (k3 + 1.0)  # collect to driver + fan out
             # broadcast memory pressure is per-executor, not per-task
-            if bb * 1.8 > mem_exec:
-                mem_need = max(mem_need, mem_task * (bb * 1.8 / mem_exec))
+            if bb * HASH_TABLE_FACTOR > mem_exec:
+                mem_need = max(mem_need, mem_task * (bb * HASH_TABLE_FACTOR / mem_exec))
 
     # --- spill -------------------------------------------------------------
     spill_bytes = 0.0
@@ -269,11 +264,11 @@ def stage_cost(
     write_sec = 0.0
     shuffle_write = 0.0
     if writes_shuffle:
-        shuffle_write = output_bytes * (costs.compress_ratio if conf["k7"] >= 0.5 else 1.0)
+        shuffle_write = output_bytes * (costs.compress_ratio if compress else 1.0)
         write_sec = shuffle_write * costs.disk_write
-        if conf["k7"] >= 0.5:
+        if compress:
             write_sec += output_bytes * costs.cpu_compress
-        p_out = int(max(1, round(conf["s5"])))
+        p_out = int(initial_partitions(conf["s5"]))
         if p_out > conf["k6"]:
             # sort-based shuffle with merge pass
             write_sec += output_bytes * 2.0e-9 * np.log2(p_out) / 10.0
@@ -288,9 +283,9 @@ def stage_cost(
     )
     avg_task = total / p
     mean_bytes = input_bytes / p
-    max_bytes, extra = skew_limited_max(mean_bytes, skew_eff, conf, aqe=aqe)
+    max_bytes, extra = skew_limited_max(mean_bytes, skew_eff, conf)
     p_final = int(round(p * extra)) if extra > 1.0 else p
-    max_task = avg_task * (max_bytes / mean_bytes) if mean_bytes > 0 else avg_task
+    max_task = avg_task * (max_bytes / mean_bytes)
     max_task = max(max_task, costs.task_overhead_s)
 
     io_bytes = read_bytes + shuffle_write + spill_bytes * 2.0 + broadcast_bytes

@@ -1,6 +1,7 @@
 """Adaptive query execution over the stage cost model.
 
-``execute`` runs a subQ DAG the way Spark with AQE does:
+``execute`` runs a subQ DAG the way Spark with AQE does (there is no
+static-plan mode: the θs knobs and most θp knobs act only through AQE):
 
 1. compile-time physical planning — join algorithms chosen from the
    *CBO-estimated* build sides with the submitted ``θp``;
@@ -9,8 +10,8 @@
 3. before a join stage runs, AQE re-optimizes the collapsed plan: an SMJ
    may be demoted to SHJ/BHJ using true sizes (never the reverse), with
    whatever ``θp`` is current — a runtime optimizer plugin (paper's OPT
-   runtime component) may re-tune ``θp`` for the collapsed plan and ``θs``
-   for each new stage;
+   runtime component), shown the stages completed so far, may re-tune
+   ``θp`` for the collapsed plan and ``θs`` for each new stage;
 4. the execution is noise-free; ``QueryRun.sample(noise_seed)`` adds the
    run-to-run noise that makes traces realistic modeling targets, and
    ``run_query`` is ``execute`` sampled under one seed.
@@ -39,10 +40,11 @@ from repro.simspark.costmodel import (
 class RuntimeOptimizer(Protocol):
     """OPT's runtime plugin interface (paper Fig. 2, steps 6 & 9)."""
 
-    def on_collapsed_lqp(self, dag: SubQDag, sq_id: int, known: dict[int, dict],
+    def on_collapsed_lqp(self, dag: SubQDag, sq_id: int, known: dict[int, StageRun],
                          theta_p: dict) -> dict | None:
         """Re-tune θp when the collapsed plan exposes a join whose inputs
-        completed. Return the new θp, or None if the request was pruned."""
+        completed; ``known`` maps each completed stage's sq_id to its
+        ``StageRun``. Return the new θp, or None if the request was pruned."""
 
     def on_query_stage(self, dag: SubQDag, sq_id: int, input_bytes: float,
                        conf: dict) -> dict | None:
@@ -177,7 +179,6 @@ def execute(
     dag: SubQDag,
     conf: dict,
     *,
-    aqe: bool = True,
     runtime_opt: RuntimeOptimizer | None = None,
 ) -> QueryRun:
     """Simulate one noise-free execution of ``dag`` under the 19-knob ``conf``."""
@@ -186,6 +187,7 @@ def execute(
 
     compile_algs = compile_time_join_algs(dag, theta_p)
     lvl = _levels(dag)
+    roots = dag.roots()
     by_level: dict[int, list[int]] = {}
     for sq_id, L in lvl.items():
         by_level.setdefault(L, []).append(sq_id)
@@ -195,7 +197,6 @@ def execute(
     run = QueryRun(0.0, 0.0, 0.0, 0.0, theta_c,
                    noise_key=104729 * int(_hash01(dag.plan.name) * 9973),
                    compile_join_algs=dict(compile_algs))
-    known: dict[int, dict] = {}
     pending_joins = {i for i, s in dag.subqs.items() if s.boundary_type == "join"}
     cur_theta_p = dict(theta_p)
 
@@ -206,51 +207,46 @@ def execute(
             cur_theta_s = dict(theta_s)
             in_b = dag.input_bytes(sq_id, true=True)
             in_r = dag.input_rows(sq_id, true=True)
-            if aqe:
-                # Every stage is an AQE collapse point: each still-pending
-                # join in the collapsed plan is a potential LQP̄ request
-                # (the paper's "up to nearly a hundred requests"), and the
-                # new stage itself is a potential QS request. The runtime
-                # optimizer's pruning rules decide which become requests.
-                run.lqp_request_opportunities += max(1, len(pending_joins))
-                run.qs_request_opportunities += 1
-                if runtime_opt is not None:
-                    new_p = runtime_opt.on_collapsed_lqp(dag, sq_id, known, cur_theta_p)
-                    if new_p is not None:
-                        run.lqp_requests += 1
-                        cur_theta_p = dict(new_p)
-                    stage_conf = {**theta_c, **cur_theta_p, **cur_theta_s}
-                    new_s = runtime_opt.on_query_stage(dag, sq_id, in_b, stage_conf)
-                    if new_s is not None:
-                        run.qs_requests += 1
-                        cur_theta_s = dict(new_s)
+            # Every stage is an AQE collapse point: each still-pending
+            # join in the collapsed plan is a potential LQP̄ request
+            # (the paper's "up to nearly a hundred requests"), and the
+            # new stage itself is a potential QS request. The runtime
+            # optimizer's pruning rules decide which become requests.
+            run.lqp_request_opportunities += max(1, len(pending_joins))
+            run.qs_request_opportunities += 1
+            if runtime_opt is not None:
+                # run.stages: the earlier levels, where every dep of sq_id ran
+                new_p = runtime_opt.on_collapsed_lqp(dag, sq_id, run.stages, cur_theta_p)
+                if new_p is not None:
+                    run.lqp_requests += 1
+                    cur_theta_p = dict(new_p)
+                stage_conf = {**theta_c, **cur_theta_p, **cur_theta_s}
+                new_s = runtime_opt.on_query_stage(dag, sq_id, in_b, stage_conf)
+                if new_s is not None:
+                    run.qs_requests += 1
+                    cur_theta_s = dict(new_s)
 
             stage_conf = {**theta_c, **cur_theta_p, **cur_theta_s}
             join_alg, bb, pb = "", 0.0, 0.0
             if sq.boundary_type == "join":
                 bb, pb, br = join_sides(dag, sq_id, true=True)
-                if aqe:
-                    join_alg = choose_join_algorithm(
-                        bb, pb, stage_conf, rows_build=br, runtime=True,
-                        compile_alg=compile_algs[sq_id])
-                else:
-                    join_alg = compile_algs[sq_id]
+                join_alg = choose_join_algorithm(
+                    bb, pb, stage_conf, rows_build=br, runtime=True,
+                    compile_alg=compile_algs[sq_id])
                 run.join_algs[sq_id] = join_alg
 
-            writes_shuffle = sq_id not in dag.roots()
             m = stage_cost(
                 kind=sq.kind,
                 op_work=_op_work(dag, sq_id, true=True),
                 input_bytes=in_b,
                 input_rows=in_r,
                 output_bytes=dag.output_bytes(sq_id, true=True),
-                writes_shuffle=writes_shuffle,
+                writes_shuffle=sq_id not in roots,
                 skew=dag.skew(sq_id),
                 conf=stage_conf,
                 join_alg=join_alg,
                 build_bytes=bb,
                 probe_bytes=pb,
-                aqe=aqe,
             )
             sr = StageRun(
                 sq_id=sq_id, level=L, metrics=m,
@@ -263,10 +259,6 @@ def execute(
             )
             stage_runs.append(sr)
             pending_joins.discard(sq_id)
-            known[sq_id] = {
-                "rows": dag.output_rows(sq_id, true=True),
-                "bytes": dag.output_bytes(sq_id, true=True),
-            }
 
         # contention γ: siblings' footprint, excluding the stage itself
         lvl_tasks = sum(s.metrics.n_tasks for s in stage_runs)
@@ -282,9 +274,8 @@ def run_query(
     dag: SubQDag,
     conf: dict,
     *,
-    aqe: bool = True,
     runtime_opt: RuntimeOptimizer | None = None,
     noise_seed: int = 0,
 ) -> QueryRun:
     """One simulated run of ``dag``: its execution under one noise draw."""
-    return execute(dag, conf, aqe=aqe, runtime_opt=runtime_opt).sample(noise_seed)
+    return execute(dag, conf, runtime_opt=runtime_opt).sample(noise_seed)

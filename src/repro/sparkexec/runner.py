@@ -60,12 +60,13 @@ def final_plan(df: DataFrame) -> str:
 
 
 def run_with_conf(spark: SparkSession, df_builder, tables: dict,
-                  conf: dict | None = None, *, aqe: bool = True) -> ExecResult:
-    """Build and execute a query under ``conf`` (19-knob dict or None)."""
+                  conf: dict | None = None) -> ExecResult:
+    """Build and execute a query under ``conf`` (19-knob dict or None) with
+    AQE enabled, which most θp knobs and all θs knobs act through."""
     import time
 
     items = live_conf_items(conf) if conf else {}
-    items["spark.sql.adaptive.enabled"] = "true" if aqe else "false"
+    items["spark.sql.adaptive.enabled"] = "true"
     with applied_conf(spark, items):
         df = df_builder(**tables)
         t0 = time.perf_counter()

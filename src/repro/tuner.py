@@ -59,6 +59,6 @@ def run_recommended(dag: SubQDag, res: MOOResult, weights, *, noise_seed: int = 
     conf = submit_conf(qc, dag)
     rt = (None if plugin_suite is None
           else OnlineOptimizer(dag, plugin_suite, qc.theta_c, weights))
-    run = run_query(dag, conf, aqe=True, noise_seed=noise_seed, runtime_opt=rt)
+    run = run_query(dag, conf, noise_seed=noise_seed, runtime_opt=rt)
     solving_time_s = res.solving_time_s + (0.0 if rt is None else rt.time_spent_s)
     return TunedOutcome(solving_time_s, conf, run)

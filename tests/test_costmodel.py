@@ -13,58 +13,56 @@ def conf():
 
 # --- partitioning -----------------------------------------------------------
 
+def _scan_p(bytes_in, conf):
+    return cm.scan_partitions_vec(bytes_in, conf["s8"], conf["s9"], conf["k4"])
+
+
+def _shuffle_p(bytes_in, conf, skew):
+    return cm.shuffle_partitions_vec(bytes_in, conf["s1"], conf["s5"], conf["s10"],
+                                     conf["s11"], skew)
+
+
 def test_scan_partitions_spark_formula(conf):
     # maxSplitBytes = min(s8, max(s9, bytes/k4))
     conf.update(s8=128 * MB, s9=4 * MB, k4=32)
-    assert cm.scan_partitions(64 * GB, conf) == int(np.ceil(64 * GB / (128 * MB)))
+    assert _scan_p(64 * GB, conf) == np.ceil(64 * GB / (128 * MB))
     # small input: openCost floor keeps split size at s9
-    assert cm.scan_partitions(16 * MB, conf) == 4
+    assert _scan_p(16 * MB, conf) == 4
 
 
 def test_scan_partitions_monotone_in_bytes(conf):
-    ps = [cm.scan_partitions(b, conf) for b in (1 * GB, 4 * GB, 16 * GB)]
-    assert ps == sorted(ps)
-
-
-def test_shuffle_partitions_no_aqe_is_s5(conf):
-    conf["s5"] = 333
-    p, skew = cm.shuffle_partitions(10 * GB, conf, aqe=False, skew=0.7)
-    assert p == 333 and skew == 0.7
+    ps = _scan_p(np.array([1 * GB, 4 * GB, 16 * GB]), conf)
+    assert np.all(np.diff(ps) >= 0)
 
 
 def test_shuffle_partitions_aqe_coalesces(conf):
     conf.update(s5=2000, s1=128 * MB, s11=1 * MB, s10=0.0)
-    p, _ = cm.shuffle_partitions(1 * GB, conf, aqe=True, skew=0.0)
+    p, _ = _shuffle_p(1 * GB, conf, 0.0)
     assert p == 8  # 1GB / 128MB
 
 
 def test_shuffle_partitions_capped_by_s5(conf):
     conf.update(s5=10, s1=1 * MB, s11=1 * MB)
-    p, _ = cm.shuffle_partitions(100 * GB, conf, aqe=True, skew=0.0)
+    p, _ = _shuffle_p(100 * GB, conf, 0.0)
     assert p == 10
 
 
 def test_rebalance_reduces_skew(conf):
     conf.update(s5=500, s1=64 * MB, s11=1 * MB)
     conf["s10"] = 0.8
-    _, sk_hi = cm.shuffle_partitions(10 * GB, conf, aqe=True, skew=1.0)
+    _, sk_hi = _shuffle_p(10 * GB, conf, 1.0)
     conf["s10"] = 0.1
-    _, sk_lo = cm.shuffle_partitions(10 * GB, conf, aqe=True, skew=1.0)
+    _, sk_lo = _shuffle_p(10 * GB, conf, 1.0)
     assert sk_hi < sk_lo
 
 
 def test_skew_split_caps_max_partition(conf):
     conf.update(s6=64 * MB, s7=2.0)
-    mx, extra = cm.skew_limited_max(32 * MB, 3.0, conf, aqe=True)
+    mx, extra = cm.skew_limited_max(32 * MB, 3.0, conf)
     assert mx == pytest.approx(max(64 * MB, 2.0 * 32 * MB))
     assert extra > 1.0
-    mx2, extra2 = cm.skew_limited_max(32 * MB, 0.1, conf, aqe=True)
+    mx2, extra2 = cm.skew_limited_max(32 * MB, 0.1, conf)
     assert extra2 == 1.0
-
-
-def test_skew_no_aqe_no_split(conf):
-    mx, extra = cm.skew_limited_max(32 * MB, 3.0, conf, aqe=False)
-    assert extra == 1.0 and mx == pytest.approx(32 * MB * 10.0)
 
 
 # --- join algorithm selection -------------------------------------------------
@@ -114,19 +112,13 @@ def test_runtime_bhj_gated_by_nonempty_ratio(conf):
     assert alg != cm.BHJ
 
 
-def test_nonempty_ratio():
-    assert cm.nonempty_ratio(50, 100) == 0.5
-    assert cm.nonempty_ratio(500, 100) == 1.0
-    assert cm.nonempty_ratio(10, 0) == 1.0
-
-
 # --- stage cost ----------------------------------------------------------------
 
 def _cost(conf, **kw):
     base = dict(kind="shuffle",
                 op_work=[("agg", 10 * GB, 1e8)],
                 input_bytes=10 * GB, input_rows=1e8, output_bytes=1 * GB,
-                writes_shuffle=True, skew=0.3, conf=conf, aqe=True)
+                writes_shuffle=True, skew=0.3, conf=conf)
     base.update(kw)
     return cm.stage_cost(**base)
 
@@ -186,7 +178,7 @@ def test_scan_stage_uses_file_splits(conf):
     m = cm.stage_cost(kind="scan", op_work=[("scan", 64 * GB, 5e8)],
                       input_bytes=64 * GB, input_rows=5e8, output_bytes=64 * GB,
                       writes_shuffle=True, skew=0.05, conf=conf)
-    assert m.n_tasks == cm.scan_partitions(64 * GB, conf)
+    assert m.n_tasks == _scan_p(64 * GB, conf)
 
 
 def test_more_partition_overhead(conf):
@@ -205,15 +197,3 @@ def test_bypass_merge_threshold_effect(conf):
     over = _cost(dict(conf, k6=50, s5=500))   # sort-based shuffle w/ merge
     under = _cost(dict(conf, k6=1000, s5=500))  # bypass
     assert over.task_sec_total != under.task_sec_total
-
-
-def test_vectorized_matches_scalar(conf):
-    B = np.array([1 * GB, 10 * GB, 100 * GB])
-    vec = cm.scan_partitions_vec(B, conf["s8"], conf["s9"], conf["k4"])
-    for b, v in zip(B, vec):
-        assert cm.scan_partitions(float(b), conf) == int(v)
-    pv, sv = cm.shuffle_partitions_vec(B, conf["s1"], conf["s5"], 0.2,
-                                       conf["s11"], 0.5)
-    for b, p in zip(B, pv):
-        ps, _ = cm.shuffle_partitions(float(b), dict(conf, s10=0.2), aqe=True, skew=0.5)
-        assert ps == int(p)

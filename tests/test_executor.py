@@ -12,8 +12,8 @@ import repro
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.params import GB, MB, default_conf
-from repro.simspark.executor import (compile_time_join_algs, execute, join_sides,
-                                     run_query)
+from repro.simspark.executor import (StageRun, compile_time_join_algs, execute,
+                                     join_sides, run_query)
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +140,6 @@ def test_analytical_positively_associated_across_configs(dag):
     assert corr > 0.2
 
 
-def test_aqe_off_uses_compile_algs(dag):
-    conf = dict(default_conf(), s4=1.0, s3=1.0)
-    r = execute(dag, conf, aqe=False)
-    assert r.join_algs == r.compile_join_algs
-
-
 def test_aqe_demotes_smj_to_bhj():
     """With a generous runtime threshold and a small true build side, AQE
     converts the compile-time SMJ to BHJ."""
@@ -176,16 +170,11 @@ def test_stage_gamma_features(dag):
 
 
 def test_request_opportunities_counted(dag):
-    r = execute(dag, default_conf(), aqe=True)
+    r = execute(dag, default_conf())
     # every collapse point exposes every still-pending join
     assert r.lqp_request_opportunities >= dag.n_subqs()
     assert r.qs_request_opportunities == dag.n_subqs()
     assert r.lqp_requests == 0  # no runtime optimizer attached
-
-
-def test_no_aqe_no_opportunities(dag):
-    r = execute(dag, default_conf(), aqe=False)
-    assert r.lqp_request_opportunities == 0
 
 
 def test_runtime_opt_hooks_invoked(dag):
@@ -204,6 +193,29 @@ def test_runtime_opt_hooks_invoked(dag):
     assert calls["lqp"] == dag.n_subqs()
     assert calls["qs"] == dag.n_subqs()
     assert r.lqp_requests == 0 and r.qs_requests == 0
+
+
+@pytest.mark.parametrize("template", ["q3", "q9", "q18"])
+def test_plugin_sees_completed_stages(template):
+    """The θp hook of a join stage sees each of the join's inputs as a
+    completed stage: ``known`` maps the dep's sq_id to its ``StageRun``."""
+    dag = partition_subqs(build_query("tpch", template, sf=10.0))
+    seen = []
+
+    class Spy:
+        def on_collapsed_lqp(self, dag_, sq_id, known, theta_p):
+            if dag_.subqs[sq_id].boundary_type == "join":
+                seen.append(sq_id)
+                for d in dag_.subqs[sq_id].deps:
+                    assert isinstance(known[d], StageRun) and known[d].sq_id == d
+            return None
+
+        def on_query_stage(self, *a, **k):
+            return None
+
+    execute(dag, default_conf(), runtime_opt=Spy())
+    assert sorted(seen) == sorted(i for i, s in dag.subqs.items()
+                                  if s.boundary_type == "join")
 
 
 def test_runtime_theta_p_update_applies():

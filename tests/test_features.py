@@ -1,11 +1,14 @@
 """Unit tests for feature extraction."""
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model import features as FT
-from repro.params import FULL_IDS, MB, default_conf
+from repro.params import FULL_IDS, GB, MB, default_conf, lhs_sample
+from repro.simspark import costmodel as cm
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +94,21 @@ def test_join_alg_onehot():
     assert FT.join_alg_onehot("garbage")[0] == 1.0  # falls back to "" slot
 
 
-def test_derived_features_match_costmodel():
-    """The model's partitioning hints must equal the cost model's counts."""
-    from repro.simspark.costmodel import scan_partitions, shuffle_partitions
-
-    conf = default_conf()
-    M = np.array([[conf[i] for i in FULL_IDS]])
-    d_scan = FT.derived_partition_features("scan", 10 * 1024**3, M, 0.05)
-    p = scan_partitions(10 * 1024**3, conf)
-    assert d_scan[0, 0] == pytest.approx(np.log1p(p) / 12.0)
-    d_shuf = FT.derived_partition_features("shuffle", 10 * 1024**3, M, 0.4)
-    p2, _ = shuffle_partitions(10 * 1024**3, conf, aqe=True, skew=0.4)
-    assert d_shuf[0, 0] == pytest.approx(np.log1p(p2) / 12.0)
+def test_derived_task_count_equals_simulated_stage():
+    """The model's task-count hint (column 0) is the task count of the
+    simulator's stage under each configuration, scan and shuffle alike.
+    At skew 0 no partition is split for skew (the threshold is at least
+    twice the mean), so the stage runs exactly the partitioned tasks."""
+    confs = lhs_sample(32, FULL_IDS)
+    M = np.array([[c[i] for i in FULL_IDS] for c in confs])
+    for input_bytes, kind in itertools.product((64 * MB, 10 * GB, 1024 * GB),
+                                               ("scan", "shuffle")):
+        n_tasks = [cm.stage_cost(kind=kind, op_work=[("agg", input_bytes, 1e8)],
+                                 input_bytes=input_bytes, input_rows=1e8,
+                                 output_bytes=input_bytes / 10, writes_shuffle=True,
+                                 skew=0.0, conf=c).n_tasks for c in confs]
+        d = FT.derived_partition_features(kind, input_bytes, M, 0.0)
+        assert np.array_equal(d[:, 0], np.log1p(n_tasks) / 12.0), (input_bytes, kind)
 
 
 def test_derived_features_batched():
@@ -121,7 +127,6 @@ def test_derived_features_per_stage_arrays_equal_scalar_calls(benchmark):
     of one scalar call per stage: every stage of every query, under both
     statistics views, both kinds' formulas and four LHS configurations."""
     from repro.core.workloads import benchmark_queries
-    from repro.params import lhs_sample
 
     confs = lhs_sample(4, FULL_IDS, seed=5)
     for q in benchmark_queries(benchmark):

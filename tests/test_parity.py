@@ -20,7 +20,7 @@ from repro.model.traces import trace_rows
 from repro.moo.hmooc import hmooc
 from repro.moo.objectives import CompileTimeObjectives
 from repro.params import C_IDS, GB, MB, Knob, lhs_sample, to_vector
-from repro.runtime.optimizer import _THETA_S_GRID, OnlineOptimizer
+from repro.runtime.optimizer import _THETA_S_ROWS, OnlineOptimizer
 from repro.simspark.executor import run_query
 from tests.conftest import FoldedRegressor
 
@@ -199,7 +199,8 @@ def test_runtime_scores_dict_path_rows(bench, template, spy_suite, monkeypatch):
             kind, current = req["hook"]
             M, algs = req["M"], req["algs"]
             if kind == "qs":
-                grid = [{k: current[k] for k in ("s10", "s11")}, *_THETA_S_GRID]
+                grid = [{k: current[k] for k in ("s10", "s11")},
+                        *({"s10": a, "s11": b} for a, b in _THETA_S_ROWS)]
                 np.testing.assert_array_equal(M, [_row({**current, **ts}) for ts in grid])
             else:
                 np.testing.assert_array_equal(
@@ -228,8 +229,8 @@ def test_theta_s_candidates_are_current_conf_then_grid(fake_suite):
     assert opt.on_query_stage(dag, sq_id, 10 * GB, conf) is not None
     (req,) = opt.requests
     M = req["M"]
-    assert M.shape == (1 + len(_THETA_S_GRID), len(FULL_IDS))
+    assert M.shape == (1 + len(_THETA_S_ROWS), len(FULL_IDS))
     assert np.array_equal(M[0], _row(conf))
-    for row, ts in zip(M[1:], _THETA_S_GRID):
-        assert np.array_equal(row, _row({**conf, **ts}))
-    assert len(set(map(tuple, M[1:, -2:]))) == len(_THETA_S_GRID)
+    for row, (s10, s11) in zip(M[1:], _THETA_S_ROWS):
+        assert np.array_equal(row, _row({**conf, "s10": s10, "s11": s11}))
+    assert len(set(map(tuple, M[1:, -2:]))) == len(_THETA_S_ROWS)

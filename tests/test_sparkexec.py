@@ -115,13 +115,6 @@ def test_aqe_coalesces_partitions(spark, tables_cache):
     assert "AQEShuffleRead" in r.plan
 
 
-def test_aqe_off_uses_static_plan(spark, tables_cache):
-    q = LITE_QUERIES["q1"]
-    tables = tables_cache(q.tables)
-    r = run_with_conf(spark, q.build, tables, default_conf(), aqe=False)
-    assert "AdaptiveSparkPlan" not in r.plan
-
-
 def test_conf_restored_after_run(spark, tables_cache):
     q = LITE_QUERIES["q6"]
     tables = tables_cache(q.tables)

@@ -80,7 +80,7 @@ def _reference_rows(benchmark, template, variant, conf, conf_id, sf=100.0):
     of each stage from ``StageFeatures.pair``, one-row ``subq_rows`` and
     ``qs_rows``, then the ``lqp_rows`` of the plan."""
     dag = partition_subqs(build_query(benchmark, template, sf=sf, variant=variant))
-    run = run_query(dag, conf, aqe=True, noise_seed=conf_id * 7919 + variant)
+    run = run_query(dag, conf, noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
     U_qs = U_full[:, P.QS_COLS]
     rows = []
