@@ -197,3 +197,22 @@ def test_bypass_merge_threshold_effect(conf):
     over = _cost(dict(conf, k6=50, s5=500))   # sort-based shuffle w/ merge
     under = _cost(dict(conf, k6=1000, s5=500))  # bypass
     assert over.task_sec_total != under.task_sec_total
+
+
+def test_vectorized_matches_scalar(conf):
+    """One array call of the partition formulas gives, element for element,
+    the counts of one scalar call per input size, and the scalar counts are
+    the task counts of the simulator's skew-0 stage."""
+    B = np.array([16 * MB, 1 * GB, 10 * GB, 100 * GB])
+    scan_conf = conf
+    shuf_conf = dict(conf, s10=0.2)
+    vec = _scan_p(B, scan_conf)
+    pv, sv = _shuffle_p(B, shuf_conf, 0.5)
+    for i, b in enumerate(B):
+        assert _scan_p(float(b), scan_conf) == vec[i]
+        ps, ss = _shuffle_p(float(b), shuf_conf, 0.5)
+        assert ps == pv[i] and ss == sv
+        for kind, c, p in (("scan", scan_conf, vec[i]),
+                           ("shuffle", shuf_conf, _shuffle_p(float(b), shuf_conf, 0.0)[0])):
+            m = _cost(c, kind=kind, input_bytes=float(b), skew=0.0)
+            assert m.n_tasks == p, (kind, b)

@@ -94,7 +94,7 @@ def test_join_alg_onehot():
     assert FT.join_alg_onehot("garbage")[0] == 1.0  # falls back to "" slot
 
 
-def test_derived_task_count_equals_simulated_stage():
+def test_derived_features_match_costmodel():
     """The model's task-count hint (column 0) is the task count of the
     simulator's stage under each configuration, scan and shuffle alike.
     At skew 0 no partition is split for skew (the threshold is at least
