@@ -12,9 +12,12 @@ process (``common.compile_benchmark``), and Tables 4, 5 and Expt 6 all
 recommend from that compile set. Each command prints its table with its
 wall time; then the job lists every failed gate (the modules'
 ``check_*``) and exits non-zero if there is one. Spark builds the traces
-and is otherwise idle. Under ``spark-submit`` the session comes from the
-submitted context; under plain ``python jobs/run.py`` a local master is
-configured first (same settings as conftest.py).
+and is otherwise idle. The driver keeps the default BLAS pool of nproc
+threads, which leaves no core idle, so ``common.train_suite`` fits a
+suite's six models one after another (``common.fit_workers``). Under
+``spark-submit`` the session comes from the submitted context; under
+plain ``python jobs/run.py`` a local master is configured first (same
+settings as conftest.py).
 """
 import argparse
 import os

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,16 +103,45 @@ def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
     return traces
 
 
+def fit_workers() -> int:
+    """Threads for a suite's six fits: the cores the driver's BLAS pool
+    leaves idle, ``nproc // BLAS threads`` clamped to [1, 6].
+
+    The pool size is read from ``OPENBLAS_NUM_THREADS``, then
+    ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``; unset (or not a
+    positive integer) it is nproc. Fits sharing a multi-threaded pool run
+    slower together than one after another, so such a driver fits
+    sequentially.
+    """
+    nproc = os.cpu_count() or 1
+    blas = nproc
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var in os.environ:
+            value = os.environ[var].strip()
+            if value.isdigit() and int(value) > 0:
+                blas = int(value)
+            break
+    return min(6, max(1, nproc // blas))
+
+
 def train_suite(traces: pd.DataFrame, *, epochs: int = TRAIN_EPOCHS,
                 hidden=HIDDEN, seed: int = 0) -> ModelSuite:
-    """Train all six models (3 granularities × {latency, IO})."""
-    parts = {}
-    for kind in ("subq", "qs", "lqp"):
-        (Xtr, yl, yi), _, _ = split_traces(traces, kind)
-        parts[kind] = TargetModels(
-            train_target(Xtr, yl, epochs=epochs, hidden=hidden, seed=seed),
-            train_target(Xtr, yi, epochs=epochs, hidden=hidden, seed=seed + 1))
-    return ModelSuite(**parts)
+    """Train all six models (3 granularities × {latency, IO}).
+
+    The fits are independent (own seed, RNG and arrays) and numpy releases
+    the GIL in BLAS calls, so they run on ``fit_workers()`` threads; the
+    models are bit-identical to fitting them one after another. The large
+    subQ and QS fits are submitted first.
+    """
+    with ThreadPoolExecutor(fit_workers()) as pool:
+        futures = {}
+        for kind in ("subq", "qs", "lqp"):
+            (Xtr, yl, yi), _, _ = split_traces(traces, kind)
+            futures[kind] = [pool.submit(train_target, Xtr, y, epochs=epochs,
+                                         hidden=hidden, seed=seed + i)
+                             for i, y in enumerate((yl, yi))]
+        return ModelSuite(**{kind: TargetModels(*(f.result() for f in fs))
+                             for kind, fs in futures.items()})
 
 
 def get_suite(spark, benchmark: str) -> ModelSuite:

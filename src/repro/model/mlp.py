@@ -50,8 +50,8 @@ class MLPRegressor:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self.x_mean = X.mean(axis=0)
-        self.x_std = np.where(X.std(axis=0) > 1e-9, X.std(axis=0), 1.0)
-        Xn = (X - self.x_mean) / self.x_std
+        std = X.std(axis=0)
+        self.x_std = np.where(std > 1e-9, std, 1.0)
         t = np.log1p(np.maximum(y, 0.0))
         rng = np.random.default_rng(self._seed + 1)
         mW = [np.zeros_like(w) for w in self.W]
@@ -61,13 +61,18 @@ class MLPRegressor:
         b1, b2, eps = 0.9, 0.999, 1e-8
         step = 0
         losses = []
-        n = len(Xn)
+        n = len(X)
         for ep in range(epochs):
             idx = rng.permutation(n)
             ep_loss = 0.0
             for s in range(0, n, batch):
                 bi = idx[s:s + batch]
-                pred, acts = self._forward(Xn[bi])
+                # Standardized per batch, in place in the gathered copy: no
+                # standardized copy of X is kept.
+                xb = X[bi]
+                xb -= self.x_mean
+                xb /= self.x_std
+                pred, acts = self._forward(xb)
                 err = pred - t[bi]
                 ep_loss += float((err**2).sum())
                 # backward
@@ -75,23 +80,28 @@ class MLPRegressor:
                 gW = [None] * len(self.W)
                 gb = [None] * len(self.W)
                 for i in range(len(self.W) - 1, -1, -1):
-                    gW[i] = acts[i].T @ g + weight_decay * self.W[i]
+                    gW[i] = acts[i].T @ g
+                    gW[i] += weight_decay * self.W[i]
                     gb[i] = g.sum(axis=0)
                     if i > 0:  # ReLU: acts[i] > 0 exactly where its input is
-                        g = (g @ self.W[i].T) * (acts[i] > 0)
-                # adam
+                        g = g @ self.W[i].T
+                        g *= acts[i] > 0
+                # adam, in place: the same arithmetic with fewer temporaries,
+                # which keeps concurrent fits small (experiments.common)
                 step += 1
-                for i in range(len(self.W)):
-                    mW[i] = b1 * mW[i] + (1 - b1) * gW[i]
-                    vW[i] = b2 * vW[i] + (1 - b2) * gW[i] ** 2
-                    mb[i] = b1 * mb[i] + (1 - b1) * gb[i]
-                    vb[i] = b2 * vb[i] + (1 - b2) * gb[i] ** 2
-                    mhW = mW[i] / (1 - b1**step)
-                    vhW = vW[i] / (1 - b2**step)
-                    mhb = mb[i] / (1 - b1**step)
-                    vhb = vb[i] / (1 - b2**step)
-                    self.W[i] -= lr * mhW / (np.sqrt(vhW) + eps)
-                    self.b[i] -= lr * mhb / (np.sqrt(vhb) + eps)
+                c1, c2 = 1 - b1**step, 1 - b2**step
+                for p, m, v, gp in zip(self.W + self.b, mW + mb, vW + vb, gW + gb):
+                    m *= b1
+                    m += (1 - b1) * gp
+                    v *= b2
+                    v += (1 - b2) * gp ** 2
+                    upd = m / c1
+                    upd *= lr
+                    den = v / c2
+                    np.sqrt(den, out=den)
+                    den += eps
+                    upd /= den
+                    p -= upd
             losses.append(ep_loss / n)
             if verbose and ep % 10 == 0:
                 print(f"epoch {ep}: loss={losses[-1]:.5f}")

@@ -28,8 +28,9 @@ candidates' θp next to θc.
 
 Request pruning (§C.2.2) keeps the call volume down:
 
-* LQP̄ requests are bypassed for non-join collapse points and deferred
-  until every input of the join has actual statistics;
+* LQP̄ requests are bypassed for non-join collapse points. A join's
+  request needs no deferral: the executor makes it only for the stage
+  about to run, whose inputs have all completed with actual statistics;
 * QS requests skip scan stages and stages whose input is below the
   advisory partition size (nothing to re-partition).
 
@@ -141,8 +142,6 @@ class OnlineOptimizer:
         sq = dag.subqs[sq_id]
         if sq.boundary_type != "join":
             return None  # pruned: non-join collapse
-        if any(d not in known for d in sq.deps):
-            return None  # pruned: defer until input stats available
         t0 = time.perf_counter()
         bb, pb, br = join_sides(dag, sq_id, true=True)
         # Candidate 0 is "keep the current θp"; the others surgically move

@@ -186,3 +186,45 @@ def test_artifact_key_covers_sources_and_constants(monkeypatch):
     assert key == common.artifact_key.__wrapped__()
     monkeypatch.setattr(common, "N_CONFS", common.N_CONFS + 1)
     assert common.artifact_key.__wrapped__() != key
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+NPROC = os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, min(NPROC, 6)),
+    ({"OPENBLAS_NUM_THREADS": str(NPROC)}, 1),
+    ({"OMP_NUM_THREADS": str(NPROC)}, 1),
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": str(NPROC)}, min(NPROC, 6)),
+    ({"OPENBLAS_NUM_THREADS": str(NPROC), "OMP_NUM_THREADS": "1"}, 1),
+], ids=["openblas-1", "openblas-nproc", "omp-nproc", "unset",
+        "openblas-over-omp", "openblas-nproc-over-omp-1"])
+def test_fit_workers_use_the_cores_blas_leaves_idle(monkeypatch, env, workers):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert common.fit_workers() == workers
+
+
+def test_concurrent_suite_equals_sequential_fits(monkeypatch, tiny_traces):
+    """The six fits on a pool give the models a sequential loop over
+    ``train_target`` gives, byte for byte."""
+    from repro.model.predictor import train_target
+    from repro.model.traces import split_traces
+
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert common.fit_workers() == min(NPROC, 6)
+    suite = common.train_suite(tiny_traces, epochs=4, hidden=(32, 32), seed=5)
+    for kind in ("subq", "qs", "lqp"):
+        (X, y_lat, y_io), _, _ = split_traces(tiny_traces, kind)
+        tm = getattr(suite, kind)
+        for got, y, seed in ((tm.latency, y_lat, 5), (tm.io, y_io, 6)):
+            ref = train_target(X, y, epochs=4, hidden=(32, 32), seed=seed)
+            for a, b in zip([*got.W, *got.b, got.x_mean, got.x_std],
+                            [*ref.W, *ref.b, ref.x_mean, ref.x_std]):
+                assert a.tobytes() == b.tobytes()

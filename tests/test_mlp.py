@@ -44,7 +44,69 @@ def test_deterministic_training(toy):
     a.fit(X, y, epochs=5)
     b = MLPRegressor(6, seed=3)
     b.fit(X, y, epochs=5)
-    np.testing.assert_allclose(a.predict(X[:5]), b.predict(X[:5]))
+    for pa, pb in zip(_params(a), _params(b)):
+        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.predict(X[:5]), b.predict(X[:5]))
+
+
+def _params(m):
+    return [*m.W, *m.b, m.x_mean, m.x_std]
+
+
+def reference_fit(m, X, y, *, epochs=60, batch=256, lr=2e-3, weight_decay=1e-5):
+    """``MLPRegressor.fit`` as it was when it standardized the whole
+    training matrix once, before the epochs."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m.x_mean = X.mean(axis=0)
+    m.x_std = np.where(X.std(axis=0) > 1e-9, X.std(axis=0), 1.0)
+    Xn = (X - m.x_mean) / m.x_std
+    t = np.log1p(np.maximum(y, 0.0))
+    rng = np.random.default_rng(m._seed + 1)
+    mW = [np.zeros_like(w) for w in m.W]
+    vW = [np.zeros_like(w) for w in m.W]
+    mb = [np.zeros_like(bb) for bb in m.b]
+    vb = [np.zeros_like(bb) for bb in m.b]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _ in range(epochs):
+        idx = rng.permutation(len(Xn))
+        for s in range(0, len(Xn), batch):
+            bi = idx[s:s + batch]
+            pred, acts = m._forward(Xn[bi])
+            g = (2.0 * (pred - t[bi]) / len(bi))[:, None]
+            gW = [None] * len(m.W)
+            gb = [None] * len(m.W)
+            for i in range(len(m.W) - 1, -1, -1):
+                gW[i] = acts[i].T @ g + weight_decay * m.W[i]
+                gb[i] = g.sum(axis=0)
+                if i > 0:
+                    g = (g @ m.W[i].T) * (acts[i] > 0)
+            step += 1
+            for i in range(len(m.W)):
+                mW[i] = b1 * mW[i] + (1 - b1) * gW[i]
+                vW[i] = b2 * vW[i] + (1 - b2) * gW[i] ** 2
+                mb[i] = b1 * mb[i] + (1 - b1) * gb[i]
+                vb[i] = b2 * vb[i] + (1 - b2) * gb[i] ** 2
+                m.W[i] -= lr * (mW[i] / (1 - b1**step)) / (np.sqrt(vW[i] / (1 - b2**step)) + eps)
+                m.b[i] -= lr * (mb[i] / (1 - b1**step)) / (np.sqrt(vb[i] / (1 - b2**step)) + eps)
+
+
+@pytest.mark.parametrize("constant_col", [False, True], ids=["varied", "constant-column"])
+def test_fit_bit_identical_to_full_matrix_standardization(toy, constant_col):
+    """Per-batch standardization is the same elementwise arithmetic as
+    standardizing the whole matrix first: every parameter is equal byte for
+    byte (600 rows, so the last batch of each epoch is partial)."""
+    X, y = toy
+    if constant_col:
+        X = X.copy()
+        X[:, 2] = 4.0
+    got = MLPRegressor(6, hidden=(32, 16), seed=7)
+    got.fit(X, y, epochs=6)
+    ref = MLPRegressor(6, hidden=(32, 16), seed=7)
+    reference_fit(ref, X, y, epochs=6)
+    for a, b in zip(_params(got), _params(ref)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_save_load_roundtrip(tmp_path, toy):

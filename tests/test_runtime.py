@@ -76,12 +76,6 @@ def test_pruning_non_join_collapse(dag, opt):
     assert opt.on_collapsed_lqp(dag, agg_sq, {}, theta_p) is None
 
 
-def test_pruning_defers_until_stats_ready(dag, opt):
-    _, theta_p, _ = split_conf(default_conf())
-    join_sq = next(i for i, s in dag.subqs.items() if s.boundary_type == "join")
-    assert opt.on_collapsed_lqp(dag, join_sq, {}, theta_p) is None  # no stats
-
-
 def test_join_request_served_with_stats(dag, opt):
     _, theta_p, _ = split_conf(default_conf())
     join_sq = next(i for i, s in dag.subqs.items() if s.boundary_type == "join")
