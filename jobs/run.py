@@ -14,7 +14,9 @@ wall time; then the job lists every failed gate (the modules'
 ``check_*``) and exits non-zero if there is one. Spark builds the traces
 and is otherwise idle. The driver keeps the default BLAS pool of nproc
 threads, which leaves no core idle, so ``common.train_suite`` fits a
-suite's six models one after another (``common.fit_workers``). Under
+suite's six models one after another (``common.fit_workers``) and each
+HMOOC3 solve scores its subQs one after another (``hmooc.solve_workers``;
+both read ``mlp.idle_core_threads``). Under
 ``spark-submit`` the session comes from the submitted context; under
 plain ``python jobs/run.py`` a local master is configured first (same
 settings as conftest.py).

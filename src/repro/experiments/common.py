@@ -22,6 +22,7 @@ import pandas as pd
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
+from repro.model.mlp import idle_core_threads
 from repro.model.predictor import ModelSuite, TargetModels, train_target
 from repro.model.traces import generate_traces_spark, split_traces
 from repro.moo.hmooc import MOOResult
@@ -104,24 +105,9 @@ def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
 
 
 def fit_workers() -> int:
-    """Threads for a suite's six fits: the cores the driver's BLAS pool
-    leaves idle, ``nproc // BLAS threads`` clamped to [1, 6].
-
-    The pool size is read from ``OPENBLAS_NUM_THREADS``, then
-    ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``; unset (or not a
-    positive integer) it is nproc. Fits sharing a multi-threaded pool run
-    slower together than one after another, so such a driver fits
-    sequentially.
-    """
-    nproc = os.cpu_count() or 1
-    blas = nproc
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        if var in os.environ:
-            value = os.environ[var].strip()
-            if value.isdigit() and int(value) > 0:
-                blas = int(value)
-            break
-    return min(6, max(1, nproc // blas))
+    """Threads for a suite's six fits: ``mlp.idle_core_threads()``, the
+    cores the driver's BLAS pool leaves idle, at most 6."""
+    return min(6, idle_core_threads())
 
 
 def train_suite(traces: pd.DataFrame, *, epochs: int = TRAIN_EPOCHS,

@@ -10,10 +10,51 @@ function over the remaining columns (the fixed part moves into the first
 layer's bias); ``astype`` casts the weights, and ``predict`` computes in
 the weights' dtype. Compile-time inference uses both: per subQ, one fold
 of a float32 copy (``repro.moo.objectives``).
+
+``predict`` runs its forward pass in blocks of ``PREDICT_BLOCK`` rows (a
+one-row remainder joins the last block), standardizing each block in
+place and writing into one preallocated output; no activations are kept (``fit`` keeps them, for backprop). A
+prediction's working set is then one block's activations, whatever the
+batch size, which keeps concurrent scorers small (``repro.moo.hmooc``).
+
+``idle_core_threads`` is the one rule for how many threads may run MLP
+work side by side: the cores the BLAS pool leaves idle. Suite fits
+(``repro.experiments.common``) and the compile-time solve's per-subQ
+scoring (``repro.moo.hmooc``) both size their pools with it.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
+
+# Rows per forward block in ``predict``: (512, 128) float32 activations are
+# 256 KB.
+PREDICT_BLOCK = 512
+
+# The variables that size OpenBLAS's thread pool, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def idle_core_threads() -> int:
+    """Threads that can run BLAS work side by side without sharing cores:
+    ``nproc // BLAS threads``, at least 1.
+
+    The BLAS pool size is read from ``OPENBLAS_NUM_THREADS``, then
+    ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``; unset (or not a
+    positive integer) it is nproc. Calls sharing a multi-threaded pool run
+    slower together than one after another, so such a process gets one
+    thread.
+    """
+    nproc = os.cpu_count() or 1
+    blas = nproc
+    for var in _BLAS_THREAD_VARS:
+        if var in os.environ:
+            value = os.environ[var].strip()
+            if value.isdigit() and int(value) > 0:
+                blas = int(value)
+            break
+    return max(1, nproc // blas)
 
 
 class MLPRegressor:
@@ -111,9 +152,25 @@ class MLPRegressor:
         """Predict targets on the natural (expm1) scale, computing in the
         weights' dtype; the result is float64."""
         X = np.asarray(X, dtype=self.W[0].dtype)
-        Xn = (X - self.x_mean) / self.x_std
-        out, _ = self._forward(Xn)
-        return np.expm1(np.clip(np.asarray(out, dtype=np.float64), -20.0, 30.0))
+        n = len(X)
+        out = np.empty(n)
+        last = len(self.W) - 1
+        for s in range(0, max(n - 1, 1), PREDICT_BLOCK):
+            # A one-row remainder joins the last block: numpy multiplies a
+            # lone row with gemv, which can round differently from the gemm
+            # of a one-pass forward.
+            e = n if n - s <= PREDICT_BLOCK + 1 else s + PREDICT_BLOCK
+            h = X[s:e] - self.x_mean
+            h /= self.x_std
+            for i, (W, b) in enumerate(zip(self.W, self.b)):
+                h = h @ W
+                h += b
+                if i < last:
+                    np.maximum(h, 0.0, out=h)
+            z = h[:, 0]
+            np.clip(z, -20.0, 30.0, out=z)
+            np.expm1(z, out=out[s:e], dtype=np.float64)
+        return out
 
     # -- derived models ----------------------------------------------------------
     def _derive(self, W: list, b: list, x_mean, x_std) -> "MLPRegressor":

@@ -9,7 +9,10 @@ the constraint that every subQ shares the same θc:
    its representative's optimal θp set, then *enrich* θc by the crossover
    (Cartesian-product) heuristic of Appendix C.1 and re-assign. Each
    phase (optimize, assign, re-assign) makes one model call per subQ over
-   all of its (cluster, subQ) blocks.
+   all of its (cluster, subQ) blocks. Under a fixed θc the subQs'
+   problems are independent, so a phase runs its subQs concurrently, on
+   the cores the BLAS pool leaves idle (``solve_workers``); the phases
+   run in order.
 2. **DAG aggregation** — HMOOC3's boundary approximation: under each θc,
    the k = 2 extreme points (best-latency, best-cost) of the query-level
    front, each the sum of every subQ's per-objective optimum. The paper's
@@ -21,10 +24,12 @@ the constraint that every subQ shares the same θc:
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.model.mlp import idle_core_threads
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices, wun_select
 from repro.params import (C_IDS, D_P, P_IDS, S_IDS, denormalize_matrix, from_vector,
@@ -123,10 +128,22 @@ class _EffectiveSet:
     sols: dict[int, list[tuple[np.ndarray, np.ndarray]]]
 
 
+def solve_workers(n_subqs: int) -> int:
+    """Threads that score a solve's subQs: ``mlp.idle_core_threads()``,
+    the cores the BLAS pool leaves idle, at most one per subQ."""
+    return min(n_subqs, idle_core_threads())
+
+
 def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
                            n_clusters: int = 14, n_p: int = 256,
                            seed: int = 0) -> _EffectiveSet:
-    """Algorithm 1: effective per-subQ solution sets under shared θc."""
+    """Algorithm 1: effective per-subQ solution sets under shared θc.
+
+    Under a fixed θc the subQs' θp⊗θs problems are independent, so each
+    phase scores its subQs on ``solve_workers`` threads (numpy releases
+    the GIL in BLAS calls). Each subQ's work is the same on any thread,
+    so the sets are bit-identical to scoring them one after another.
+    """
     rng = np.random.default_rng(seed)
     Uc = refined_lhs(n_c, C_IDS, rng)
     labels, rep_idx, centers = _kmeans(Uc, n_clusters, seed=seed)
@@ -140,38 +157,41 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
         F = obj.subq_batch(sq, np.concatenate([U_cands[c_idx], pool[p_idx]], axis=1))
         return np.split(F, np.cumsum([len(c) for c, _ in blocks])[:-1])
 
-    # optimize_p_moo: local Pareto θp⊗θs per (representative, subQ), each
-    # representative scored against the whole pool
-    opt_idx: dict[tuple[int, int], np.ndarray] = {}
-    for sq in obj.sq_ids:
+    def optimize(sq: int) -> list[np.ndarray]:
+        # optimize_p_moo: each representative's local Pareto θp⊗θs, scored
+        # against the whole pool; one array of pool indices per cluster
         blocks = [(np.full(n_p, r), np.arange(n_p)) for r in rep_idx]
-        for g, F in enumerate(score(sq, blocks, Uc)):
-            opt_idx[(g, sq)] = pareto_indices(F)
+        return [pareto_indices(F) for F in score(sq, blocks, Uc)]
 
-    def assign(U_cands: np.ndarray, cand_labels: np.ndarray):
+    def assign(sq: int, U_cands: np.ndarray, groups: dict) -> list:
         # Every member of a cluster is evaluated with its representative's
         # optimal θp set.
-        groups = {g: members for g in range(len(rep_idx))
-                  if len(members := np.flatnonzero(cand_labels == g))}
-        out: dict[int, list] = {sq: [None] * len(U_cands) for sq in obj.sq_ids}
-        for sq in obj.sq_ids:
-            pidxs = [opt_idx[(g, sq)] for g in groups]
-            blocks = [(np.repeat(members, len(pidx)), np.tile(pidx, len(members)))
-                      for members, pidx in zip(groups.values(), pidxs)]
-            for members, pidx, F in zip(groups.values(), pidxs,
-                                        score(sq, blocks, U_cands)):
-                for ci, F_ci in zip(members, F.reshape(len(members), len(pidx), 2)):
-                    out[sq][ci] = (pidx, F_ci)
+        out: list = [None] * len(U_cands)
+        pidxs = [opt_idx[sq][g] for g in groups]
+        blocks = [(np.repeat(members, len(pidx)), np.tile(pidx, len(members)))
+                  for members, pidx in zip(groups.values(), pidxs)]
+        for members, pidx, F in zip(groups.values(), pidxs, score(sq, blocks, U_cands)):
+            for ci, F_ci in zip(members, F.reshape(len(members), len(pidx), 2)):
+                out[ci] = (pidx, F_ci)
         return out
 
-    sols = assign(Uc, labels)
-    if len(Uc) >= 2:
-        U_new = _crossover_enrich(Uc, n_c // 2, seed + 1)
-        new_labels = _assign_cluster(U_new, centers)
-        new_sols = assign(U_new, new_labels)
-        for sq in obj.sq_ids:
-            sols[sq].extend(new_sols[sq])
-        Uc = np.concatenate([Uc, U_new], axis=0)
+    def clusters(cand_labels: np.ndarray) -> dict:
+        return {g: members for g in range(len(rep_idx))
+                if len(members := np.flatnonzero(cand_labels == g))}
+
+    with ThreadPoolExecutor(solve_workers(len(obj.sq_ids))) as workers:
+        def each_subq(phase, *args) -> dict:
+            return dict(zip(obj.sq_ids, workers.map(lambda sq: phase(sq, *args),
+                                                    obj.sq_ids)))
+
+        opt_idx = each_subq(optimize)
+        sols = each_subq(assign, Uc, clusters(labels))
+        if len(Uc) >= 2:
+            U_new = _crossover_enrich(Uc, n_c // 2, seed + 1)
+            new_sols = each_subq(assign, U_new, clusters(_assign_cluster(U_new, centers)))
+            for sq in obj.sq_ids:
+                sols[sq].extend(new_sols[sq])
+            Uc = np.concatenate([Uc, U_new], axis=0)
     return _EffectiveSet(Uc=Uc, pool=pool, sols=sols)
 
 

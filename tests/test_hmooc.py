@@ -3,12 +3,16 @@ aggregation and the end-to-end pipeline — including the paper's formal
 properties (Prop. 5.1–5.3, Appendix B). The exact per-θc aggregation
 (HMOOC1) lives here only as a test oracle."""
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
+from repro.model.mlp import MLPRegressor
+from repro.model.predictor import LQP_DIM, QS_DIM, SUBQ_DIM, ModelSuite, TargetModels
 from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
@@ -278,3 +282,60 @@ def test_hmooc_dnc_front_dominates_boundary(obj, fake_suite):
     hv_d = hypervolume_2d(normalize(F_d, lo, hi)[0], ref)
     hv_b = hypervolume_2d(normalize(r_b.F, lo, hi)[0], ref)
     assert hv_d >= hv_b - 1e-9
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+NPROC = os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("env, n_subqs, workers", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 64, min(NPROC, 64)),
+    ({"OPENBLAS_NUM_THREADS": str(NPROC)}, 64, 1),
+    ({"OMP_NUM_THREADS": str(NPROC)}, 64, 1),
+    ({}, 64, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": str(NPROC)}, 64, min(NPROC, 64)),
+    ({"OPENBLAS_NUM_THREADS": str(NPROC), "OMP_NUM_THREADS": "1"}, 64, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, min(NPROC, 2)),
+    ({"OPENBLAS_NUM_THREADS": str(2 * NPROC)}, 64, 1),
+], ids=["openblas-1", "openblas-nproc", "omp-nproc", "unset",
+        "openblas-over-omp", "openblas-nproc-over-omp-1", "subq-cap", "never-below-1"])
+def test_solve_workers_use_the_cores_blas_leaves_idle(monkeypatch, env, n_subqs, workers):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert H.solve_workers(n_subqs) == workers
+
+
+@pytest.fixture(scope="module")
+def untrained_suite():
+    """Real MLPs (untrained, fixed seeds, the deployed hidden sizes), so the
+    solve runs the float32 BLAS path."""
+    def tm(d_in, seed):
+        return TargetModels(*(MLPRegressor(d_in, hidden=(128, 128), seed=seed + i)
+                              for i in range(2)))
+    return ModelSuite(subq=tm(SUBQ_DIM, 0), qs=tm(QS_DIM, 2), lqp=tm(LQP_DIM, 4))
+
+
+@pytest.mark.parametrize("bm, q", [("tpch", "q5"), ("tpcds", "q3")])
+def test_concurrent_solve_equals_one_worker(monkeypatch, untrained_suite, bm, q):
+    """Scoring the subQs on four threads gives the one-worker front and
+    configurations byte for byte; the four-thread solve switches threads
+    every microsecond."""
+    dag = partition_subqs(build_query(bm, q))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert H.solve_workers(len(dag.subqs)) == 1
+    one = H.hmooc(dag, untrained_suite)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert H.solve_workers(len(dag.subqs)) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = H.hmooc(dag, untrained_suite)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.F.dtype == four.F.dtype and one.F.tobytes() == four.F.tobytes()
+    assert one.configs == four.configs

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.model.mlp import MLPRegressor
+from repro.model.mlp import PREDICT_BLOCK, MLPRegressor
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +225,30 @@ def test_float32_copy_leaves_original_roundtrip_unchanged(tmp_path, wide):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(back.predict(X), before)
     np.testing.assert_array_equal(m.predict(X), before)
+
+
+def _one_shot(m, X):
+    """``predict`` as one forward pass over all of ``X``."""
+    X = np.asarray(X, dtype=m.W[0].dtype)
+    out, _ = m._forward((X - m.x_mean) / m.x_std)
+    return np.expm1(np.clip(np.asarray(out, dtype=np.float64), -20.0, 30.0))
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 3584])
+@pytest.mark.parametrize("f32_fold", [False, True], ids=["f64", "f32-fold"])
+def test_predict_is_one_shot_forward_per_block(wide, n, f32_fold):
+    """``predict`` gives, byte for byte, one-shot forwards over its
+    ``PREDICT_BLOCK``-row blocks, concatenated, with a one-row remainder
+    in the last block; the comparison is per block, so it checks the
+    blocking and not how BLAS rounds other shapes."""
+    m, cols, _ = wide
+    X = np.random.default_rng(n).normal(2.0, 3.0, (n, 12))
+    if f32_fold:
+        m, X = m.astype(np.float32).fold(cols, X[0, cols]), _rest(X, cols)
+    starts = list(range(0, n, PREDICT_BLOCK))
+    if n > 1 and n % PREDICT_BLOCK == 1:
+        starts.pop()
+    want = np.concatenate([_one_shot(m, X[s:e]) for s, e in zip(starts, starts[1:] + [n])])
+    got = m.predict(X)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
