@@ -9,9 +9,10 @@ in the order given, each on every chosen benchmark. ``traces`` generates
 ``repro.experiments`` module; ``live`` times TPC-H-lite Q3 on the live
 Spark session (TPC-H only). Each benchmark's queries are compiled once per
 process (``common.compile_benchmark``), and Tables 4, 5 and Expt 6 all
-recommend from that compile set. Each command prints its table with its
-wall time; then the job lists every failed gate (the modules'
-``check_*``) and exits non-zero if there is one. Spark builds the traces
+recommend from that compile set. Each command prints its wall time:
+``traces`` after its row counts per kind, every other command after its
+table; then the job lists every failed gate (the modules' ``check_*``)
+and exits non-zero if there is one. Spark builds the traces
 and is otherwise idle. The driver keeps the default BLAS pool of nproc
 threads, which leaves no core idle, so ``common.train_suite`` fits a
 suite's six models one after another (``common.fit_workers``) and each
@@ -72,9 +73,11 @@ class Job:
 def traces(job: Job, benchmark: str) -> list[str]:
     from repro.experiments import common
 
+    t0 = time.perf_counter()
     tr = common.get_traces(job.spark, benchmark, force=job.force)
     print(f"{benchmark}: {len(tr)} trace rows -> {common.traces_path(benchmark)}\n"
           f"{tr.groupby('kind').size()}")
+    print(f"(traces {benchmark}: {time.perf_counter() - t0:.1f} s wall)")
     return []
 
 

@@ -9,6 +9,10 @@ collapsed plan (LQP̄).
 ``generate_traces_spark`` distributes the fan-out as a Spark DataFrame
 pipeline (``mapInPandas`` over the task grid); ``trace_rows`` is the pure
 per-task row builder it ships to executors (and the unit-testable core).
+The grid is shuffled ``ORDER_PARTITIONS`` ways only to fix the order of the
+returned rows, which ``split_traces`` permutes by position. Each grid row
+is tagged with its place in that order; the Python stage then runs on one
+task per Spark core, and the collected rows are sorted back on the tag.
 
 A subQ's GTN embedding and its α/β columns depend only on the plan and the
 statistics view (§4.3); the configuration enters only through the knob,
@@ -42,6 +46,11 @@ TRACE_COLUMNS = [field.split()[0] for field in TRACE_SCHEMA.split(", ")]
 
 # The largest trace grid's plans: TPC-DS, 30 templates × 4 variants
 PLAN_MEMO_SIZE = 30 * 4
+
+# Width of the shuffle that puts the task grid in order. It fixes the order
+# of the trace rows, and so the split and the trained models; it sets no
+# parallelism, since the Python stage runs on one task per core.
+ORDER_PARTITIONS = 64
 
 
 @dataclass(frozen=True)
@@ -120,22 +129,51 @@ def task_grid(benchmark: str, templates: list[str], n_variants: int,
     return pd.DataFrame(recs)
 
 
+def _ordered_grid(spark, grid: pd.DataFrame):
+    """The task grid shuffled ``ORDER_PARTITIONS`` ways, each row tagged with
+    its place in that order, on ``min(ORDER_PARTITIONS, defaultParallelism)``
+    partitions.
+
+    The tag is taken on the shuffle's side of the ``coalesce``, so it encodes
+    (shuffle partition, row within it). The coalescer groups shuffle
+    partitions by locality, not contiguously, so only the tag keeps the order.
+    """
+    import pyspark.sql.functions as F
+
+    width = min(ORDER_PARTITIONS, spark.sparkContext.defaultParallelism)
+    return (spark.createDataFrame(grid).repartition(ORDER_PARTITIONS)
+            .withColumn("tag", F.monotonically_increasing_id())
+            .coalesce(width))
+
+
 def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
                           n_variants: int = 8, n_confs: int = 6, sf: float = 100.0,
                           seed: int = 0) -> pd.DataFrame:
-    """Distribute trace generation over Spark; returns the collected traces."""
+    """Distribute trace generation over Spark; returns the collected traces.
+
+    The rows come in the grid's order after the ``ORDER_PARTITIONS``-way
+    shuffle. ``split_traces`` permutes rows by position, so this order fixes
+    the trained models. The Python stage runs on one task per core, not on
+    the 64 shuffle tasks, because a 64-task ``mapInPandas`` spends seconds
+    starting tasks. Every output row carries its grid row's tag, and a
+    stable sort on the tag gives back the 64-way order, each task's rows in
+    ``trace_rows`` order.
+    """
     grid = task_grid(benchmark, templates, n_variants, n_confs, seed=seed)
-    sdf = spark.createDataFrame(grid).repartition(64)
 
     def worker(batches):
         for pdf in batches:
             out: list[dict] = []
             for rec in pdf.itertuples(index=False):
-                out.extend(trace_rows(rec.benchmark, rec.template, int(rec.variant),
-                                      json.loads(rec.conf_json), int(rec.conf_id), sf=sf))
-            yield pd.DataFrame(out) if out else pd.DataFrame(columns=TRACE_COLUMNS)
+                out.extend(dict(row, tag=rec.tag) for row in trace_rows(
+                    rec.benchmark, rec.template, int(rec.variant),
+                    json.loads(rec.conf_json), int(rec.conf_id), sf=sf))
+            yield pd.DataFrame(out, columns=[*TRACE_COLUMNS, "tag"])
 
-    return sdf.mapInPandas(worker, schema=TRACE_SCHEMA).toPandas()
+    traces = _ordered_grid(spark, grid).mapInPandas(
+        worker, schema=f"{TRACE_SCHEMA}, tag long").toPandas()
+    return (traces.sort_values("tag", kind="stable").drop(columns="tag")
+            .reset_index(drop=True))
 
 
 def split_traces(traces: pd.DataFrame, kind: str, *, seed: int = 42,

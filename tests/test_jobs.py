@@ -98,7 +98,7 @@ def test_command_dispatches(command, job, loads, monkeypatch, capsys):
     if command == "traces":
         assert [c[0] for c in calls] == [("spark", "tpch"), ("spark", "tpcds")]
         assert all(c[1] == {"force": True} for c in calls)
-        assert "tpcds: 2 trace rows" in out
+        assert "tpcds: 2 trace rows" in out and "(traces tpcds: " in out
         return
     # live exists for TPC-H only; every table prints, times and gates each run
     bms = ["tpch"] if command == "live" else ["tpch", "tpcds"]

@@ -9,7 +9,8 @@ from repro.core.plan import partition_subqs
 from repro.core.workloads import TPCH_QUERIES, build_query
 from repro.model import predictor as P
 from repro.model.gtn import GTNEmbedder
-from repro.model.traces import (TRACE_SCHEMA, generate_traces_spark, plan_features,
+from repro.model.traces import (ORDER_PARTITIONS, TRACE_COLUMNS, TRACE_SCHEMA,
+                                _ordered_grid, generate_traces_spark, plan_features,
                                 split_traces, task_grid, trace_rows)
 from repro.params import FULL_IDS, default_conf, lhs_sample
 from repro.simspark.executor import run_query
@@ -159,13 +160,84 @@ def test_trace_schema_fields():
     assert "feats array<double>" in TRACE_SCHEMA
 
 
+def _feats_as_bytes(traces):
+    return traces.assign(feats=[np.asarray(f, dtype=np.float64).tobytes()
+                                for f in traces["feats"]])
+
+
 def test_generate_traces_spark_matches_local(spark):
-    tr = generate_traces_spark(spark, "tpch", ["q6"], n_variants=1, n_confs=2,
+    """Every Spark row equals the local ``trace_rows`` row of the same task,
+    in the same order within the task: keys, labels and feature bits."""
+    grid = task_grid("tpch", ["q6", "q3"], 1, 2, seed=5)
+    tr = generate_traces_spark(spark, "tpch", ["q6", "q3"], n_variants=1, n_confs=2,
                                seed=5)
-    dag = partition_subqs(build_query("tpch", "q6", sf=100.0))
-    # 2 runs x (2 rows per subQ + 1 lqp row)
-    assert len(tr) == 2 * (2 * dag.n_subqs() + 1)
-    assert set(tr["kind"]) == {"subq", "qs", "lqp"}
-    # feats survive the Arrow roundtrip with the right dims
-    sub = tr[tr["kind"] == "subq"].iloc[0]
-    assert len(sub["feats"]) == P.SUBQ_DIM
+    keys = ["template", "variant", "conf_id"]
+    by_task = dict(list(tr.groupby(keys, sort=False)))
+    assert set(by_task) == set(grid[keys].itertuples(index=False, name=None))
+    for rec in grid.itertuples(index=False):
+        local = pd.DataFrame(trace_rows(rec.benchmark, rec.template, int(rec.variant),
+                                        json.loads(rec.conf_json), int(rec.conf_id)))
+        got = by_task[(rec.template, rec.variant, rec.conf_id)].reset_index(drop=True)
+        # Spark's int columns are int32; values and float bits must match
+        pd.testing.assert_frame_equal(_feats_as_bytes(got), _feats_as_bytes(local),
+                                      check_dtype=False, check_exact=True)
+
+
+def reference_generate(spark, benchmark, templates, *, n_variants, n_confs, seed,
+                       sf=100.0):
+    """The trace pipeline with its Python stage on the 64 shuffle tasks:
+    the row order ``generate_traces_spark`` must keep."""
+    grid = task_grid(benchmark, templates, n_variants, n_confs, seed=seed)
+
+    def worker(batches):
+        for pdf in batches:
+            out = []
+            for rec in pdf.itertuples(index=False):
+                out.extend(trace_rows(rec.benchmark, rec.template, int(rec.variant),
+                                      json.loads(rec.conf_json), int(rec.conf_id), sf=sf))
+            yield pd.DataFrame(out) if out else pd.DataFrame(columns=TRACE_COLUMNS)
+
+    return spark.createDataFrame(grid).repartition(64).mapInPandas(
+        worker, schema=TRACE_SCHEMA).toPandas()
+
+
+# (templates, variants, configurations): 72 tasks, more than the shuffle's
+# partitions; and 2 tasks, which leave shuffle partitions and (on more than
+# two cores) coalesced partitions empty
+ORACLE_GRIDS = [pytest.param(["q1", "q6", "q3"], 2, 12, id="72-tasks"),
+                pytest.param(["q6", "q12"], 1, 1, id="2-tasks")]
+
+
+@pytest.mark.parametrize("templates,n_variants,n_confs", ORACLE_GRIDS)
+def test_generate_traces_spark_keeps_64_way_order(spark, templates, n_variants, n_confs):
+    """The traces equal the 64-task pipeline's, row for row and bit for bit,
+    whatever the number of Spark cores."""
+    kw = dict(n_variants=n_variants, n_confs=n_confs, seed=11)
+    got = generate_traces_spark(spark, "tpch", templates, **kw)
+    ref = reference_generate(spark, "tpch", templates, **kw)
+    assert len(got) == len(ref) > 0
+    pd.testing.assert_frame_equal(_feats_as_bytes(got), _feats_as_bytes(ref),
+                                  check_exact=True)
+    assert isinstance(got.index, pd.RangeIndex)
+
+
+@pytest.mark.parametrize("templates,n_variants,n_confs", ORACLE_GRIDS)
+def test_python_stage_runs_one_task_per_core(spark, templates, n_variants, n_confs):
+    """The frame fed to ``mapInPandas`` has one partition per core (at most
+    64), while its tags come from the 64-way shuffle: they name up to 64
+    shuffle partitions, and sorting on them gives the shuffle's row order."""
+    grid = task_grid("tpch", templates, n_variants, n_confs, seed=11)
+    width = min(ORDER_PARTITIONS, spark.sparkContext.defaultParallelism)
+    staged = _ordered_grid(spark, grid)
+    assert staged.rdd.getNumPartitions() == width
+    if len(grid) < width:
+        assert 0 in staged.rdd.glom().map(len).collect()
+    rows = staged.toPandas()
+    shuffle_parts = set(rows["tag"].to_numpy() >> 33)   # monotonically_increasing_id layout
+    assert max(shuffle_parts) < ORDER_PARTITIONS
+    if len(grid) > ORDER_PARTITIONS:
+        assert len(shuffle_parts) > width
+    shuffled = spark.createDataFrame(grid).repartition(ORDER_PARTITIONS).toPandas()
+    pd.testing.assert_frame_equal(
+        rows.sort_values("tag", kind="stable").drop(columns="tag").reset_index(drop=True),
+        shuffled, check_exact=True)
