@@ -13,6 +13,7 @@ Decision variables are the normalized knob vectors from ``repro.params``.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,19 +26,24 @@ PRED_EMB_DIM = 8
 OP_FEAT_DIM = len(OP_TYPES) + 2 + PRED_EMB_DIM
 
 JOIN_ALGS = ["", "SMJ", "SHJ", "BHJ"]
+# predicate texts whose embedding is kept: the 52 benchmark queries carry
+# 170 distinct ones over 725 operators
+PRED_MEMO_SIZE = 4096
 
 
+@lru_cache(maxsize=PRED_MEMO_SIZE)
 def predicate_embedding(text: str) -> np.ndarray:
     """Average of per-token hashed embeddings — a deterministic, offline
-    substitute for pretrained word vectors."""
+    substitute for pretrained word vectors. Memoized by ``text``; the
+    array is shared, so it is read-only."""
     toks = [t for t in text.replace("=", " ").replace(",", " ").split() if t]
-    if not toks:
-        return np.zeros(PRED_EMB_DIM)
     acc = np.zeros(PRED_EMB_DIM)
     for t in toks:
         h = hashlib.blake2b(t.encode(), digest_size=PRED_EMB_DIM).digest()
         acc += (np.frombuffer(h, dtype=np.uint8).astype(np.float64) - 127.5) / 127.5
-    return acc / len(toks)
+    emb = acc / len(toks) if toks else acc
+    emb.flags.writeable = False
+    return emb
 
 
 def op_feature_matrix(dag: SubQDag, op_ids: list[int], *,

@@ -17,13 +17,19 @@ on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
   candidates with the QS model on the join's stage, not with LQP̄.
 
 :class:`StageFeatures` holds what is fixed for one stage under one
-statistics view (``StageFeatures.pair`` builds the estimated and the true
-view from one GTN forward); its ``subq_rows``/``qs_rows`` append a batch
-of knob rows. ``StageFeatures.stack`` joins the views of several stages of
-one kind into one whose rows are one per stage, so trace generation lays
-out a whole execution's rows with the same builders. Compile time folds a
-stage's fixed subQ columns (``subq_fixed``, at ``SUBQ_FIXED_COLS``) into
-the models and passes only the varying ones (``subq_varying``).
+statistics view; its ``subq_rows``/``qs_rows`` append a batch of knob
+rows. ``StageFeatures.of_stages`` builds the views of many stages under
+one statistics view with one GTN forward per stage shape (operator count
+and local edges; the 541 stages of the 52 benchmark queries have two
+shapes), which is how the compile-time objectives and the runtime plugin
+build theirs; ``StageFeatures.of`` is its one-stage case.
+``StageFeatures.pair`` builds the estimated and the true view of one
+stage from one GTN forward. ``StageFeatures.stack`` joins the views of
+several stages of one kind into one whose rows are one per stage, so
+trace generation lays out a whole execution's rows with the same
+builders. Compile time folds a stage's fixed subQ columns
+(``subq_fixed``, at ``SUBQ_FIXED_COLS``) into the models and passes only
+the varying ones (``subq_varying``).
 ``lqp_rows`` builds the whole-plan rows around the ``plan_embedding``, and
 ``TargetModels.objectives`` turns predictions into (latency, cost).
 
@@ -126,8 +132,25 @@ class StageFeatures:
 
     @classmethod
     def of(cls, dag: SubQDag, sq_id: int, *, true_stats: bool) -> "StageFeatures":
-        return cls._view(dag, sq_id, true_stats,
-                         _embed(dag, dag.subqs[sq_id].op_ids, true_stats))
+        return cls.of_stages(dag, [sq_id], true_stats=true_stats)[sq_id]
+
+    @classmethod
+    def of_stages(cls, dag: SubQDag, sq_ids: list[int], *,
+                  true_stats: bool) -> dict[int, "StageFeatures"]:
+        """The views of stages ``sq_ids`` under one statistics view, in that
+        order, with one GTN forward per stage shape (operator count and
+        local edges): the node-feature matrices of a shape's stages stack
+        on ``embed``'s views axis."""
+        shapes: dict[tuple, list[int]] = {}
+        for i in sq_ids:
+            ops = dag.subqs[i].op_ids
+            shapes.setdefault((len(ops), tuple(local_edges(dag, ops))), []).append(i)
+        embs = {}
+        for (_, edges), ids in shapes.items():
+            X = np.stack([op_feature_matrix(dag, dag.subqs[i].op_ids, true_stats=true_stats)
+                          for i in ids])
+            embs.update(zip(ids, shared_gtn().embed(X, edges)))
+        return {i: cls._view(dag, i, true_stats, embs[i]) for i in sq_ids}
 
     @classmethod
     def pair(cls, dag: SubQDag, sq_id: int) -> tuple["StageFeatures", "StageFeatures"]:

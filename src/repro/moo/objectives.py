@@ -41,8 +41,7 @@ class CompileTimeObjectives:
     def __init__(self, dag: SubQDag, suite: P.ModelSuite):
         self.dag = dag
         self.sq_ids = sorted(dag.subqs)
-        self._stages = {i: P.StageFeatures.of(dag, i, true_stats=False)
-                        for i in self.sq_ids}
+        self._stages = P.StageFeatures.of_stages(dag, self.sq_ids, true_stats=False)
         lat, io = (m.astype(np.float32) for m in (suite.subq.latency, suite.subq.io))
         self._models: dict[int, P.TargetModels] = {}
         for i, st in self._stages.items():

@@ -16,15 +16,16 @@ Both hooks share one scoring path, which starts from a knob matrix: one
 natural-unit 19-knob row per candidate (``FULL_IDS`` order; row 0 is the
 current configuration) → its (θc, θs) columns normalized in one
 ``params.normalize_matrix`` call → QS rows from the stage's
-:class:`~repro.model.predictor.StageFeatures` (built once per stage at
-construction; γ is the idle ``IDLE_GAMMA``) → predicted (latency, cost),
-one model call per distinct join algorithm → the weighted pick on
-min-max-normalized objectives (``pareto.weighted_picks``, shared with WS
-and SO-FW), which replaces the current θ only if its raw weighted score
-beats the current one's by a margin (``THETA_P_MARGIN``,
-``THETA_S_MARGIN``). The θs hook tiles the current row and writes its
-grid into the θs columns of rows 1–16; the θp hook writes its five
-candidates' θp next to θc.
+:class:`~repro.model.predictor.StageFeatures` (every non-scan stage's
+true-statistics view, built at construction by
+``StageFeatures.of_stages`` with one GTN forward per stage shape; γ is
+the idle ``IDLE_GAMMA``) → predicted (latency, cost), one model call per
+distinct join algorithm → the weighted pick on min-max-normalized
+objectives (``pareto.weighted_picks``, shared with WS and SO-FW), which
+replaces the current θ only if its raw weighted score beats the current
+one's by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``). The θs hook
+tiles the current row and writes its grid into the θs columns of rows
+1–16; the θp hook writes its five candidates' θp next to θc.
 
 Request pruning (§C.2.2) keeps the call volume down:
 
@@ -107,8 +108,8 @@ class OnlineOptimizer:
         self._rate_s = resource_rate_h(theta_c["k1"], theta_c["k2"], theta_c["k3"]) / 3600.0
         self._c_row = [self.theta_c[i] for i in C_IDS]
         # scan stages are never scored: both hooks prune them
-        self._stages = {i: P.StageFeatures.of(dag, i, true_stats=True)
-                        for i, s in dag.subqs.items() if s.kind != "scan"}
+        self._stages = P.StageFeatures.of_stages(
+            dag, [i for i, s in dag.subqs.items() if s.kind != "scan"], true_stats=True)
         self._mem_exec = exec_mem(theta_c)
 
     # -- helpers ---------------------------------------------------------------

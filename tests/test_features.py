@@ -33,6 +33,14 @@ def test_predicate_embedding_empty():
     np.testing.assert_allclose(FT.predicate_embedding(""), np.zeros(FT.PRED_EMB_DIM))
 
 
+@pytest.mark.parametrize("text", ["l_orderkey = o_orderkey", ""])
+def test_predicate_embedding_is_read_only(text):
+    emb = FT.predicate_embedding(text)
+    assert emb is FT.predicate_embedding(text)
+    with pytest.raises(ValueError):
+        emb[0] = 1.0
+
+
 def test_predicate_embedding_is_token_average():
     ab = FT.predicate_embedding("alpha beta")
     a = FT.predicate_embedding("alpha")

@@ -5,7 +5,7 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
 from repro.model.features import OP_FEAT_DIM, local_edges, op_feature_matrix
-from repro.model.gtn import EMB_DIM, GTNEmbedder, adjacency
+from repro.model.gtn import EMB_DIM, SHAPE_MEMO_SIZE, GTNEmbedder, adjacency
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,10 @@ def test_views_batch_equals_separate_calls(gtn):
     assert np.array_equal(both[1], gtn.embed(X[1], edges))
 
 
-@pytest.mark.parametrize("n, edges", [(1, []), (4, [])], ids=["single-node", "edgeless"])
+_DEGENERATE = [(1, []), (4, [])]
+
+
+@pytest.mark.parametrize("n, edges", _DEGENERATE, ids=["single-node", "edgeless"])
 def test_kernel_matches_reference_on_degenerate_graphs(gtn, n, edges):
     X = np.random.default_rng(n).random((2, n, OP_FEAT_DIM))
     both = gtn.embed(X, edges)
@@ -124,6 +127,31 @@ def test_kernel_matches_reference_on_degenerate_graphs(gtn, n, edges):
         ref = reference_embed(gtn, X[v], edges)
         assert np.array_equal(gtn.embed(X[v], edges), ref)
         assert np.array_equal(both[v], ref)
+
+
+def test_warm_shape_memo_gives_cold_bytes():
+    """An embed whose shape parts come from the memo gives the bytes of one
+    that computes them, on every benchmark graph and the degenerate ones."""
+    gtn = GTNEmbedder(OP_FEAT_DIM)
+    rng = np.random.default_rng(8)
+    graphs = list(_benchmark_graphs())
+    graphs += [(f"degenerate/{n}", rng.random((2, n, OP_FEAT_DIM)), edges)
+               for n, edges in _DEGENERATE]
+    for name, views, edges in graphs:
+        gtn._shape_parts.cache_clear()
+        cold = gtn.embed(views, edges)
+        assert gtn._shape_parts.cache_info().misses == 1, name
+        warm = gtn.embed(views, edges)
+        assert gtn._shape_parts.cache_info().hits == 1, name
+        assert cold.tobytes() == warm.tobytes(), name
+
+
+def test_shape_memo_is_bounded_and_read_only(gtn):
+    assert gtn._shape_parts.cache_info().maxsize == SHAPE_MEMO_SIZE
+    gtn.embed(np.zeros((3, OP_FEAT_DIM)), _chain(3))
+    for part in gtn._shape_parts(3, tuple(_chain(3))):
+        with pytest.raises(ValueError):
+            part[0, 0] = 1.0
 
 
 def test_embedding_shape(gtn):

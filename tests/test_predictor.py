@@ -1,13 +1,15 @@
 """Unit tests for the predictor suite and feature-layout constants."""
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from repro.core.plan import partition_subqs
-from repro.core.workloads import build_query
+from repro.core.plan import SubQDag, partition_subqs
+from repro.core.workloads import benchmark_queries, build_query
 from repro.model import predictor as P
-from repro.model.features import DERIVED_DIM, JOIN_ALGS
+from repro.model.features import (
+    DERIVED_DIM, JOIN_ALGS, alpha_features, beta_features, local_edges, op_feature_matrix,
+)
 from repro.model.gtn import EMB_DIM
 from repro.model.mlp import MLPRegressor
 from repro.params import default_conf
@@ -69,6 +71,63 @@ def test_pair_equals_the_two_single_views(dag):
             for f in fields(P.StageFeatures):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert np.array_equal(a, b) and type(a) is type(b), (sq, f.name)
+
+
+def per_stage_view(dag, sq, true_stats):
+    """The oracle ``StageFeatures.of_stages`` must match byte for byte: one
+    GTN forward of the stage's own (n, d) node features, and α, β straight
+    from the DAG's statistics."""
+    ops = dag.subqs[sq].op_ids
+    emb = P.shared_gtn().embed(op_feature_matrix(dag, ops, true_stats=true_stats),
+                               local_edges(dag, ops))
+    alpha = alpha_features(dag.input_rows(sq, true=true_stats),
+                           dag.input_bytes(sq, true=true_stats),
+                           dag.output_rows(sq, true=true_stats),
+                           dag.output_bytes(sq, true=true_stats))
+    return emb, alpha, beta_features(dag.skew(sq))
+
+
+def _two_op_stages(dag):
+    """``dag``'s shuffle stages regrouped to two operators each: some hold
+    a child and its parent (one local edge), some two scans (none). So one
+    op count comes with two edge sets, which the benchmark plans never
+    show (their stages have one op, or two with one edge)."""
+    ops = dag.plan.ops
+    linked = [[c, o] for o in sorted(ops) for c in ops[o].children]
+    scans = sorted(o for o in ops if ops[o].op_type == "scan")
+    unlinked = [[a, b] for a, b in zip(scans, scans[1:])]
+    groups = [g for pair in zip(linked, unlinked) for g in pair]
+    shuffles = [i for i, sq in dag.subqs.items() if sq.kind == "shuffle"]
+    assert len(shuffles) >= 4 and len(groups) >= len(shuffles)
+    return SubQDag(dag.plan, {i: replace(sq, op_ids=groups[shuffles.index(i)])
+                              if i in shuffles else sq
+                              for i, sq in dag.subqs.items()})
+
+
+def _oracle_dags():
+    for bm in ("tpch", "tpcds"):
+        for q in benchmark_queries(bm):
+            yield f"{bm}/{q}", partition_subqs(build_query(bm, q))
+    yield "tpch/q3 two-op stages", _two_op_stages(partition_subqs(build_query("tpch", "q3")))
+
+
+def test_stage_builder_matches_the_per_stage_forward():
+    """One GTN forward per stage shape gives every stage, under both
+    statistics views, the bytes of its own per-stage forward, keyed in the
+    order asked for."""
+    n_views = 0
+    for name, dag in _oracle_dags():
+        ids = sorted(dag.subqs, reverse=True)
+        for true_stats in (False, True):
+            views = P.StageFeatures.of_stages(dag, ids, true_stats=true_stats)
+            assert list(views) == ids
+            for sq, st in views.items():
+                for field, got, want in zip(("emb", "alpha", "beta"),
+                                            (st.emb, st.alpha, st.beta),
+                                            per_stage_view(dag, sq, true_stats)):
+                    assert got.tobytes() == want.tobytes(), (name, sq, true_stats, field)
+                n_views += 1
+    assert n_views > 1082
 
 
 def test_runtime_request_bytes_override_stage_stats(dag):

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from repro.core.plan import partition_subqs
-from repro.core.workloads import build_query
+from repro.core.workloads import benchmark_queries, build_query
+from repro.model.features import local_edges
+from repro.model.gtn import GTNEmbedder
 from repro.moo.hmooc import QueryConfig
 from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, default_conf, split_conf
 from repro.runtime.optimizer import OnlineOptimizer, aggregate_theta
@@ -66,6 +68,32 @@ def test_aggregate_covers_all_knobs(dag):
 def opt(dag, fake_suite):
     theta_c, _, _ = split_conf(default_conf())
     return OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
+
+
+def test_one_embed_per_non_scan_stage_shape(monkeypatch, fake_suite):
+    """Construction embeds the true-statistics views of a query's non-scan
+    stages with one GTN forward per stage shape (op count and edges)."""
+    calls = []
+    embed = GTNEmbedder.embed
+
+    def spy(self, X, edges):
+        calls.append(X.shape)
+        return embed(self, X, edges)
+
+    monkeypatch.setattr(GTNEmbedder, "embed", spy)
+    theta_c, _, _ = split_conf(default_conf())
+    two_shapes = 0
+    for bm in ("tpch", "tpcds"):
+        for q in benchmark_queries(bm):
+            dag = partition_subqs(build_query(bm, q))
+            shuffles = [s for s in dag.subqs.values() if s.kind != "scan"]
+            shapes = {(len(s.op_ids), tuple(local_edges(dag, s.op_ids))) for s in shuffles}
+            calls.clear()
+            OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
+            assert len(calls) == len(shapes), (bm, q)
+            assert sum(shape[0] for shape in calls) == len(shuffles), (bm, q)
+            two_shapes += len(shapes) == 2
+    assert two_shapes > 0
 
 
 def test_pruning_non_join_collapse(dag, opt):
