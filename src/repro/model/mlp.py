@@ -7,9 +7,12 @@ benchmark harnesses can cache trained models.
 
 ``fold`` fixes some input columns at given values and returns the same
 function over the remaining columns (the fixed part moves into the first
-layer's bias); ``astype`` casts the weights, and ``predict`` computes in
-the weights' dtype. Compile-time inference uses both: per subQ, one fold
-of a float32 copy (``repro.moo.objectives``).
+layer's bias); given one row of values per stage, it folds every stage
+with one product. ``astype`` casts the weights, and ``predict`` computes
+in the weights' dtype. Both inference paths use them: per subQ at compile
+time (``repro.moo.objectives``) and per non-scan stage in the runtime
+plugin (``repro.runtime.optimizer``), one fold of a float32 copy made
+once per loaded suite (``repro.model.predictor.TargetModels.float32``).
 
 ``predict`` runs its forward pass in blocks of ``PREDICT_BLOCK`` rows (a
 one-row remainder joins the last block), standardizing each block in
@@ -179,19 +182,33 @@ class MLPRegressor:
         m.W, m.b, m.x_mean, m.x_std = W, b, x_mean, x_std
         return m
 
-    def fold(self, cols, values) -> "MLPRegressor":
+    def fold(self, cols, values) -> "MLPRegressor | list[MLPRegressor]":
         """The same function with input columns ``cols`` fixed at ``values``:
         a regressor over the remaining columns, in their order, whose first
         bias absorbs ``((values - x_mean[cols]) / x_std[cols]) @ W0[cols]``
         (summed in float64). Layers after the first are shared with this
         model, not copied, so many folds of one model stay small; do not
-        ``fit`` a fold."""
+        ``fit`` a fold.
+
+        A 2-D ``values`` of shape (k, len(cols)) gives a list of k folds, one
+        per row, that share one kept-column ``W0`` slice and get their first
+        biases from one product. It is a stack of one-row products, which
+        numpy multiplies with one gemv each, so a row's bias does not depend
+        on how many rows are folded at once (a gemm may round a row by its
+        position in the batch): each fold equals the 1-D fold of its row
+        byte for byte."""
         cols = np.asarray(cols, dtype=np.int64)
-        keep = np.setdiff1d(np.arange(self.d_in), cols)
-        fixed = (np.asarray(values, dtype=np.float64) - self.x_mean[cols]) / self.x_std[cols]
-        b0 = np.asarray(self.b[0] + fixed @ self.W[0][cols], dtype=self.b[0].dtype)
-        return self._derive([self.W[0][keep], *self.W[1:]], [b0, *self.b[1:]],
-                            self.x_mean[keep], self.x_std[keep])
+        keep = np.ones(self.d_in, dtype=bool)
+        keep[cols] = False
+        values = np.asarray(values, dtype=np.float64)
+        fixed = (values - self.x_mean[cols]) / self.x_std[cols]
+        prod = np.matmul(fixed[..., None, :], self.W[0][cols].astype(np.float64))
+        b0 = (self.b[0] + prod[..., 0, :]).astype(self.b[0].dtype)
+        W = [self.W[0][keep], *self.W[1:]]
+        x_mean, x_std = self.x_mean[keep], self.x_std[keep]
+        if values.ndim == 1:
+            return self._derive(W, [b0, *self.b[1:]], x_mean, x_std)
+        return [self._derive(W, [b, *self.b[1:]], x_mean, x_std) for b in b0]
 
     def astype(self, dtype) -> "MLPRegressor":
         """A copy whose weights and input scaling are ``dtype``."""

@@ -27,9 +27,14 @@ build theirs; ``StageFeatures.of`` is its one-stage case.
 stage from one GTN forward. ``StageFeatures.stack`` joins the views of
 several stages of one kind into one whose rows are one per stage, so
 trace generation lays out a whole execution's rows with the same
-builders. Compile time folds a stage's fixed subQ columns
-(``subq_fixed``, at ``SUBQ_FIXED_COLS``) into the models and passes only
-the varying ones (``subq_varying``).
+builders. Both inference paths fold what is fixed per stage into the
+models and pass only the varying columns: compile time the subQ columns
+``subq_fixed`` (at ``SUBQ_FIXED_COLS``) and passes ``subq_varying``; the
+runtime plugin the QS columns ``qs_fixed`` under ``IDLE_GAMMA`` (at
+``QS_FIXED_COLS``: 42 of 59) and passes the 17 ``qs_varying`` ones, join
+one-hot, (θc, θs) and derived partitioning. Each folds all of a query's
+stages with one product per model (``TargetModels.fold``) into the float32
+copy made once per loaded suite (``TargetModels.float32``).
 ``lqp_rows`` builds the whole-plan rows around the ``plan_embedding``, and
 ``TargetModels.objectives`` turns predictions into (latency, cost).
 
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,14 +69,17 @@ QS_DIM = (EMB_DIM + len(JOIN_ALGS) + CONF_DIM_QS + ALPHA_DIM + BETA_DIM
           + GAMMA_DIM + DERIVED_DIM)
 LQP_DIM = EMB_DIM + CONF_DIM_FULL + ALPHA_DIM + BETA_DIM + GAMMA_DIM
 
-# QS row column blocks, in order: embedding ‖ join-algorithm one-hot ‖
-# (θc, θs) ‖ α ‖ β ‖ γ ‖ derived partitioning
-_QS_HOT0 = EMB_DIM
-_QS_CONF0 = _QS_HOT0 + len(JOIN_ALGS)
-_QS_TAIL0 = _QS_CONF0 + CONF_DIM_QS
-_QS_DERIVED0 = QS_DIM - DERIVED_DIM
 _ALG_ONEHOT = np.array([join_alg_onehot(a) for a in JOIN_ALGS])
 _ALG_ROW = {a: i for i, a in enumerate(JOIN_ALGS)}  # any other name: the "" row
+
+# QS row columns fixed per stage at runtime: the embedding and α ‖ β ‖ γ
+# (the plugin's γ is IDLE_GAMMA). The rest vary per request: the join
+# one-hot, (θc, θs) and the derived partitioning, in that order.
+_QS_TAIL0 = EMB_DIM + len(JOIN_ALGS) + CONF_DIM_QS
+QS_FIXED_COLS = np.r_[0:EMB_DIM, _QS_TAIL0:QS_DIM - DERIVED_DIM]
+_QS_VARYING_COLS = np.setdiff1d(np.arange(QS_DIM), QS_FIXED_COLS)
+_QS_VAR_CONF0 = len(JOIN_ALGS)  # (θc, θs) columns of a varying row
+_QS_VAR_DERIVED0 = _QS_VAR_CONF0 + CONF_DIM_QS
 
 # subQ row columns fixed per stage: the embedding and α ‖ β ‖ γ. The rest,
 # the 19 knobs and the derived partitioning, vary with the configuration.
@@ -203,20 +212,32 @@ class StageFeatures:
         X[:, _SUBQ_VARYING_COLS] = self.subq_varying(U_full, M_nat)
         return X
 
+    def qs_fixed(self, gamma: np.ndarray) -> np.ndarray:
+        """The ``QS_FIXED_COLS`` of every QS row of this stage under
+        ``gamma``: one γ, or one per stage of a ``stack``."""
+        return np.concatenate([self.emb, self.alpha, self.beta, gamma], axis=-1)
+
+    def qs_varying(self, join_algs: list[str], U_qs: np.ndarray, M_nat: np.ndarray, *,
+                   input_bytes: float | None = None) -> np.ndarray:
+        """The other QS row columns, in order: one join algorithm, (θc, θs)
+        row and natural-unit 19-knob row per candidate. ``input_bytes``
+        replaces the stage's statistics with the bytes a runtime request
+        observed."""
+        X = np.empty((len(U_qs), len(_QS_VARYING_COLS)))
+        X[:, :_QS_VAR_CONF0] = _ALG_ONEHOT[[_ALG_ROW.get(a, _ALG_ROW[""])
+                                            for a in join_algs]]
+        X[:, _QS_VAR_CONF0:_QS_VAR_DERIVED0] = U_qs
+        in_bytes = self.input_bytes if input_bytes is None else input_bytes
+        X[:, _QS_VAR_DERIVED0:] = self._derived(M_nat, in_bytes)
+        return X
+
     def qs_rows(self, join_algs: list[str], U_qs: np.ndarray, M_nat: np.ndarray,
                 gamma: np.ndarray, *, input_bytes: float | None = None) -> np.ndarray:
-        """QS model rows: one join algorithm, (θc, θs) row and natural-unit
-        19-knob row per candidate. ``input_bytes`` replaces the stage's
-        statistics with the bytes a runtime request observed. ``gamma`` is
-        one γ for every row, or one per row."""
+        """Full QS model rows: the fixed and the varying columns."""
         X = np.empty((len(U_qs), QS_DIM))
-        X[:, :_QS_HOT0] = self.emb
-        X[:, _QS_HOT0:_QS_CONF0] = _ALG_ONEHOT[[_ALG_ROW.get(a, _ALG_ROW[""])
-                                                for a in join_algs]]
-        X[:, _QS_CONF0:_QS_TAIL0] = U_qs
-        X[:, _QS_TAIL0:_QS_DERIVED0] = np.concatenate([self.alpha, self.beta, gamma], axis=-1)
-        in_bytes = self.input_bytes if input_bytes is None else input_bytes
-        X[:, _QS_DERIVED0:] = self._derived(M_nat, in_bytes)
+        X[:, QS_FIXED_COLS] = self.qs_fixed(gamma)
+        X[:, _QS_VARYING_COLS] = self.qs_varying(join_algs, U_qs, M_nat,
+                                                 input_bytes=input_bytes)
         return X
 
 
@@ -254,6 +275,19 @@ class TargetModels:
 
     latency: MLPRegressor
     io: MLPRegressor
+
+    @cached_property
+    def float32(self) -> "TargetModels":
+        """A float32 copy of both models, made once per loaded suite: compile
+        time and the runtime plugin fold it."""
+        return TargetModels(self.latency.astype(np.float32), self.io.astype(np.float32))
+
+    def fold(self, cols, values: np.ndarray) -> list["TargetModels"]:
+        """Both models with columns ``cols`` fixed, once per row of the
+        (k, len(cols)) ``values``: one ``MLPRegressor.fold`` product per
+        model."""
+        return [TargetModels(lat, io) for lat, io in zip(self.latency.fold(cols, values),
+                                                         self.io.fold(cols, values))]
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.latency.predict(X), self.io.predict(X)

@@ -11,10 +11,12 @@ so query-level objectives are sums of subQ-level ones — the property the
 whole HMOOC DAG-aggregation machinery relies on (Λ = sum). Feature rows
 and the cost formula come from ``repro.model.predictor``.
 
-Each subQ's embedding and α ‖ β ‖ γ are the same in every row, so they are
-folded, once per subQ at construction, into a float32 copy of the subQ
-latency and IO models (``MLPRegressor.fold``); a batch then builds and
-multiplies only the 19 knob columns and the 3 derived partitioning columns.
+Each subQ's embedding and α ‖ β ‖ γ are the same in every row, so at
+construction they are folded, for all subQs with one product per model
+(``TargetModels.fold``), into the float32 copy of the subQ latency and IO
+models that the suite makes once (``TargetModels.float32``); a batch then
+builds and multiplies only the 19 knob columns and the 3 derived
+partitioning columns.
 
 Everything is vectorized over normalized knob matrices ``U`` whose columns
 follow ``FULL_IDS`` (θc ‖ θp ‖ θs).
@@ -42,12 +44,9 @@ class CompileTimeObjectives:
         self.dag = dag
         self.sq_ids = sorted(dag.subqs)
         self._stages = P.StageFeatures.of_stages(dag, self.sq_ids, true_stats=False)
-        lat, io = (m.astype(np.float32) for m in (suite.subq.latency, suite.subq.io))
-        self._models: dict[int, P.TargetModels] = {}
-        for i, st in self._stages.items():
-            fixed = st.subq_fixed()
-            self._models[i] = P.TargetModels(lat.fold(P.SUBQ_FIXED_COLS, fixed),
-                                             io.fold(P.SUBQ_FIXED_COLS, fixed))
+        fixed = np.stack([st.subq_fixed() for st in self._stages.values()])
+        self._models = dict(zip(self._stages,
+                                suite.subq.float32.fold(P.SUBQ_FIXED_COLS, fixed)))
 
     @property
     def m(self) -> int:

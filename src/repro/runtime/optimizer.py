@@ -12,20 +12,27 @@ trained and evaluated for Table 3 only):
   Fig. 3(b)'s runtime plan surgery does;
 * on each new query stage, θs is re-tuned over a small (s10, s11) grid.
 
+At construction the plugin builds every non-scan stage's true-statistics
+:class:`~repro.model.predictor.StageFeatures` (``StageFeatures.of_stages``,
+one GTN forward per stage shape) and folds the stage's 42 fixed QS
+columns (embedding, α, β and the idle ``IDLE_GAMMA``) into the float32
+copy of the QS latency and IO models that the suite makes once: all
+stages with one product per model (``TargetModels.fold``).
+
 Both hooks share one scoring path, which starts from a knob matrix: one
 natural-unit 19-knob row per candidate (``FULL_IDS`` order; row 0 is the
 current configuration) → its (θc, θs) columns normalized in one
-``params.normalize_matrix`` call → QS rows from the stage's
-:class:`~repro.model.predictor.StageFeatures` (every non-scan stage's
-true-statistics view, built at construction by
-``StageFeatures.of_stages`` with one GTN forward per stage shape; γ is
-the idle ``IDLE_GAMMA``) → predicted (latency, cost), one model call per
-distinct join algorithm → the weighted pick on min-max-normalized
+``params.normalize_matrix`` call → the stage's 17 varying QS columns
+(``StageFeatures.qs_varying``: join one-hot, (θc, θs), derived
+partitioning) → predicted (latency, cost), one forward per model of the
+stage's folded float32 models → the weighted pick on min-max-normalized
 objectives (``pareto.weighted_picks``, shared with WS and SO-FW), which
 replaces the current θ only if its raw weighted score beats the current
 one's by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``). The θs hook
 tiles the current row and writes its grid into the θs columns of rows
-1–16; the θp hook writes its five candidates' θp next to θc.
+1–16; the θp hook writes next to θc the θp of the first of its five
+candidates to induce each join algorithm (2–3 rows), since candidates
+inducing one algorithm have one QS row.
 
 Request pruning (§C.2.2) keeps the call volume down:
 
@@ -101,7 +108,6 @@ class OnlineOptimizer:
 
     def __init__(self, dag: SubQDag, suite: P.ModelSuite, theta_c: dict, weights):
         self.dag = dag
-        self.suite = suite
         self.theta_c = dict(theta_c)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.time_spent_s = 0.0
@@ -110,27 +116,28 @@ class OnlineOptimizer:
         # scan stages are never scored: both hooks prune them
         self._stages = P.StageFeatures.of_stages(
             dag, [i for i, s in dag.subqs.items() if s.kind != "scan"], true_stats=True)
+        # one row of fixed QS columns per stage (no row for a scan-only DAG)
+        fixed = np.reshape([st.qs_fixed(P.IDLE_GAMMA) for st in self._stages.values()],
+                           (len(self._stages), len(P.QS_FIXED_COLS)))
+        self._models = dict(zip(self._stages, suite.qs.float32.fold(P.QS_FIXED_COLS, fixed)))
         self._mem_exec = exec_mem(theta_c)
 
     # -- helpers ---------------------------------------------------------------
+    def _objectives(self, sq_id: int, M_nat: np.ndarray, algs: list[str],
+                    input_bytes: float | None) -> np.ndarray:
+        """(n, 2) predicted [latency (s), cost ($)] of the rows of the
+        natural-unit 19-knob matrix ``M_nat``: one forward per model, of the
+        stage's folded float32 QS models over the varying columns."""
+        U_qs = normalize_matrix(M_nat[:, P.QS_COLS], P.QS_IDS)
+        X = self._stages[sq_id].qs_varying(algs, U_qs, M_nat, input_bytes=input_bytes)
+        return self._models[sq_id].objectives(X, self._rate_s, clamp_latency=False)
+
     def _choose(self, sq_id: int, M_nat: np.ndarray, algs: list[str], margin: float,
                 *, input_bytes: float | None = None) -> int:
         """Index of the candidate to run: the QS model scores every row of
-        the natural-unit 19-knob matrix ``M_nat`` (one prediction per
-        distinct join algorithm, in sorted order), the weighted pick wins
+        the natural-unit 19-knob matrix ``M_nat``, the weighted pick wins
         only if it beats row 0, the current configuration, by ``margin``."""
-        U_qs = normalize_matrix(M_nat[:, P.QS_COLS], P.QS_IDS)
-        X = self._stages[sq_id].qs_rows(algs, U_qs, M_nat, P.IDLE_GAMMA,
-                                        input_bytes=input_bytes)
-        groups = sorted(set(algs))
-        if len(groups) == 1:
-            F = self.suite.qs.objectives(X, self._rate_s, clamp_latency=False)
-        else:
-            F = np.empty((len(algs), 2))
-            for a in groups:
-                mask = np.array([x == a for x in algs])
-                F[mask] = self.suite.qs.objectives(X[mask], self._rate_s,
-                                                   clamp_latency=False)
+        F = self._objectives(sq_id, M_nat, algs, input_bytes)
         best = int(weighted_picks(F, self.weights[None])[0])
         score = (F * self.weights).sum(axis=1)
         if best != 0 and score[best] > margin * score[0]:
@@ -164,15 +171,22 @@ class OnlineOptimizer:
         # stage: the join-algorithm one-hot each candidate's thresholds
         # induce (under AQE's demote-only rule) is a sharp, stage-local
         # signal — the whole-plan LQP̄ model barely resolves one join.
-        M = np.empty((len(cands), len(FULL_IDS)))
+        # θp enters a QS row only through the algorithm it induces, so the
+        # candidates sharing one give the same row: score the first of each
+        # (candidate 0 first), and no rounding of a row by its position in
+        # the batch decides among equals.
+        first: dict[str, int] = {}
+        for j, c in enumerate(cands):
+            first.setdefault(choose_join_algorithm(bb, pb, c, rows_build=br, runtime=True,
+                                                   compile_alg=SMJ), j)
+        rows = list(first.values())
+        M = np.empty((len(rows), len(FULL_IDS)))
         M[:, :D_C] = self._c_row
-        M[:, D_C:_S_COL0] = [[c[i] for i in P_IDS] for c in cands]
+        M[:, D_C:_S_COL0] = [[cands[j][i] for i in P_IDS] for j in rows]
         M[:, _S_COL0:] = _THETA_P_REQUEST_S
-        algs = [choose_join_algorithm(bb, pb, c, rows_build=br, runtime=True,
-                                      compile_alg=SMJ) for c in cands]
-        best = self._choose(sq_id, M, algs, THETA_P_MARGIN)
+        best = self._choose(sq_id, M, list(first), THETA_P_MARGIN)
         self.time_spent_s += time.perf_counter() - t0
-        return cands[best]
+        return cands[rows[best]]
 
     # -- QS θs optimization ------------------------------------------------------
     def on_query_stage(self, dag: SubQDag, sq_id: int, input_bytes: float,

@@ -41,11 +41,18 @@ class FakeRegressor:
         # io: driven by plan size and compression knob
         return self.scale * 10.0 * (0.2 + emb_mag) * (1.2 - 0.4 * conf[:, 6])
 
-    def fold(self, cols, values) -> "FoldedRegressor":
-        return FoldedRegressor(self, cols, values)
+    def fold(self, cols, values):
+        return fold_each(lambda row: FoldedRegressor(self, cols, row), values)
 
     def astype(self, dtype) -> "FakeRegressor":
         return self
+
+
+def fold_each(make, values):
+    """``MLPRegressor.fold``'s result for a duck-typed regressor: ``make``
+    of a 1-D ``values``, or a list of ``make`` of each row of a 2-D one."""
+    values = np.asarray(values, dtype=np.float64)
+    return make(values) if values.ndim == 1 else [make(row) for row in values]
 
 
 class FoldedRegressor:

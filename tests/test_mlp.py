@@ -211,6 +211,35 @@ def test_fold_float32_matches_full_rows(wide, cast_first):
     np.testing.assert_allclose(pred, m.predict(X), rtol=1e-5)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 7, 16, 64])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_2d_fold_is_1d_fold_per_row(k, dtype):
+    """A (k, len(cols)) ``values`` gives k folds, each byte for byte the
+    1-D fold of its row, sharing one kept-column ``W0`` slice and the
+    layers after the first; their predictions are the same bytes too. The
+    model has a QS row's shape (59 inputs, 42 folded, 96 hidden), where a
+    BLAS product would round some rows of a batch differently."""
+    rng = np.random.default_rng(k)
+    m = MLPRegressor(59, hidden=(96, 96), seed=k)
+    m.b = [rng.normal(0.0, 0.1, b.shape) for b in m.b]
+    m.x_mean, m.x_std = rng.normal(0.0, 2.0, 59), rng.uniform(0.5, 3.0, 59)
+    m = m.astype(dtype)
+    cols = np.r_[0:32, 46:56]
+    V = rng.normal(0.0, 3.0, (k, len(cols)))
+    folds = m.fold(cols, V)
+    assert isinstance(folds, list) and len(folds) == k
+    rest = rng.normal(0.0, 3.0, (5, 59 - len(cols)))
+    for f, row in zip(folds, V):
+        one = m.fold(cols, row)
+        assert f.W[0] is folds[0].W[0] and f.x_mean is folds[0].x_mean
+        assert all(a is b for a, b in zip(f.W[1:] + f.b[1:], m.W[1:] + m.b[1:]))
+        for a, b in zip(f.W + f.b + [f.x_mean, f.x_std],
+                        one.W + one.b + [one.x_mean, one.x_std]):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+        assert f.predict(rest).tobytes() == one.predict(rest).tobytes()
+
+
 def test_float32_copy_leaves_original_roundtrip_unchanged(tmp_path, wide):
     m, cols, X = wide
     before = m.predict(X)

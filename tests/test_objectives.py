@@ -4,10 +4,14 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
+from repro.experiments.table5 import PREFS
 from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
-from repro.model.predictor import FULL_IDS, StageFeatures
-from repro.params import denormalize_matrix, lhs_unit
+from repro.model.predictor import FULL_IDS, IDLE_GAMMA, QS_COLS, QS_IDS, StageFeatures
+from repro.params import C_IDS, denormalize_matrix, lhs_unit, normalize_matrix
+from repro.runtime.optimizer import OnlineOptimizer
 from repro.simspark.costmodel import DEFAULT_COSTS
+from repro.simspark.executor import run_query
+from tests.test_parity import CONFS, QUERIES, SF, VARIANT
 
 
 @pytest.fixture(scope="module")
@@ -85,22 +89,60 @@ def test_more_cores_cheaper_latency_fake_model(obj):
     assert F_hi[0, 0] < F_lo[0, 0]
 
 
+def _assert_float32_close(got, full, rate, tol=1e-5):
+    """float32 keeps a model's log1p-scale output to about 1e-6 absolute,
+    so a prediction y moves by up to about (1 + y)·1e-6: relatively for
+    large y, absolutely for tiny ones."""
+    np.testing.assert_allclose(got[:, 0], full[:, 0], rtol=tol, atol=tol)
+    # cost = latency · rate + IO · price: each term's error as above
+    bound = tol * (full[:, 1] + rate + DEFAULT_COSTS.price_io_gb / 1024.0)
+    assert np.all(np.abs(got[:, 1] - full[:, 1]) <= bound)
+
+
 def test_folded_float32_matches_full_float64_rows(small_suite):
     """The per-subQ float32 folds score like the trained float64 models on
-    the full 64-column rows. float32 keeps a model's log1p-scale output to
-    about 1e-6 absolute, so a prediction y moves by up to about
-    (1 + y)·1e-6: relatively for large y, absolutely for tiny ones."""
+    the full 64-column rows."""
     dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
     obj = CompileTimeObjectives(dag, small_suite)
     U = lhs_unit(300, D_FULL, np.random.default_rng(4))
     M = denormalize_matrix(U, FULL_IDS)
     rate = obj.resource_rate(M)
-    tol = 1e-5
     for sq in obj.sq_ids:
         X = StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
         full = small_suite.subq.objectives(X, rate, clamp_latency=True)
-        got = obj.subq_batch(sq, U)
-        np.testing.assert_allclose(got[:, 0], full[:, 0], rtol=tol, atol=tol)
-        # cost = latency · rate + IO · price: each term's error as above
-        bound = tol * (full[:, 1] + rate + DEFAULT_COSTS.price_io_gb / 1024.0)
-        assert np.all(np.abs(got[:, 1] - full[:, 1]) <= bound)
+        _assert_float32_close(obj.subq_batch(sq, U), full, rate)
+
+
+class ScoreLog(OnlineOptimizer):
+    """Keeps each served request's scored candidates and their scores."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scored: list[tuple] = []
+
+    def _objectives(self, sq_id, M_nat, algs, input_bytes):
+        F = super()._objectives(sq_id, M_nat, algs, input_bytes)
+        self.scored.append((sq_id, M_nat.copy(), list(algs), input_bytes, F))
+        return F
+
+
+def test_runtime_folded_float32_matches_full_float64_rows(small_suite):
+    """The runtime twin: over every served request of the parity queries,
+    the scores of the per-stage float32 folds match the trained float64
+    QS models on the full 59-column rows."""
+    served = 0
+    for bench, template in QUERIES:
+        dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))
+        for conf in CONFS:
+            theta_c = {k: conf[k] for k in C_IDS}
+            for pi, pref in enumerate(PREFS):
+                opt = ScoreLog(dag, small_suite, theta_c, pref)
+                run_query(dag, conf, runtime_opt=opt, noise_seed=pi)
+                for sq, M, algs, in_bytes, got in opt.scored:
+                    U_qs = normalize_matrix(M[:, QS_COLS], QS_IDS)
+                    X = StageFeatures.of(dag, sq, true_stats=True).qs_rows(
+                        algs, U_qs, M, IDLE_GAMMA, input_bytes=in_bytes)
+                    full = small_suite.qs.objectives(X, opt._rate_s, clamp_latency=False)
+                    _assert_float32_close(got, full, opt._rate_s)
+                served += len(opt.scored)
+    assert served > 0

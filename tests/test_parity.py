@@ -1,9 +1,10 @@
 """Train/serve parity: compile time and the runtime plugin score the same
 feature rows the models were trained on (paper §4.3, §5.1, §5.2).
 
-A spy suite records every matrix the subQ and QS latency models receive;
-the rows are compared with the ones ``trace_rows`` writes for the same
-query, variant and configuration.
+A spy suite records every matrix the subQ and QS latency models receive,
+and each row their folds score, rebuilt whole; the rows are compared with
+the ones ``trace_rows`` writes for the same query, variant and
+configuration.
 """
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.moo.objectives import CompileTimeObjectives
 from repro.params import C_IDS, GB, MB, Knob, lhs_sample, to_vector
 from repro.runtime.optimizer import _THETA_S_ROWS, OnlineOptimizer
 from repro.simspark.executor import run_query
-from tests.conftest import FoldedRegressor
+from tests.conftest import FoldedRegressor, fold_each
 
 QUERIES = [("tpch", "q9"), ("tpcds", "q17")]
 VARIANT = 1
@@ -51,7 +52,7 @@ class SpyRegressor:
         return cast
 
     def fold(self, cols, values):
-        return SpyFold(self, self.inner, cols, values)
+        return fold_each(lambda row: SpyFold(self, self.inner, cols, row), values)
 
 
 class SpyFold(FoldedRegressor):
@@ -126,14 +127,15 @@ def test_qs_keep_current_row_matches_trace(bench, template, spy_suite):
         rows = _trace_feats(bench, template, "qs", conf, ci)
         opt = OnlineOptimizer(dag, spy_suite, {k: conf[k] for k in C_IDS}, (0.5, 0.5))
         for sq_id, feats in rows.items():
-            spy.seen.clear()
+            spy.seen_folded.clear()
             if opt.on_query_stage(dag, sq_id, dag.input_bytes(sq_id, true=True),
                                   conf) is None:
                 continue  # pruned request: nothing scored
-            (X,) = spy.seen
+            (X,) = spy.seen_folded
             np.testing.assert_array_equal(X[0][same], feats[same])
             served += 1
     assert served > 0
+    assert spy.seen == []  # the runtime scores only folded QS models
 
 
 class RecordingOptimizer(OnlineOptimizer):
@@ -190,11 +192,11 @@ def test_runtime_scores_dict_path_rows(bench, template, spy_suite, monkeypatch):
     theta_c = {k: conf[k] for k in C_IDS}
     served = {"lqp": 0, "qs": 0, "mixed": 0}
     for pi, pref in enumerate(PREFS):
-        spy.seen.clear()
+        spy.seen_folded.clear()
         opt = RecordingOptimizer(dag, spy_suite, theta_c, pref)
         run_query(dag, conf, runtime_opt=opt, noise_seed=pi)
         assert scalar_calls == []
-        seen = iter(spy.seen)
+        seen = iter(spy.seen_folded)
         for req in opt.requests:
             kind, current = req["hook"]
             M, algs = req["M"], req["algs"]
@@ -205,16 +207,15 @@ def test_runtime_scores_dict_path_rows(bench, template, spy_suite, monkeypatch):
             else:
                 np.testing.assert_array_equal(
                     M[0], _row({**theta_c, **current, "s10": 0.2, "s11": 1 * MB}))
+                assert len(set(algs)) == len(algs)  # one row per join algorithm
             X_ref = _qs_rows_reference(opt._stages[req["sq_id"]],
                                        [dict(zip(FULL_IDS, r)) for r in M], algs,
                                        req["input_bytes"])
-            groups = sorted(set(algs))
-            for a in groups:
-                X = next(seen)
-                assert np.array_equal(X, X_ref[[x == a for x in algs]])
+            assert np.array_equal(next(seen), X_ref)  # one matrix per request
             served[kind] += 1
-            served["mixed"] += len(groups) > 1
+            served["mixed"] += len(set(algs)) > 1
         assert next(seen, None) is None
+    assert spy.seen == []
     assert min(served.values()) > 0, served
 
 

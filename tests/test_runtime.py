@@ -6,6 +6,8 @@ from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
 from repro.model.features import local_edges
 from repro.model.gtn import GTNEmbedder
+from repro.model.mlp import MLPRegressor
+from repro.model.predictor import QS_DIM, QS_FIXED_COLS, ModelSuite, TargetModels
 from repro.moo.hmooc import QueryConfig
 from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, default_conf, split_conf
 from repro.runtime.optimizer import OnlineOptimizer, aggregate_theta
@@ -94,6 +96,41 @@ def test_one_embed_per_non_scan_stage_shape(monkeypatch, fake_suite):
             assert sum(shape[0] for shape in calls) == len(shuffles), (bm, q)
             two_shapes += len(shapes) == 2
     assert two_shapes > 0
+
+
+def test_one_fold_per_qs_model(monkeypatch, fake_suite):
+    """Construction folds the fixed QS columns of every non-scan stage into
+    the suite's float32 QS models with one ``fold`` product per model, and
+    the suite casts those models once, not once per construction."""
+    calls = []
+    fold, astype = MLPRegressor.fold, MLPRegressor.astype
+
+    def fold_spy(self, cols, values):
+        calls.append((self, np.shape(values)))
+        return fold(self, cols, values)
+
+    def astype_spy(self, dtype):
+        calls.append(("astype", dtype))
+        return astype(self, dtype)
+
+    monkeypatch.setattr(MLPRegressor, "fold", fold_spy)
+    monkeypatch.setattr(MLPRegressor, "astype", astype_spy)
+    qs = TargetModels(MLPRegressor(QS_DIM, seed=1), MLPRegressor(QS_DIM, seed=2))
+    suite = ModelSuite(fake_suite.subq, qs, fake_suite.lqp)
+    theta_c, _, _ = split_conf(default_conf())
+    casts = 0
+    for bm in ("tpch", "tpcds"):
+        for q in benchmark_queries(bm):
+            dag = partition_subqs(build_query(bm, q))
+            n = sum(s.kind != "scan" for s in dag.subqs.values())
+            calls.clear()
+            OnlineOptimizer(dag, suite, theta_c, (0.9, 0.1))
+            casts += calls.count(("astype", np.float32))
+            folds = [c for c in calls if c[0] != "astype"]
+            shape = (n, len(QS_FIXED_COLS))
+            assert folds == [(qs.float32.latency, shape), (qs.float32.io, shape)], (bm, q)
+    assert casts == 2
+    assert qs.float32.latency.W[0].dtype == qs.float32.io.W[0].dtype == np.float32
 
 
 def test_pruning_non_join_collapse(dag, opt):
