@@ -16,7 +16,7 @@ and exits non-zero if there is one. Spark builds the traces
 and is otherwise idle. The driver keeps the default BLAS pool of nproc
 threads, which leaves no core idle, so ``common.train_suite`` fits a
 suite's six models one after another (``common.fit_workers``) and each
-HMOOC3 solve scores its subQs one after another (``hmooc.solve_workers``;
+HMOOC3 solve scores its row blocks one after another (``hmooc.solve_workers``;
 both read ``mlp.idle_core_threads``). Under
 ``spark-submit`` the session comes from the submitted context; under
 plain ``python jobs/run.py`` a local master is configured first (same

@@ -122,9 +122,6 @@ class LogicalPlan:
             visit(i)
         return order
 
-    def n_joins(self) -> int:
-        return sum(1 for op in self.ops.values() if op.op_type == "join")
-
 
 class PlanBuilder:
     """Fluent construction of a :class:`LogicalPlan` with cardinalities.

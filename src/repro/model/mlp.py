@@ -14,15 +14,18 @@ time (``repro.moo.objectives``) and per non-scan stage in the runtime
 plugin (``repro.runtime.optimizer``), one fold of a float32 copy made
 once per loaded suite (``repro.model.predictor.TargetModels.float32``).
 
-``predict`` runs its forward pass in blocks of ``PREDICT_BLOCK`` rows (a
-one-row remainder joins the last block), standardizing each block in
-place and writing into one preallocated output; no activations are kept (``fit`` keeps them, for backprop). A
-prediction's working set is then one block's activations, whatever the
-batch size, which keeps concurrent scorers small (``repro.moo.hmooc``).
+``predict`` runs its forward pass over the row ranges ``predict_blocks``
+gives, ``PREDICT_BLOCK`` rows each (a one-row remainder joins the last
+block), standardizing each block in place and writing into one
+preallocated output; no activations are kept (``fit`` keeps them, for
+backprop). A prediction's working set is then one block's activations,
+whatever the batch size. The compile-time solve (``repro.moo.hmooc``)
+cuts its batches with the same ``predict_blocks`` and scores each block
+as its own task, so a block gets the gemm ``predict`` would give it.
 
 ``idle_core_threads`` is the one rule for how many threads may run MLP
 work side by side: the cores the BLAS pool leaves idle. Suite fits
-(``repro.experiments.common``) and the compile-time solve's per-subQ
+(``repro.experiments.common``) and the compile-time solve's block
 scoring (``repro.moo.hmooc``) both size their pools with it.
 """
 from __future__ import annotations
@@ -37,6 +40,17 @@ PREDICT_BLOCK = 512
 
 # The variables that size OpenBLAS's thread pool, in the order it reads them.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def predict_blocks(n: int) -> list[tuple[int, int]]:
+    """The ``(start, end)`` row ranges of ``predict``'s forward blocks over
+    ``n`` rows: ``PREDICT_BLOCK`` rows each, and a one-row remainder joins
+    the last block, since numpy multiplies a lone row with gemv, which can
+    round differently from the gemm of a one-pass forward. A caller that
+    predicts each range on its own gets ``predict``'s bytes over all
+    ``n`` rows."""
+    return [(s, n if n - s <= PREDICT_BLOCK + 1 else s + PREDICT_BLOCK)
+            for s in range(0, max(n - 1, 1), PREDICT_BLOCK)]
 
 
 def idle_core_threads() -> int:
@@ -158,11 +172,7 @@ class MLPRegressor:
         n = len(X)
         out = np.empty(n)
         last = len(self.W) - 1
-        for s in range(0, max(n - 1, 1), PREDICT_BLOCK):
-            # A one-row remainder joins the last block: numpy multiplies a
-            # lone row with gemv, which can round differently from the gemm
-            # of a one-pass forward.
-            e = n if n - s <= PREDICT_BLOCK + 1 else s + PREDICT_BLOCK
+        for s, e in predict_blocks(n):
             h = X[s:e] - self.x_mean
             h /= self.x_std
             for i, (W, b) in enumerate(zip(self.W, self.b)):

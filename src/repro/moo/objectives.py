@@ -18,6 +18,12 @@ models that the suite makes once (``TargetModels.float32``); a batch then
 builds and multiplies only the 19 knob columns and the 3 derived
 partitioning columns.
 
+``score`` is the one row path: it takes rows already decoded, with their
+resource rates. HMOOC's solve (``repro.moo.hmooc``) gathers both from
+tables it decodes once per solve and scores one ``predict`` block at a
+time; ``subq_batch``, the baselines' path, decodes its rows and scores
+them in one call.
+
 Everything is vectorized over normalized knob matrices ``U`` whose columns
 follow ``FULL_IDS`` (θc ‖ θp ‖ θs).
 """
@@ -56,13 +62,21 @@ class CompileTimeObjectives:
         """$ per second held (executors + driver/cluster occupancy)."""
         return resource_rate_h(M_nat[:, _K1], M_nat[:, _K2], M_nat[:, _K3]) / 3600.0
 
+    def score(self, sq_id: int, U_full: np.ndarray, M_nat: np.ndarray,
+              rate_s: np.ndarray) -> np.ndarray:
+        """(n, 2) predicted [analytical latency (s), cloud cost ($)] of
+        normalized 19-knob rows ``U_full``, given the same rows in natural
+        units ``M_nat`` and their ``resource_rate`` ``rate_s``: one forward
+        per folded model."""
+        X = self._stages[sq_id].subq_varying(U_full, M_nat)
+        return self._models[sq_id].objectives(X, rate_s, clamp_latency=True)
+
     def subq_batch(self, sq_id: int, U_full: np.ndarray) -> np.ndarray:
-        """(n, 2) predicted [analytical latency (s), cloud cost ($)]."""
+        """(n, 2) predicted [analytical latency (s), cloud cost ($)] of
+        normalized 19-knob rows, decoded here."""
         U_full = np.atleast_2d(U_full)
         M_nat = denormalize_matrix(U_full, P.FULL_IDS)
-        X = self._stages[sq_id].subq_varying(U_full, M_nat)
-        return self._models[sq_id].objectives(X, self.resource_rate(M_nat),
-                                              clamp_latency=True)
+        return self.score(sq_id, U_full, M_nat, self.resource_rate(M_nat))
 
     def query_fine_batch(self, U_big: np.ndarray) -> np.ndarray:
         """Query-level objectives for fine-grained decision vectors

@@ -18,14 +18,24 @@ def pareto_indices(F: np.ndarray) -> np.ndarray:
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != 2:
         raise ValueError("F must be (n, 2): (latency, cost)")
-    if len(F) == 0:
-        return np.array([], dtype=np.int64)
+    return np.flatnonzero(pareto_mask(F))
+
+
+def pareto_mask(F: np.ndarray) -> np.ndarray:
+    """Which rows of each ``(n, 2)`` set of ``F``, of shape ``(..., n, 2)``,
+    are non-dominated: a boolean ``(..., n)``. Every set gets one
+    sort-then-sweep, all in one pass; ``pareto_indices`` is the one-set case.
+    """
+    F = np.asarray(F, dtype=np.float64)
     # by f1 then f2; a row survives iff its f2 beats every f2 before it,
     # so of equal rows only the first (lowest index) survives
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    f2 = F[order, 1]
-    best_before = np.concatenate([[np.inf], np.fmin.accumulate(f2)[:-1]])
-    return np.sort(order[f2 < best_before]).astype(np.int64, copy=False)
+    order = np.lexsort((F[..., 1], F[..., 0]), axis=-1)
+    f2 = np.take_along_axis(F[..., 1], order, axis=-1)
+    best_before = np.full_like(f2, np.inf)
+    np.fmin.accumulate(f2[..., :-1], axis=-1, out=best_before[..., 1:])
+    keep = np.zeros(f2.shape, dtype=bool)
+    np.put_along_axis(keep, order, f2 < best_before, axis=-1)
+    return keep
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:

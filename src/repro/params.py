@@ -14,8 +14,9 @@ configuration can be rendered back into ``spark.conf`` settings (used by
 ``repro.sparkexec`` for the knobs that are settable on a live session).
 
 Configurations are plain ``dict[str, float]`` keyed by short knob ids
-(``k1``..``k8``, ``s1``..``s11``); helpers convert to/from normalized
-numpy vectors in [0, 1] for modeling and MOO.
+(``k1``..``k8``, ``s1``..``s11``); ``normalize_matrix`` and
+``denormalize_matrix`` convert batches of them to and from normalized
+numpy rows in [0, 1] for modeling and MOO.
 """
 from __future__ import annotations
 
@@ -50,11 +51,6 @@ class Knob:
         v = min(max(v, self.lo), self.hi)
         return float(round(v)) if self.integer else float(v)
 
-    def normalize(self, v: float) -> float:
-        return float(normalize_matrix(np.array([v], dtype=np.float64), [self.kid])[0])
-
-    def denormalize(self, u: float) -> float:
-        return float(denormalize_matrix(np.array([u], dtype=np.float64), [self.kid])[0])
 
 
 # --- θc: context parameters (query-level, fixed at submission) -------------
@@ -124,20 +120,6 @@ def merge_conf(theta_c: dict, theta_p: dict, theta_s: dict) -> dict[str, float]:
     out.update(theta_p)
     out.update(theta_s)
     return out
-
-
-def to_vector(conf: dict[str, float], ids: list[str] | None = None) -> np.ndarray:
-    """Encode a configuration (or a named subset) as a normalized vector."""
-    ids = ids or [k.kid for k in ALL_KNOBS]
-    return normalize_matrix(np.array([conf[i] for i in ids], dtype=np.float64), ids)
-
-
-def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict[str, float]:
-    """Decode a normalized vector back into a configuration dict."""
-    ids = ids or [k.kid for k in ALL_KNOBS]
-    if len(vec) != len(ids):
-        raise ValueError(f"vector length {len(vec)} != {len(ids)} knobs")
-    return dict(zip(ids, denormalize_matrix(vec, ids).tolist()))
 
 
 def lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:

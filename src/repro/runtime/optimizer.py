@@ -32,7 +32,9 @@ one's by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``). The θs hook
 tiles the current row and writes its grid into the θs columns of rows
 1–16; the θp hook writes next to θc the θp of the first of its five
 candidates to induce each join algorithm (2–3 rows), since candidates
-inducing one algorithm have one QS row.
+inducing one algorithm have one QS row. When all five induce one
+algorithm, the answer can only be candidate 0, the current θp, so the
+hook returns it unscored.
 
 Request pruning (§C.2.2) keeps the call volume down:
 
@@ -179,6 +181,9 @@ class OnlineOptimizer:
         for j, c in enumerate(cands):
             first.setdefault(choose_join_algorithm(bb, pb, c, rows_build=br, runtime=True,
                                                    compile_alg=SMJ), j)
+        if len(first) == 1:   # every candidate gives candidate 0's row
+            self.time_spent_s += time.perf_counter() - t0
+            return cands[0]
         rows = list(first.values())
         M = np.empty((len(rows), len(FULL_IDS)))
         M[:, :D_C] = self._c_row

@@ -13,6 +13,39 @@ import pytest
 
 from repro.model.gtn import EMB_DIM
 from repro.model.predictor import ModelSuite, TargetModels
+from repro.params import ALL_KNOBS, denormalize_matrix, normalize_matrix
+
+
+# One-row and one-value codec cases and a plan count that only tests use,
+# kept here as oracles over the program's batch forms.
+
+def knob_normalize(knob, v: float) -> float:
+    """One natural-unit value of ``knob`` → [0, 1] (``params.normalize_matrix``)."""
+    return float(normalize_matrix(np.array([v], dtype=np.float64), [knob.kid])[0])
+
+
+def knob_denormalize(knob, u: float) -> float:
+    """One [0, 1] value of ``knob`` → natural units (``params.denormalize_matrix``)."""
+    return float(denormalize_matrix(np.array([u], dtype=np.float64), [knob.kid])[0])
+
+
+def to_vector(conf: dict, ids: list[str] | None = None) -> np.ndarray:
+    """A configuration (or a named subset) as one normalized vector."""
+    ids = ids or [k.kid for k in ALL_KNOBS]
+    return normalize_matrix(np.array([conf[i] for i in ids], dtype=np.float64), ids)
+
+
+def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict:
+    """One normalized vector decoded into a configuration dict."""
+    ids = ids or [k.kid for k in ALL_KNOBS]
+    if len(vec) != len(ids):
+        raise ValueError(f"vector length {len(vec)} != {len(ids)} knobs")
+    return dict(zip(ids, denormalize_matrix(vec, ids).tolist()))
+
+
+def n_joins(plan) -> int:
+    """Join operators in a logical plan."""
+    return sum(op.op_type == "join" for op in plan.ops.values())
 
 
 class FakeRegressor:

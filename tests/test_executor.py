@@ -129,7 +129,8 @@ def test_analytical_positively_associated_across_configs(dag):
     """Across random configurations the association stays positive (wall
     adds straggler/wave effects analytical deliberately excludes)."""
     rng = np.random.default_rng(0)
-    from repro.params import ALL_KNOBS, from_vector
+    from repro.params import ALL_KNOBS
+    from tests.conftest import from_vector
     ana, wall = [], []
     for i in range(30):
         conf = from_vector(rng.random(19), [k.kid for k in ALL_KNOBS])

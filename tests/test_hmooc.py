@@ -11,8 +11,7 @@ import pytest
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
-from repro.model.mlp import MLPRegressor
-from repro.model.predictor import LQP_DIM, QS_DIM, SUBQ_DIM, ModelSuite, TargetModels
+from repro.model.mlp import predict_blocks
 from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import dominates, pareto_indices
@@ -52,6 +51,18 @@ def _points(F):
     return {tuple(np.round(f, 9)) for f in F}
 
 
+def _extremes(sols):
+    """The reduction ``generate_effective_set`` keeps of full per-candidate
+    sets: ``sols[i][ci]`` is subQ i's ``(pool indices, F)`` under candidate
+    ci. Returns F (m, n_c, 2, 2) and pool indices (m, n_c, 2) of each
+    set's first argmin on each objective."""
+    F = np.array([[[F_ci[F_ci[:, j].argmin()] for j in range(2)] for _, F_ci in sq]
+                  for sq in sols])
+    picks = np.array([[[pidx[F_ci[:, j].argmin()] for j in range(2)] for pidx, F_ci in sq]
+                      for sq in sols])
+    return F, picks
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_hmooc1_exact_vs_brute_force(seed):
     """Prop. B.1: the exact oracle returns the full query-level front."""
@@ -77,8 +88,9 @@ def test_hmooc3_extreme_points(seed):
     query-level Pareto optimal under a fixed θc."""
     rng = np.random.default_rng(seed + 99)
     sq_sols = _sols(rng, 5, 3)
-    F_b, combos = H.aggregate_boundary(sq_sols)
-    assert F_b.shape == (2, 2)  # k = 2 objectives -> 2 extreme points
+    F_b, combos = H.aggregate_boundary(*_extremes([[sol] for sol in sq_sols]))
+    assert F_b.shape == (1, 2, 2)  # one θc, k = 2 objectives -> 2 extreme points
+    F_b, combos = F_b[0], combos[0]
     for f, combo in zip(F_b, combos):
         assert len(combo) == 3
         np.testing.assert_allclose(f, sum(F[j] for (_, F), j in zip(sq_sols, combo)))
@@ -145,42 +157,34 @@ def obj(fake_suite):
     return CompileTimeObjectives(dag, fake_suite)
 
 
-def test_effective_set_structure(obj):
-    eff = H.generate_effective_set(obj, n_c=12, n_clusters=3, n_p=16, seed=0)
-    assert eff.Uc.shape[1] == 8
-    assert len(eff.Uc) == 12 + 6  # crossover enrichment adds n_c // 2
-    for sq in obj.sq_ids:
-        assert len(eff.sols[sq]) == len(eff.Uc)
-        for pidx, F in eff.sols[sq]:
-            assert len(pidx) == len(F)
-            assert len(pidx) >= 1
-            # stored solutions are the local Pareto set of the pool
-            assert np.all(F > 0)
-
-
 def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
-    """Algorithm 1 with one model call per (cluster, subQ) block."""
+    """Algorithm 1 as one ``subq_batch`` call per subQ per pass (optimize,
+    assign, re-assign) over the pass's (cluster, subQ) blocks in cluster
+    order, each call decoding its own rows, keeping every candidate's
+    full set: returns the candidates, the pool and, per subQ, one
+    ``(pool indices, F)`` per candidate."""
     rng = np.random.default_rng(seed)
     Uc = refined_lhs(n_c, C_IDS, rng)
     labels, rep_idx, centers = H._kmeans(Uc, n_clusters, seed=seed)
     pool = refined_lhs(n_p, P_IDS + S_IDS, rng)
     opt_idx = {}
-    for g, r in enumerate(rep_idx):
-        U_full = np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)
-        for sq in obj.sq_ids:
-            opt_idx[(g, sq)] = pareto_indices(obj.subq_batch(sq, U_full))
+    for sq in obj.sq_ids:
+        U_full = np.concatenate([np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)
+                                 for r in rep_idx])
+        for g, F in enumerate(obj.subq_batch(sq, U_full).reshape(len(rep_idx), n_p, 2)):
+            opt_idx[(g, sq)] = pareto_indices(F)
 
     def assign(U_cands, cand_labels):
-        out = {sq: [None] * len(U_cands) for sq in obj.sq_ids}
-        for g in range(len(rep_idx)):
-            members = np.flatnonzero(cand_labels == g)
-            for sq in obj.sq_ids:
-                pidx = opt_idx[(g, sq)]
-                F = obj.subq_batch(sq, np.concatenate(
-                    [np.repeat(U_cands[members], len(pidx), axis=0),
-                     np.tile(pool[pidx], (len(members), 1))], axis=1))
-                for mi, ci in enumerate(members):
-                    out[sq][ci] = (pidx, F[mi * len(pidx):(mi + 1) * len(pidx)])
+        out = {}
+        for sq in obj.sq_ids:
+            rows = [(ci, opt_idx[(g, sq)]) for g in range(len(rep_idx))
+                    for ci in np.flatnonzero(cand_labels == g)]
+            F = obj.subq_batch(sq, np.concatenate(
+                [np.concatenate([np.tile(U_cands[ci], (len(pidx), 1)), pool[pidx]], axis=1)
+                 for ci, pidx in rows]))
+            out[sq] = [None] * len(U_cands)
+            for (ci, pidx), F_ci in zip(rows, np.split(F, np.cumsum([len(p) for _, p in rows])[:-1])):
+                out[sq][ci] = (pidx, F_ci)
         return out
 
     sols = assign(Uc, labels)
@@ -189,30 +193,99 @@ def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
     return np.concatenate([Uc, U_new]), pool, {sq: sols[sq] + new_sols[sq] for sq in sols}
 
 
+def test_effective_set_structure(obj):
+    kw = dict(n_c=12, n_clusters=3, n_p=16, seed=0)
+    eff = H.generate_effective_set(obj, **kw)
+    m = len(obj.sq_ids)
+    assert eff.Uc.shape[1] == 8
+    assert len(eff.Uc) == 12 + 6  # crossover enrichment adds n_c // 2
+    assert eff.F.shape == (m, len(eff.Uc), 2, 2)
+    assert eff.picks.shape == (m, len(eff.Uc), 2)
+    _, _, sols = _effective_set_per_block(obj, **kw)
+    for i, sq in enumerate(obj.sq_ids):
+        assert len(sols[sq]) == len(eff.Uc)
+        for ci, (pidx, F) in enumerate(sols[sq]):
+            assert len(pidx) == len(F)
+            assert len(pidx) >= 1
+            assert np.all(F > 0)
+            # each kept point is the candidate's local Pareto point that is
+            # best on its objective
+            for j in range(2):
+                assert eff.picks[i, ci, j] in pidx
+                assert eff.F[i, ci, j, j] == F[:, j].min()
+
+
 class _CountingObjectives:
     def __init__(self, obj):
         self.obj, self.sq_ids, self.calls = obj, obj.sq_ids, []
 
-    def subq_batch(self, sq_id, U_full):
-        self.calls.append(sq_id)
-        return self.obj.subq_batch(sq_id, U_full)
+    def resource_rate(self, M_nat):
+        return self.obj.resource_rate(M_nat)
+
+    def score(self, sq_id, U_full, M_nat, rate_s):
+        self.calls.append((sq_id, len(U_full)))
+        return self.obj.score(sq_id, U_full, M_nat, rate_s)
 
 
 def test_batched_effective_set_equals_per_block_calls(obj):
-    """One call per subQ per phase scores every (cluster, subQ) block
-    exactly as a call of its own would."""
-    kw = dict(n_c=40, n_clusters=6, n_p=48, seed=3)
+    """Scoring every subQ's batches in ``predict``'s blocks and keeping
+    each candidate's two extreme points gives, byte for byte, the
+    reduction of the full sets, with one model call per block. The pool
+    makes the optimize batch 1,025 rows, whose one-row remainder joins
+    the last block."""
+    kw = dict(n_c=40, n_clusters=5, n_p=205, seed=3)
     counting = _CountingObjectives(obj)
     eff = H.generate_effective_set(counting, **kw)
-    assert sorted(counting.calls) == sorted(obj.sq_ids * 3)
     Uc, pool, sols = _effective_set_per_block(obj, **kw)
     np.testing.assert_array_equal(eff.Uc, Uc)
     np.testing.assert_array_equal(eff.pool, pool)
+    F, picks = _extremes([sols[sq] for sq in obj.sq_ids])
+    assert eff.F.tobytes() == F.tobytes()
+    assert eff.picks.tobytes() == picks.astype(eff.picks.dtype).tobytes()
+    # one call per block of each subQ's batches: optimize, assign, re-assign
+    want = []
     for sq in obj.sq_ids:
-        assert len(eff.sols[sq]) == len(sols[sq]) == len(Uc)
-        for (pidx, F), (pidx_ref, F_ref) in zip(eff.sols[sq], sols[sq]):
-            np.testing.assert_array_equal(pidx, pidx_ref)
-            np.testing.assert_array_equal(F, F_ref)
+        batches = [5 * 205, sum(len(p) for p, _ in sols[sq][:40]),
+                   sum(len(p) for p, _ in sols[sq][40:])]
+        want += [(sq, e - s) for n in batches for s, e in predict_blocks(n)]
+    assert sorted(counting.calls) == sorted(want)
+    assert (obj.sq_ids[0], 513) in want
+
+
+def test_blocks_score_as_one_call_per_subq(small_suite):
+    """On trained MLPs (float32 folds, BLAS gemms, every input column
+    used), scoring each batch block by block from the decoded tables gives
+    the bytes of one ``subq_batch`` call per subQ per pass, which decodes
+    its own rows."""
+    dag = partition_subqs(build_query("tpch", "q3", sf=10.0))
+    obj = CompileTimeObjectives(dag, small_suite)
+    kw = dict(n_c=40, n_clusters=5, n_p=205, seed=3)
+    eff = H.generate_effective_set(obj, **kw)
+    _, _, sols = _effective_set_per_block(obj, **kw)
+    F, picks = _extremes([sols[sq] for sq in obj.sq_ids])
+    assert len(np.unique(F)) > F.size // 2   # objectives that tell rows apart
+    assert eff.F.tobytes() == F.tobytes()
+    assert eff.picks.tobytes() == picks.astype(eff.picks.dtype).tobytes()
+
+
+def test_solve_decodes_each_table_once(monkeypatch, obj, fake_suite):
+    """A solve decodes its θc candidates and its pool once each; every row
+    and every returned configuration gathers from those tables."""
+    from repro import params
+    from repro.moo import objectives as O
+    calls = []
+    decode = params.denormalize_matrix
+
+    def spy(U, ids):
+        calls.append((tuple(ids), np.shape(U)))
+        return decode(U, ids)
+
+    for module in (params, H, O):
+        monkeypatch.setattr(module, "denormalize_matrix", spy)
+    res = H.hmooc(obj.dag, fake_suite, n_c=12, n_clusters=3, n_p=16, seed=0,
+                  objectives=obj)
+    assert len(res.configs) >= 1
+    assert calls == [(tuple(C_IDS), (18, 8)), (tuple(P_IDS + S_IDS), (16, 11))]
 
 
 # "boundary" is the one name perfbench/workloads.py passes as ``agg``
@@ -237,13 +310,13 @@ def test_hmooc_equals_boundary_reference(obj, fake_suite):
     objective summed in subQ order, the points unioned, then Pareto-filtered."""
     kw = dict(n_c=12, n_clusters=3, n_p=16, seed=2)
     res = H.hmooc(obj.dag, fake_suite, objectives=obj, **kw)
-    eff = H.generate_effective_set(obj, **kw)
+    Uc, pool, sols = _effective_set_per_block(obj, **kw)
     F, cfg = [], []
-    for ci in range(len(eff.Uc)):
+    for ci in range(len(Uc)):
         for obj_i in range(2):
             total, picks = np.zeros(2), []
             for sq in obj.sq_ids:
-                pidx, F_sq = eff.sols[sq][ci]
+                pidx, F_sq = sols[sq][ci]
                 j = F_sq[:, obj_i].argmin()
                 total = total + F_sq[j]
                 picks.append(pidx[j])
@@ -252,7 +325,7 @@ def test_hmooc_equals_boundary_reference(obj, fake_suite):
     F = np.array(F)
     keep = pareto_indices(F)
     np.testing.assert_array_equal(res.F, F[keep])
-    assert res.configs == [H.QueryConfig.decode(eff.Uc[ci], eff.pool[picks], obj.sq_ids)
+    assert res.configs == [H.QueryConfig.decode(Uc[ci], pool[picks], obj.sq_ids)
                            for ci, picks in (cfg[i] for i in keep)]
 
 
@@ -272,9 +345,9 @@ def test_hmooc_dnc_front_dominates_boundary(obj, fake_suite):
     from repro.moo.pareto import hypervolume_2d, normalize
     kw = dict(n_c=10, n_clusters=3, n_p=12, seed=1)
     r_b = H.hmooc(obj.dag, fake_suite, objectives=obj, **kw)
-    eff = H.generate_effective_set(obj, **kw)
-    F_d = np.concatenate([exact_query_front([eff.sols[sq][ci] for sq in obj.sq_ids])[0]
-                          for ci in range(len(eff.Uc))])
+    Uc, _, sols = _effective_set_per_block(obj, **kw)
+    F_d = np.concatenate([exact_query_front([sols[sq][ci] for sq in obj.sq_ids])[0]
+                          for ci in range(len(Uc))])
     F_d = F_d[pareto_indices(F_d)]
     allF = np.concatenate([F_d, r_b.F])
     _, lo, hi = normalize(allF)
@@ -288,7 +361,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 NPROC = os.cpu_count() or 1
 
 
-@pytest.mark.parametrize("env, n_subqs, workers", [
+@pytest.mark.parametrize("env, n_blocks, workers", [
     ({"OPENBLAS_NUM_THREADS": "1"}, 64, min(NPROC, 64)),
     ({"OPENBLAS_NUM_THREADS": str(NPROC)}, 64, 1),
     ({"OMP_NUM_THREADS": str(NPROC)}, 64, 1),
@@ -299,43 +372,35 @@ NPROC = os.cpu_count() or 1
     ({"OPENBLAS_NUM_THREADS": str(2 * NPROC)}, 64, 1),
 ], ids=["openblas-1", "openblas-nproc", "omp-nproc", "unset",
         "openblas-over-omp", "openblas-nproc-over-omp-1", "subq-cap", "never-below-1"])
-def test_solve_workers_use_the_cores_blas_leaves_idle(monkeypatch, env, n_subqs, workers):
+def test_solve_workers_use_the_cores_blas_leaves_idle(monkeypatch, env, n_blocks, workers):
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert H.solve_workers(n_subqs) == workers
-
-
-@pytest.fixture(scope="module")
-def untrained_suite():
-    """Real MLPs (untrained, fixed seeds, the deployed hidden sizes), so the
-    solve runs the float32 BLAS path."""
-    def tm(d_in, seed):
-        return TargetModels(*(MLPRegressor(d_in, hidden=(128, 128), seed=seed + i)
-                              for i in range(2)))
-    return ModelSuite(subq=tm(SUBQ_DIM, 0), qs=tm(QS_DIM, 2), lqp=tm(LQP_DIM, 4))
+    assert H.solve_workers(n_blocks) == workers
 
 
 @pytest.mark.parametrize("bm, q", [("tpch", "q5"), ("tpcds", "q3")])
-def test_concurrent_solve_equals_one_worker(monkeypatch, untrained_suite, bm, q):
-    """Scoring the subQs on four threads gives the one-worker front and
+def test_concurrent_solve_equals_one_worker(monkeypatch, small_suite, bm, q):
+    """Scoring the blocks on four threads gives the one-worker front and
     configurations byte for byte; the four-thread solve switches threads
-    every microsecond."""
+    every microsecond. The models are trained ones (the float32 BLAS path),
+    whose fronts have several points."""
     dag = partition_subqs(build_query(bm, q))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     assert H.solve_workers(len(dag.subqs)) == 1
-    one = H.hmooc(dag, untrained_suite)
+    one = H.hmooc(dag, small_suite)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert H.solve_workers(len(dag.subqs)) == 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        four = H.hmooc(dag, untrained_suite)
+        four = H.hmooc(dag, small_suite)
     finally:
         sys.setswitchinterval(interval)
+    assert len(one.F) > 1
     assert one.F.dtype == four.F.dtype and one.F.tobytes() == four.F.tobytes()
     assert one.configs == four.configs

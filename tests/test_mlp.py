@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.model.mlp import PREDICT_BLOCK, MLPRegressor
+from repro.model.mlp import PREDICT_BLOCK, MLPRegressor, predict_blocks
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +281,28 @@ def test_predict_is_one_shot_forward_per_block(wide, n, f32_fold):
     got = m.predict(X)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (1, [(0, 1)]), (2, [(0, 2)]), (511, [(0, 511)]), (512, [(0, 512)]),
+    (513, [(0, 513)]), (514, [(0, 512), (512, 514)]),
+    (1023, [(0, 512), (512, 1023)]), (1024, [(0, 512), (512, 1024)]),
+    (1025, [(0, 512), (512, 1025)]), (1026, [(0, 512), (512, 1024), (1024, 1026)]),
+    (3584, [(s, s + 512) for s in range(0, 3584, 512)]),
+])
+def test_predict_blocks(n, blocks):
+    """``PREDICT_BLOCK``-row ranges that cover the rows in order, a one-row
+    remainder joining the last block."""
+    assert PREDICT_BLOCK == 512
+    assert predict_blocks(n) == blocks
+
+
+def test_predict_runs_predict_blocks(monkeypatch, wide):
+    """``predict`` forwards exactly the ranges ``predict_blocks`` gives:
+    with the helper patched to other ranges, it follows them."""
+    from repro.model import mlp
+    m, _, _ = wide
+    X = np.random.default_rng(5).normal(2.0, 3.0, (40, 12))
+    monkeypatch.setattr(mlp, "predict_blocks", lambda n: [(0, 7), (7, 30), (30, n)])
+    want = np.concatenate([_one_shot(m, X[s:e]) for s, e in [(0, 7), (7, 30), (30, 40)]])
+    assert m.predict(X).tobytes() == want.tobytes()

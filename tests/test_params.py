@@ -4,6 +4,7 @@ import pytest
 
 from repro import params as P
 from repro.model.predictor import QS_IDS
+from tests.conftest import from_vector, knob_denormalize, knob_normalize, to_vector
 
 
 @pytest.mark.parametrize("knob", P.ALL_KNOBS, ids=[k.kid for k in P.ALL_KNOBS])
@@ -12,13 +13,13 @@ class TestKnob:
         assert knob.lo <= knob.default <= knob.hi
 
     def test_normalize_bounds(self, knob):
-        assert knob.normalize(knob.lo) == pytest.approx(0.0)
-        assert knob.normalize(knob.hi) == pytest.approx(1.0)
+        assert knob_normalize(knob, knob.lo) == pytest.approx(0.0)
+        assert knob_normalize(knob, knob.hi) == pytest.approx(1.0)
 
     def test_roundtrip_mid(self, knob):
-        v = knob.denormalize(0.5)
+        v = knob_denormalize(knob, 0.5)
         assert knob.lo <= v <= knob.hi
-        u = knob.normalize(v)
+        u = knob_normalize(knob, v)
         # integer rounding can shift the midpoint; tiny integer domains
         # (e.g. the boolean k7) shift it up to a whole step
         tol = 0.26 if not knob.integer else max(0.26, 1.0 / (knob.hi - knob.lo))
@@ -29,11 +30,11 @@ class TestKnob:
         assert knob.clamp(knob.lo - abs(knob.lo) - 1) == knob.lo
 
     def test_denormalize_clips(self, knob):
-        assert knob.denormalize(-0.5) == pytest.approx(knob.lo, rel=1e-9)
-        assert knob.denormalize(1.5) == pytest.approx(knob.hi, rel=1e-9)
+        assert knob_denormalize(knob, -0.5) == pytest.approx(knob.lo, rel=1e-9)
+        assert knob_denormalize(knob, 1.5) == pytest.approx(knob.hi, rel=1e-9)
 
     def test_monotone(self, knob):
-        vals = [knob.denormalize(u) for u in np.linspace(0, 1, 7)]
+        vals = [knob_denormalize(knob, u) for u in np.linspace(0, 1, 7)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -56,15 +57,15 @@ def test_split_merge_roundtrip():
 
 def test_to_from_vector_roundtrip():
     conf = P.default_conf()
-    v = P.to_vector(conf)
-    back = P.from_vector(v)
+    v = to_vector(conf)
+    back = from_vector(v)
     for kid, val in conf.items():
         assert back[kid] == pytest.approx(val, rel=1e-6), kid
 
 
 def test_from_vector_length_check():
     with pytest.raises(ValueError):
-        P.from_vector(np.zeros(5))
+        from_vector(np.zeros(5))
 
 
 def test_lhs_sample_stratified():
@@ -74,7 +75,7 @@ def test_lhs_sample_stratified():
     # each knob covers its domain (stratification): normalized values hit
     # both halves
     for kid in ids:
-        us = [P.KNOB_BY_ID[kid].normalize(c[kid]) for c in confs]
+        us = [knob_normalize(P.KNOB_BY_ID[kid], c[kid]) for c in confs]
         assert min(us) < 0.3 and max(us) > 0.7
 
 
@@ -115,12 +116,12 @@ def test_matrix_matches_scalar():
     U = rng.random((8, len(ids)))
     M = P.denormalize_matrix(U, ids)
     for r in range(8):
-        conf = P.from_vector(U[r], ids)
+        conf = from_vector(U[r], ids)
         assert list(conf.values()) == M[r].tolist()   # one-row case, bit for bit
         for j, kid in enumerate(ids):
             ref = _denormalize_scalar_reference(P.KNOB_BY_ID[kid], U[r, j])
             assert M[r, j] == pytest.approx(ref, rel=1e-9), kid
-            assert P.KNOB_BY_ID[kid].denormalize(U[r, j]) == M[r, j]
+            assert knob_denormalize(P.KNOB_BY_ID[kid], U[r, j]) == M[r, j]
 
 
 def _denormalize_reference(U, ids):
@@ -144,8 +145,8 @@ def test_denormalize_edges_in_domain():
     ids = P.FULL_IDS
     for u in (0.0, 1.0):
         row = np.full(len(ids), u)
-        for conf in (dict(zip(ids, P.denormalize_matrix(row, ids))), P.from_vector(row, ids),
-                     {i: P.KNOB_BY_ID[i].denormalize(u) for i in ids}):
+        for conf in (dict(zip(ids, P.denormalize_matrix(row, ids))), from_vector(row, ids),
+                     {i: knob_denormalize(P.KNOB_BY_ID[i], u) for i in ids}):
             for kid, v in conf.items():
                 k = P.KNOB_BY_ID[kid]
                 assert k.lo <= v <= k.hi, (u, kid, v)
@@ -210,8 +211,8 @@ def test_normalize_matrix_bit_identical_to_scalar(ids):
     assert np.array_equal(U, ref)
     assert np.array_equal(P.normalize_matrix(M[7], ids), ref[7])
     for row, ref_row in zip(M, ref):
-        assert np.array_equal(P.to_vector(dict(zip(ids, row)), ids), ref_row)
-        assert [k.normalize(v) for k, v in zip(ks, row)] == ref_row.tolist()
+        assert np.array_equal(to_vector(dict(zip(ids, row)), ids), ref_row)
+        assert [knob_normalize(k, v) for k, v in zip(ks, row)] == ref_row.tolist()
 
 
 def test_spark_conf_items_rendering():

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.moo.pareto import (dominates, hypervolume_2d, normalize,
-                              pareto_indices, weighted_picks, wun_select)
+from repro.moo.pareto import (dominates, hypervolume_2d, normalize, pareto_indices,
+                              pareto_mask, weighted_picks, wun_select)
 
 
 def brute_force_pareto(F: np.ndarray) -> set[int]:
@@ -12,6 +12,14 @@ def brute_force_pareto(F: np.ndarray) -> set[int]:
         if not any(dominates(F[j], F[i]) for j in range(len(F)) if j != i):
             keep.add(i)
     return keep
+
+
+def tie_aware_pareto(F: np.ndarray) -> list[int]:
+    """Non-dominated rows, of equal rows only the first: the rule
+    ``pareto_indices`` keeps."""
+    return [i for i in range(len(F))
+            if not any(dominates(F[j], F[i]) for j in range(len(F)))
+            and not any(np.array_equal(F[j], F[i]) for j in range(i))]
 
 
 def test_dominates_basic():
@@ -171,3 +179,17 @@ def test_wun_empty_raises():
 
 def test_wun_single():
     assert wun_select(np.array([[3.0, 4.0]]), [0.9, 0.1]) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pareto_mask_equals_pareto_indices_per_set(seed):
+    """One sweep over a stack of sets keeps, in each set, the rows
+    ``pareto_indices`` keeps for that set alone; on a coarse grid most
+    rows tie with others on one or both objectives."""
+    rng = np.random.default_rng(seed)
+    F = rng.integers(0, 5, (3, 14, 40, 2)).astype(np.float64)
+    mask = pareto_mask(F)
+    assert mask.shape == (3, 14, 40) and mask.dtype == bool
+    for i in np.ndindex(F.shape[:2]):
+        assert np.flatnonzero(mask[i]).tolist() == pareto_indices(F[i]).tolist()
+        assert pareto_indices(F[i]).tolist() == tie_aware_pareto(F[i])

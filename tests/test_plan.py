@@ -4,6 +4,7 @@ import pytest
 from repro.core.operators import PlanBuilder
 from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
+from tests.conftest import n_joins
 
 ALL_QUERIES = [("tpch", q) for q in benchmark_queries("tpch")] + \
               [("tpcds", q) for q in benchmark_queries("tpcds")]
@@ -66,7 +67,7 @@ def test_tpch_q9_shape():
     plan = build_query("tpch", "q9", sf=1.0)
     dag = partition_subqs(plan)
     assert sum(1 for s in dag.subqs.values() if s.kind == "scan") == 6
-    assert plan.n_joins() == 5
+    assert n_joins(plan) == 5
 
 
 def test_pipeline_ops_stay_in_stage():

@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.moo.pareto import (dominates, hypervolume_2d, normalize,
                               pareto_indices, wun_select)
-from repro.params import ALL_KNOBS, KNOB_BY_ID, from_vector, to_vector
+from repro.params import ALL_KNOBS, KNOB_BY_ID
+from tests.conftest import from_vector, to_vector
 
 _objs = arrays(np.float64, (20, 2), elements=st.floats(0.0, 100.0))
 

@@ -10,7 +10,9 @@ from repro.model.mlp import MLPRegressor
 from repro.model.predictor import QS_DIM, QS_FIXED_COLS, ModelSuite, TargetModels
 from repro.moo.hmooc import QueryConfig
 from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, default_conf, split_conf
+from repro.runtime import optimizer as R
 from repro.runtime.optimizer import OnlineOptimizer, aggregate_theta
+from repro.simspark.costmodel import BHJ, SMJ
 from repro.simspark.executor import execute
 
 
@@ -149,6 +151,28 @@ def test_join_request_served_with_stats(dag, opt):
     assert out is not None
     assert set(out) == set(P_IDS)
     assert opt.time_spent_s > 0
+
+
+def test_single_algorithm_lqp_request_is_not_scored(monkeypatch, dag, fake_suite):
+    """A θp request whose five candidates all induce one join algorithm can
+    only keep θp: it returns it without a model call, and its time still
+    counts; the same request with two algorithms is scored."""
+    theta_c, theta_p, _ = split_conf(default_conf())
+    join_sq = next(i for i, s in dag.subqs.items() if s.boundary_type == "join")
+    calls = []
+    objectives = TargetModels.objectives
+    monkeypatch.setattr(TargetModels, "objectives",
+                        lambda self, *a, **kw: calls.append(a) or objectives(self, *a, **kw))
+    monkeypatch.setattr(R, "choose_join_algorithm", lambda *a, **kw: SMJ)
+    opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
+    out = opt.on_collapsed_lqp(dag, join_sq, {}, theta_p)
+    assert out == theta_p and out is not theta_p
+    assert calls == []
+    assert opt.time_spent_s > 0
+    algs = iter([SMJ] + [BHJ] * 4)
+    monkeypatch.setattr(R, "choose_join_algorithm", lambda *a, **kw: next(algs))
+    opt.on_collapsed_lqp(dag, join_sq, {}, theta_p)
+    assert len(calls) == 1
 
 
 def test_pruning_scan_qs(dag, opt):
