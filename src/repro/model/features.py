@@ -1,8 +1,9 @@
 """Feature extraction for the subQ / QS / LQP̄ models (paper §4.3).
 
 Each query operator becomes a composite encoding: one-hot type +
-log-cardinalities + an averaged hashed word embedding of its predicate
-(the offline stand-in for word2vec [34]). Non-decision variables:
+log-cardinalities under one statistics view (the CBO's estimates or the
+true counts) + an averaged hashed word embedding of its predicate (the
+offline stand-in for word2vec [34]). Non-decision variables:
 
 * ``α`` — input characteristics (log rows/bytes aggregated from leaves);
 * ``β`` — partition-size distribution stats (σ/μ, (max−μ)/μ, (max−min)/μ);
@@ -46,23 +47,18 @@ def predicate_embedding(text: str) -> np.ndarray:
     return emb
 
 
-def op_feature_matrix(dag: SubQDag, op_ids: list[int], *,
-                      true_stats: bool | tuple[bool, ...]) -> np.ndarray:
-    """(n_ops, OP_FEAT_DIM) node-feature matrix for a GTN. A tuple of
-    statistics views, e.g. ``(False, True)``, gives one
-    (views, n_ops, OP_FEAT_DIM) stack: the one-hot type and the predicate
-    embedding are computed once, the cardinality columns once per view."""
-    views = true_stats if isinstance(true_stats, tuple) else (true_stats,)
-    X = np.zeros((len(views), len(op_ids), OP_FEAT_DIM))
+def op_feature_matrix(dag: SubQDag, op_ids: list[int], *, true_stats: bool) -> np.ndarray:
+    """(n_ops, OP_FEAT_DIM) node-feature matrix for a GTN, with the
+    cardinality columns over true or estimated statistics."""
+    X = np.zeros((len(op_ids), OP_FEAT_DIM))
     for i, oid in enumerate(op_ids):
         op = dag.op(oid)
-        X[:, i, OP_TYPES.index(op.op_type)] = 1.0
-        X[:, i, len(OP_TYPES) + 2:] = predicate_embedding(op.predicate)
-        for v, true in enumerate(views):
-            rows, byts = (op.true_rows, op.true_bytes) if true else (op.est_rows, op.est_bytes)
-            X[v, i, len(OP_TYPES)] = np.log1p(rows) / 25.0
-            X[v, i, len(OP_TYPES) + 1] = np.log1p(byts) / 30.0
-    return X if isinstance(true_stats, tuple) else X[0]
+        rows, byts = (op.true_rows, op.true_bytes) if true_stats else (op.est_rows, op.est_bytes)
+        X[i, OP_TYPES.index(op.op_type)] = 1.0
+        X[i, len(OP_TYPES)] = np.log1p(rows) / 25.0
+        X[i, len(OP_TYPES) + 1] = np.log1p(byts) / 30.0
+        X[i, len(OP_TYPES) + 2:] = predicate_embedding(op.predicate)
+    return X
 
 
 def local_edges(dag: SubQDag, op_ids: list[int]) -> list[tuple[int, int]]:

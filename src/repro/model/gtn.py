@@ -13,8 +13,8 @@ The forward pass is batched: each layer computes Q, K and V of all heads
 in one product with a fused weight, and attends with one stacked
 ``(…, heads, n, n)`` matmul. Any node-feature matrices over one graph
 shape (node count and edges) stack on the leading views axis and embed in
-one call: the estimated and true statistics views of one stage, or every
-same-shape stage of a plan (``predictor.StageFeatures.of_stages``). The
+one call: every same-shape stage of a plan under one statistics view
+(``predictor.StageFeatures.of_stages``). The
 positional encoding, projected by ``w_pe``, and the attention bias depend
 on the shape alone. The embedder memoizes them per shape as read-only
 arrays (``SHAPE_MEMO_SIZE`` shapes, least recently used out first), so a

@@ -5,10 +5,10 @@ orders of magnitude, and the paper's WMAPE metric is relative. Inputs are
 standardized internally. ``save``/``load`` round-trip to ``.npz`` so
 benchmark harnesses can cache trained models.
 
-``fold`` fixes some input columns at given values and returns the same
-function over the remaining columns (the fixed part moves into the first
-layer's bias); given one row of values per stage, it folds every stage
-with one product. ``astype`` casts the weights, and ``predict`` computes
+``fold`` fixes some input columns at one row of values per stage and
+returns, per row, the same function over the remaining columns (the fixed
+part moves into the first layer's bias); it folds every stage with one
+product. ``astype`` casts the weights, and ``predict`` computes
 in the weights' dtype. Both inference paths use them: per subQ at compile
 time (``repro.moo.objectives``) and per non-scan stage in the runtime
 plugin (``repro.runtime.optimizer``), one fold of a float32 copy made
@@ -102,8 +102,7 @@ class MLPRegressor:
         return h[:, 0], acts
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, epochs: int = 60,
-            batch: int = 256, lr: float = 2e-3, weight_decay: float = 1e-5,
-            verbose: bool = False) -> list[float]:
+            batch: int = 256, lr: float = 2e-3, weight_decay: float = 1e-5) -> list[float]:
         """Train; returns the per-epoch training losses."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -161,8 +160,6 @@ class MLPRegressor:
                     upd /= den
                     p -= upd
             losses.append(ep_loss / n)
-            if verbose and ep % 10 == 0:
-                print(f"epoch {ep}: loss={losses[-1]:.5f}")
         return losses
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -192,32 +189,29 @@ class MLPRegressor:
         m.W, m.b, m.x_mean, m.x_std = W, b, x_mean, x_std
         return m
 
-    def fold(self, cols, values) -> "MLPRegressor | list[MLPRegressor]":
-        """The same function with input columns ``cols`` fixed at ``values``:
-        a regressor over the remaining columns, in their order, whose first
-        bias absorbs ``((values - x_mean[cols]) / x_std[cols]) @ W0[cols]``
-        (summed in float64). Layers after the first are shared with this
-        model, not copied, so many folds of one model stay small; do not
-        ``fit`` a fold.
+    def fold(self, cols, values) -> list["MLPRegressor"]:
+        """The same function with input columns ``cols`` fixed, once per row
+        of the (k, len(cols)) ``values``: k regressors over the remaining
+        columns, in their order, whose first biases absorb
+        ``((row - x_mean[cols]) / x_std[cols]) @ W0[cols]`` (summed in
+        float64). The folds share one kept-column ``W0`` slice, and the
+        layers after the first are shared with this model, not copied, so
+        many folds of one model stay small; do not ``fit`` a fold.
 
-        A 2-D ``values`` of shape (k, len(cols)) gives a list of k folds, one
-        per row, that share one kept-column ``W0`` slice and get their first
-        biases from one product. It is a stack of one-row products, which
+        The biases come from one product, a stack of one-row products that
         numpy multiplies with one gemv each, so a row's bias does not depend
         on how many rows are folded at once (a gemm may round a row by its
-        position in the batch): each fold equals the 1-D fold of its row
-        byte for byte."""
+        position in the batch): each fold equals the one-row fold of its
+        row byte for byte."""
         cols = np.asarray(cols, dtype=np.int64)
         keep = np.ones(self.d_in, dtype=bool)
         keep[cols] = False
         values = np.asarray(values, dtype=np.float64)
         fixed = (values - self.x_mean[cols]) / self.x_std[cols]
-        prod = np.matmul(fixed[..., None, :], self.W[0][cols].astype(np.float64))
-        b0 = (self.b[0] + prod[..., 0, :]).astype(self.b[0].dtype)
+        prod = np.matmul(fixed[:, None, :], self.W[0][cols].astype(np.float64))
+        b0 = (self.b[0] + prod[:, 0, :]).astype(self.b[0].dtype)
         W = [self.W[0][keep], *self.W[1:]]
         x_mean, x_std = self.x_mean[keep], self.x_std[keep]
-        if values.ndim == 1:
-            return self._derive(W, [b0, *self.b[1:]], x_mean, x_std)
         return [self._derive(W, [b, *self.b[1:]], x_mean, x_std) for b in b0]
 
     def astype(self, dtype) -> "MLPRegressor":

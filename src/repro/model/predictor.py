@@ -18,13 +18,12 @@ on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
 
 :class:`StageFeatures` holds what is fixed for one stage under one
 statistics view; its ``subq_rows``/``qs_rows`` append a batch of knob
-rows. ``StageFeatures.of_stages`` builds the views of many stages under
-one statistics view with one GTN forward per stage shape (operator count
-and local edges; the 541 stages of the 52 benchmark queries have two
-shapes), which is how the compile-time objectives and the runtime plugin
-build theirs; ``StageFeatures.of`` is its one-stage case.
-``StageFeatures.pair`` builds the estimated and the true view of one
-stage from one GTN forward. ``StageFeatures.stack`` joins the views of
+rows. ``StageFeatures.of_stages`` is the one builder of these views: it
+builds the views of many stages under one statistics view with one GTN
+forward per stage shape (operator count and local edges; the 541 stages
+of the 52 benchmark queries have two shapes). The compile-time objectives
+build the estimated views with it, the runtime plugin the true ones, and
+trace generation both. ``StageFeatures.stack`` joins the views of
 several stages of one kind into one whose rows are one per stage, so
 trace generation lays out a whole execution's rows with the same
 builders. Both inference paths fold what is fixed per stage into the
@@ -103,14 +102,6 @@ def shared_gtn() -> GTNEmbedder:
     return _GTN
 
 
-def _embed(dag: SubQDag, op_ids: list[int],
-           true_stats: bool | tuple[bool, ...]) -> np.ndarray:
-    """GTN embedding of ``op_ids`` under one statistics view, or a
-    (views, EMB_DIM) stack under a tuple of views."""
-    X = op_feature_matrix(dag, op_ids, true_stats=true_stats)
-    return shared_gtn().embed(X, local_edges(dag, op_ids))
-
-
 def encode_confs(confs: list[dict], ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Configuration dicts → (normalized knob rows over ``ids``,
     natural-unit 19-knob rows in ``FULL_IDS`` order)."""
@@ -140,10 +131,6 @@ class StageFeatures:
     skew: float | np.ndarray
 
     @classmethod
-    def of(cls, dag: SubQDag, sq_id: int, *, true_stats: bool) -> "StageFeatures":
-        return cls.of_stages(dag, [sq_id], true_stats=true_stats)[sq_id]
-
-    @classmethod
     def of_stages(cls, dag: SubQDag, sq_ids: list[int], *,
                   true_stats: bool) -> dict[int, "StageFeatures"]:
         """The views of stages ``sq_ids`` under one statistics view, in that
@@ -160,12 +147,6 @@ class StageFeatures:
                           for i in ids])
             embs.update(zip(ids, shared_gtn().embed(X, edges)))
         return {i: cls._view(dag, i, true_stats, embs[i]) for i in sq_ids}
-
-    @classmethod
-    def pair(cls, dag: SubQDag, sq_id: int) -> tuple["StageFeatures", "StageFeatures"]:
-        """The (estimated, true) views of one stage from one GTN forward."""
-        est, true = _embed(dag, dag.subqs[sq_id].op_ids, (False, True))
-        return cls._view(dag, sq_id, False, est), cls._view(dag, sq_id, True, true)
 
     @classmethod
     def stack(cls, views: list["StageFeatures"]) -> "StageFeatures":
@@ -243,7 +224,9 @@ class StageFeatures:
 
 def plan_embedding(dag: SubQDag) -> np.ndarray:
     """GTN embedding of the whole collapsed plan over true statistics."""
-    return _embed(dag, dag.plan.topological(), True)
+    ops = dag.plan.topological()
+    return shared_gtn().embed(op_feature_matrix(dag, ops, true_stats=True),
+                              local_edges(dag, ops))
 
 
 def lqp_rows(dag: SubQDag, emb: np.ndarray, U_full: np.ndarray, stage_runs) -> np.ndarray:
@@ -332,8 +315,8 @@ class ModelSuite:
                    for g in ("subq", "qs", "lqp") for t in ("latency", "io"))
 
 
-def train_target(X: np.ndarray, y: np.ndarray, *, seed: int = 0,
-                 epochs: int = 60, hidden=(96, 96)) -> MLPRegressor:
+def train_target(X: np.ndarray, y: np.ndarray, *, epochs: int, hidden,
+                 seed: int = 0) -> MLPRegressor:
     """Train one regressor on the full (already split) training matrix."""
     m = MLPRegressor(X.shape[1], hidden=hidden, seed=seed)
     m.fit(X, y, epochs=epochs)

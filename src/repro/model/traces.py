@@ -17,9 +17,12 @@ task per Spark core, and the collected rows are sorted back on the tag.
 A subQ's GTN embedding and its α/β columns depend only on the plan and the
 statistics view (§4.3); the configuration enters only through the knob,
 derived-partitioning and γ columns. ``plan_features`` therefore builds a
-plan's subQ DAG, both views of every stage and the LQP̄ embedding once per
-process and keeps the most recent ``PLAN_MEMO_SIZE`` plans; ``trace_rows``
-then lays out a task's subQ and QS rows one matrix per stage kind with the
+plan's subQ DAG, both statistics views of every stage and the LQP̄
+embedding once per process and keeps the most recent ``PLAN_MEMO_SIZE``
+plans. The views come from ``StageFeatures.of_stages``, the builder
+compile time and the runtime plugin use: one call per view, so two GTN
+forwards per stage shape, plus one for the plan. ``trace_rows`` then lays
+out a task's subQ and QS rows one matrix per stage kind with the
 ``predictor`` row builders. The memo hands every task the same DAG and
 arrays, which the simulator and the row builders only read.
 """
@@ -64,24 +67,27 @@ class PlanFeatures:
 
 
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def plan_features(benchmark: str, template: str, variant: int, sf: float) -> PlanFeatures:
+def plan_features(benchmark: str, template: str, variant: int) -> PlanFeatures:
     """The plan of one parametric query instance and its configuration-free
-    model inputs: one GTN forward per stage and one for the whole plan."""
-    dag = partition_subqs(build_query(benchmark, template, sf=sf, variant=variant))
-    views = {sq_id: P.StageFeatures.pair(dag, sq_id) for sq_id in dag.subqs}
+    model inputs: both statistics views of its stages and the whole-plan
+    embedding."""
+    dag = partition_subqs(build_query(benchmark, template, variant=variant))
+    est, obs = (P.StageFeatures.of_stages(dag, list(dag.subqs), true_stats=t)
+                for t in (False, True))
     by_kind: dict[str, list[int]] = {}
     for sq_id, sq in dag.subqs.items():
         by_kind.setdefault(sq.kind, []).append(sq_id)
-    groups = tuple((ids, P.StageFeatures.stack([views[i][0] for i in ids]),
-                    P.StageFeatures.stack([views[i][1] for i in ids]))
+    groups = tuple((ids, P.StageFeatures.stack([est[i] for i in ids]),
+                    P.StageFeatures.stack([obs[i] for i in ids]))
                    for ids in by_kind.values())
     return PlanFeatures(dag, groups, P.plan_embedding(dag))
 
 
 def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
-               conf_id: int, *, sf: float = 100.0) -> list[dict]:
-    """All trace rows for one (parametric query, configuration) run."""
-    plan = plan_features(benchmark, template, variant, sf)
+               conf_id: int) -> list[dict]:
+    """All trace rows for one (parametric query, configuration) run, on the
+    plan ``build_query`` builds at its default scale."""
+    plan = plan_features(benchmark, template, variant)
     run = run_query(plan.dag, conf, noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
     U_qs = U_full[:, P.QS_COLS]
@@ -147,8 +153,7 @@ def _ordered_grid(spark, grid: pd.DataFrame):
 
 
 def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
-                          n_variants: int = 8, n_confs: int = 6, sf: float = 100.0,
-                          seed: int = 0) -> pd.DataFrame:
+                          n_variants: int, n_confs: int, seed: int) -> pd.DataFrame:
     """Distribute trace generation over Spark; returns the collected traces.
 
     The rows come in the grid's order after the ``ORDER_PARTITIONS``-way
@@ -167,7 +172,7 @@ def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
             for rec in pdf.itertuples(index=False):
                 out.extend(dict(row, tag=rec.tag) for row in trace_rows(
                     rec.benchmark, rec.template, int(rec.variant),
-                    json.loads(rec.conf_json), int(rec.conf_id), sf=sf))
+                    json.loads(rec.conf_json), int(rec.conf_id)))
             yield pd.DataFrame(out, columns=[*TRACE_COLUMNS, "tag"])
 
     traces = _ordered_grid(spark, grid).mapInPandas(

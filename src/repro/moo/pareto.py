@@ -85,8 +85,7 @@ def weighted_picks(F: np.ndarray, weights) -> np.ndarray:
     return (Fn[None, :, :] * W[:, None, :]).sum(axis=2).argmin(axis=1)
 
 
-def wun_select(F: np.ndarray, weights: np.ndarray,
-               lo: np.ndarray | None = None, hi: np.ndarray | None = None) -> int:
+def wun_select(F: np.ndarray, weights: np.ndarray) -> int:
     """Weighted-Utopia-Nearest recommendation (paper §3.3.2).
 
     Normalizes the Pareto points, places the Utopia point at the normalized
@@ -97,6 +96,6 @@ def wun_select(F: np.ndarray, weights: np.ndarray,
     if len(F) == 0:
         raise ValueError("empty Pareto set")
     w = np.asarray(weights, dtype=np.float64)
-    Fn, _, _ = normalize(F, lo, hi)
+    Fn, _, _ = normalize(F)
     d = np.sqrt(((w * Fn) ** 2).sum(axis=1))
     return int(np.argmin(d))

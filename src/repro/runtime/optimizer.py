@@ -43,9 +43,6 @@ Request pruning (§C.2.2) keeps the call volume down:
   about to run, whose inputs have all completed with actual statistics;
 * QS requests skip scan stages and stages whose input is below the
   advisory partition size (nothing to re-partition).
-
-Also provides ``aggregate_theta`` — the §C.2.1 rule collapsing the
-compile-time per-subQ θp/θs into the single copy Spark accepts at submit.
 """
 from __future__ import annotations
 
@@ -55,39 +52,12 @@ import numpy as np
 
 from repro.core.plan import SubQDag
 from repro.model import predictor as P
-from repro.moo.hmooc import QueryConfig
 from repro.moo.pareto import weighted_picks
 from repro.params import (C_IDS, D_C, D_P, FULL_IDS, KNOB_BY_ID, MB, P_IDS, S_IDS,
                           normalize_matrix)
 from repro.simspark.costmodel import (HASH_TABLE_FACTOR, SMJ, choose_join_algorithm,
                                       exec_mem, initial_partitions, resource_rate_h)
 from repro.simspark.executor import StageRun, join_sides
-
-
-def aggregate_theta(qc: QueryConfig, dag: SubQDag) -> tuple[dict, dict]:
-    """Collapse fine-grained per-subQ θp/θs into the one copy Spark takes
-    at submission (§C.2.1).
-
-    Join thresholds (s3, s4) take the *minimum* over join-headed subQs —
-    forcing a join algorithm from inaccurate compile-time cardinalities is
-    the failure AQE cannot undo — then are capped from below at Spark's
-    defaults so small scan-side BHJs are not missed. The remaining knobs
-    take the geometric median (geo-mean) over subQs.
-    """
-    join_sqs = [i for i, s in dag.subqs.items() if s.boundary_type == "join"]
-    sq_ids = sorted(qc.theta_p)
-
-    def collapse(theta: dict[int, dict], kid: str) -> float:
-        if kid in ("s3", "s4") and join_sqs:
-            v = max(min(theta[i][kid] for i in join_sqs),
-                    KNOB_BY_ID[kid].default)  # cap at Spark default
-        else:
-            vals = np.array([theta[i][kid] for i in sq_ids])
-            v = np.exp(np.mean(np.log(np.maximum(vals, 1e-9))))
-        return KNOB_BY_ID[kid].clamp(float(v))
-
-    return ({kid: collapse(qc.theta_p, kid) for kid in P_IDS},
-            {kid: collapse(qc.theta_s, kid) for kid in S_IDS})
 
 
 # Deviate from the submitted θp / θs only when the weighted score of the

@@ -4,8 +4,9 @@
 Every method of the paper's end-to-end evaluation (Tables 4 & 5) is a
 solved ``MOOResult`` run by ``run_recommended``: WUN recommends for the
 preference, ``submit_conf`` collapses the recommendation to the one
-configuration Spark accepts, and ``run_query`` executes it under AQE, with
-the runtime optimizer plugged in when a model suite is given (HMOOC3+).
+configuration Spark accepts (``aggregate_theta``, §C.2.1), and
+``run_query`` executes it under AQE, with the runtime optimizer plugged in
+when a model suite is given (HMOOC3+).
 MO-WS is ``weighted_sum``'s result, SO-FW one preference's
 ``so_fixed_weights`` optimum (a one-point Pareto set, so WUN returns it for
 any preference), and HMOOC3 the preference-independent Pareto set of
@@ -19,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.plan import SubQDag
 from repro.model.predictor import ModelSuite
 from repro.moo.hmooc import MOOResult, QueryConfig, hmooc
 from repro.moo.objectives import CompileTimeObjectives
-from repro.params import merge_conf
-from repro.runtime.optimizer import OnlineOptimizer, aggregate_theta
+from repro.params import KNOB_BY_ID, P_IDS, S_IDS, merge_conf
+from repro.runtime.optimizer import OnlineOptimizer
 from repro.simspark.executor import QueryRun, run_query
 
 
@@ -35,6 +38,32 @@ class TunedOutcome:
     solving_time_s: float
     conf0: dict            # the 19-knob configuration submitted to Spark
     run: QueryRun
+
+
+def aggregate_theta(qc: QueryConfig, dag: SubQDag) -> tuple[dict, dict]:
+    """Collapse fine-grained per-subQ θp/θs into the one copy Spark takes
+    at submission (§C.2.1).
+
+    Join thresholds (s3, s4) take the *minimum* over join-headed subQs —
+    forcing a join algorithm from inaccurate compile-time cardinalities is
+    the failure AQE cannot undo — then are capped from below at Spark's
+    defaults so small scan-side BHJs are not missed. The remaining knobs
+    take the geometric median (geo-mean) over subQs.
+    """
+    join_sqs = [i for i, s in dag.subqs.items() if s.boundary_type == "join"]
+    sq_ids = sorted(qc.theta_p)
+
+    def collapse(theta: dict[int, dict], kid: str) -> float:
+        if kid in ("s3", "s4") and join_sqs:
+            v = max(min(theta[i][kid] for i in join_sqs),
+                    KNOB_BY_ID[kid].default)  # cap at Spark default
+        else:
+            vals = np.array([theta[i][kid] for i in sq_ids])
+            v = np.exp(np.mean(np.log(np.maximum(vals, 1e-9))))
+        return KNOB_BY_ID[kid].clamp(float(v))
+
+    return ({kid: collapse(qc.theta_p, kid) for kid in P_IDS},
+            {kid: collapse(qc.theta_s, kid) for kid in S_IDS})
 
 
 def submit_conf(qc: QueryConfig, dag: SubQDag) -> dict:

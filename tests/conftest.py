@@ -82,10 +82,9 @@ class FakeRegressor:
 
 
 def fold_each(make, values):
-    """``MLPRegressor.fold``'s result for a duck-typed regressor: ``make``
-    of a 1-D ``values``, or a list of ``make`` of each row of a 2-D one."""
-    values = np.asarray(values, dtype=np.float64)
-    return make(values) if values.ndim == 1 else [make(row) for row in values]
+    """``MLPRegressor.fold``'s result for a duck-typed regressor: a list of
+    ``make`` of each row of the 2-D ``values``."""
+    return [make(row) for row in np.asarray(values, dtype=np.float64)]
 
 
 class FoldedRegressor:

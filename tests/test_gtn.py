@@ -90,7 +90,8 @@ def _benchmark_graphs():
             dag = partition_subqs(build_query(bm, q))
             for ids in [sq.op_ids for sq in dag.subqs.values()] + [dag.plan.topological()]:
                 yield (f"{bm}/{q}/{len(ids)}",
-                       op_feature_matrix(dag, ids, true_stats=(False, True)),
+                       np.stack([op_feature_matrix(dag, ids, true_stats=t)
+                                 for t in (False, True)]),
                        local_edges(dag, ids))
 
 

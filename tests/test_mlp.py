@@ -195,7 +195,7 @@ def _rest(X, cols):
 
 def test_fold_float64_matches_full_rows(wide):
     m, cols, X = wide
-    f = m.fold(cols, X[0, cols])
+    (f,) = m.fold(cols, X[:1, cols])
     assert f.d_in == 12 - len(cols) and f.W[0].shape == (8, 32)
     np.testing.assert_allclose(f.predict(_rest(X, cols)), m.predict(X), rtol=1e-12)
 
@@ -203,8 +203,8 @@ def test_fold_float64_matches_full_rows(wide):
 @pytest.mark.parametrize("cast_first", [True, False], ids=["cast-fold", "fold-cast"])
 def test_fold_float32_matches_full_rows(wide, cast_first):
     m, cols, X = wide
-    f = (m.astype(np.float32).fold(cols, X[0, cols]) if cast_first
-         else m.fold(cols, X[0, cols]).astype(np.float32))
+    f = (m.astype(np.float32).fold(cols, X[:1, cols])[0] if cast_first
+         else m.fold(cols, X[:1, cols])[0].astype(np.float32))
     assert all(w.dtype == np.float32 for w in f.W + f.b + [f.x_mean, f.x_std])
     pred = f.predict(_rest(X, cols))
     assert pred.dtype == np.float64
@@ -215,8 +215,9 @@ def test_fold_float32_matches_full_rows(wide, cast_first):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 def test_2d_fold_is_1d_fold_per_row(k, dtype):
     """A (k, len(cols)) ``values`` gives k folds, each byte for byte the
-    1-D fold of its row, sharing one kept-column ``W0`` slice and the
-    layers after the first; their predictions are the same bytes too. The
+    one-row fold of its row, so a fold does not depend on its row's place
+    in the batch; they share one kept-column ``W0`` slice and the layers
+    after the first, and their predictions are the same bytes too. The
     model has a QS row's shape (59 inputs, 42 folded, 96 hidden), where a
     BLAS product would round some rows of a batch differently."""
     rng = np.random.default_rng(k)
@@ -229,8 +230,8 @@ def test_2d_fold_is_1d_fold_per_row(k, dtype):
     folds = m.fold(cols, V)
     assert isinstance(folds, list) and len(folds) == k
     rest = rng.normal(0.0, 3.0, (5, 59 - len(cols)))
-    for f, row in zip(folds, V):
-        one = m.fold(cols, row)
+    for i, f in enumerate(folds):
+        (one,) = m.fold(cols, V[i:i + 1])
         assert f.W[0] is folds[0].W[0] and f.x_mean is folds[0].x_mean
         assert all(a is b for a, b in zip(f.W[1:] + f.b[1:], m.W[1:] + m.b[1:]))
         for a, b in zip(f.W + f.b + [f.x_mean, f.x_std],
@@ -243,7 +244,7 @@ def test_2d_fold_is_1d_fold_per_row(k, dtype):
 def test_float32_copy_leaves_original_roundtrip_unchanged(tmp_path, wide):
     m, cols, X = wide
     before = m.predict(X)
-    m.fold(cols, X[0, cols]).astype(np.float32).predict(_rest(X, cols))
+    m.fold(cols, X[:1, cols])[0].astype(np.float32).predict(_rest(X, cols))
     m.astype(np.float32).predict(X)
     path = str(tmp_path / "m.npz")
     m.save(path)
@@ -273,7 +274,7 @@ def test_predict_is_one_shot_forward_per_block(wide, n, f32_fold):
     m, cols, _ = wide
     X = np.random.default_rng(n).normal(2.0, 3.0, (n, 12))
     if f32_fold:
-        m, X = m.astype(np.float32).fold(cols, X[0, cols]), _rest(X, cols)
+        m, X = m.astype(np.float32).fold(cols, X[:1, cols])[0], _rest(X, cols)
     starts = list(range(0, n, PREDICT_BLOCK))
     if n > 1 and n % PREDICT_BLOCK == 1:
         starts.pop()

@@ -108,7 +108,7 @@ def test_folded_float32_matches_full_float64_rows(small_suite):
     M = denormalize_matrix(U, FULL_IDS)
     rate = obj.resource_rate(M)
     for sq in obj.sq_ids:
-        X = StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
+        X = StageFeatures.of_stages(dag, [sq], true_stats=False)[sq].subq_rows(U, M)
         full = small_suite.subq.objectives(X, rate, clamp_latency=True)
         _assert_float32_close(obj.subq_batch(sq, U), full, rate)
 
@@ -140,7 +140,7 @@ def test_runtime_folded_float32_matches_full_float64_rows(small_suite):
                 run_query(dag, conf, runtime_opt=opt, noise_seed=pi)
                 for sq, M, algs, in_bytes, got in opt.scored:
                     U_qs = normalize_matrix(M[:, QS_COLS], QS_IDS)
-                    X = StageFeatures.of(dag, sq, true_stats=True).qs_rows(
+                    X = StageFeatures.of_stages(dag, [sq], true_stats=True)[sq].qs_rows(
                         algs, U_qs, M, IDLE_GAMMA, input_bytes=in_bytes)
                     full = small_suite.qs.objectives(X, opt._rate_s, clamp_latency=False)
                     _assert_float32_close(got, full, opt._rate_s)

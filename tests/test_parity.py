@@ -79,7 +79,7 @@ def spy_suite(fake_suite):
 
 def _trace_feats(bench, template, kind, conf, conf_id):
     return {r["sq_id"]: np.asarray(r["feats"])
-            for r in trace_rows(bench, template, VARIANT, conf, conf_id, sf=SF)
+            for r in trace_rows(bench, template, VARIANT, conf, conf_id)
             if r["kind"] == kind}
 
 

@@ -1,5 +1,5 @@
 """Unit tests for the predictor suite and feature-layout constants."""
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +27,10 @@ def test_dims_consistent(dag):
     U, M = P.encode_confs([conf], P.FULL_IDS)
     U_qs, _ = P.encode_confs([conf], P.QS_IDS)
     sq = min(dag.subqs)
-    row = P.StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
+    row = P.StageFeatures.of_stages(dag, [sq], true_stats=False)[sq].subq_rows(U, M)
     assert row.shape == (1, P.SUBQ_DIM)
 
-    qs_row = P.StageFeatures.of(dag, sq, true_stats=True).qs_rows(
+    qs_row = P.StageFeatures.of_stages(dag, [sq], true_stats=True)[sq].qs_rows(
         ["SMJ"], U_qs, M, P.IDLE_GAMMA)
     assert qs_row.shape == (1, P.QS_DIM)
 
@@ -44,12 +44,13 @@ def test_batched_rows_tile_context(dag):
     U, M = P.encode_confs([conf] * 4, P.FULL_IDS)
     U_qs, _ = P.encode_confs([conf] * 4, P.QS_IDS)
     sq = max(dag.subqs)
-    rows = P.StageFeatures.of(dag, sq, true_stats=False).subq_rows(U, M)
+    rows = P.StageFeatures.of_stages(dag, [sq], true_stats=False)[sq].subq_rows(U, M)
     assert rows.shape == (4, P.SUBQ_DIM)
     assert np.allclose(rows[0], rows[3])
     # one join algorithm per QS row; everything else is shared context
     algs = ["SMJ", "BHJ", "SMJ", ""]
-    qs = P.StageFeatures.of(dag, sq, true_stats=True).qs_rows(algs, U_qs, M, P.IDLE_GAMMA)
+    qs = P.StageFeatures.of_stages(dag, [sq], true_stats=True)[sq].qs_rows(
+        algs, U_qs, M, P.IDLE_GAMMA)
     hot = qs[:, EMB_DIM:EMB_DIM + len(JOIN_ALGS)]
     assert [JOIN_ALGS[i] for i in hot.argmax(axis=1)] == algs
     assert np.array_equal(qs[0], qs[2])
@@ -57,20 +58,9 @@ def test_batched_rows_tile_context(dag):
 
 def test_embed_views_differ(dag):
     sq = max(dag.subqs)  # deep stage: est != true
-    e1 = P.StageFeatures.of(dag, sq, true_stats=True).emb
-    e2 = P.StageFeatures.of(dag, sq, true_stats=False).emb
+    e1 = P.StageFeatures.of_stages(dag, [sq], true_stats=True)[sq].emb
+    e2 = P.StageFeatures.of_stages(dag, [sq], true_stats=False)[sq].emb
     assert not np.allclose(e1, e2)
-
-
-def test_pair_equals_the_two_single_views(dag):
-    for sq in dag.subqs:
-        pair = P.StageFeatures.pair(dag, sq)
-        singles = (P.StageFeatures.of(dag, sq, true_stats=False),
-                   P.StageFeatures.of(dag, sq, true_stats=True))
-        for got, want in zip(pair, singles):
-            for f in fields(P.StageFeatures):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                assert np.array_equal(a, b) and type(a) is type(b), (sq, f.name)
 
 
 def per_stage_view(dag, sq, true_stats):
@@ -134,7 +124,7 @@ def test_runtime_request_bytes_override_stage_stats(dag):
     conf = default_conf()
     U_qs, M = P.encode_confs([conf], P.QS_IDS)
     sq = max(dag.subqs)
-    st = P.StageFeatures.of(dag, sq, true_stats=True)
+    st = P.StageFeatures.of_stages(dag, [sq], true_stats=True)[sq]
     same = st.qs_rows([""], U_qs, M, P.IDLE_GAMMA, input_bytes=st.input_bytes)
     assert np.array_equal(same, st.qs_rows([""], U_qs, M, P.IDLE_GAMMA))
     bigger = st.qs_rows([""], U_qs, M, P.IDLE_GAMMA, input_bytes=100 * st.input_bytes)

@@ -11,9 +11,10 @@ from repro.model.predictor import QS_DIM, QS_FIXED_COLS, ModelSuite, TargetModel
 from repro.moo.hmooc import QueryConfig
 from repro.params import GB, MB, KNOB_BY_ID, P_IDS, S_IDS, default_conf, split_conf
 from repro.runtime import optimizer as R
-from repro.runtime.optimizer import OnlineOptimizer, aggregate_theta
+from repro.runtime.optimizer import OnlineOptimizer
 from repro.simspark.costmodel import BHJ, SMJ
 from repro.simspark.executor import execute
+from repro.tuner import aggregate_theta
 
 
 @pytest.fixture(scope="module")

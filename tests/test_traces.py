@@ -8,6 +8,7 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import TPCH_QUERIES, build_query
 from repro.model import predictor as P
+from repro.model.features import local_edges
 from repro.model.gtn import GTNEmbedder
 from repro.model.traces import (ORDER_PARTITIONS, TRACE_COLUMNS, TRACE_SCHEMA,
                                 _ordered_grid, generate_traces_spark, plan_features,
@@ -56,9 +57,13 @@ def test_rows_deterministic():
     np.testing.assert_allclose(a[0]["feats"], b[0]["feats"])
 
 
-def test_one_embed_per_stage_plus_one_for_the_plan(monkeypatch, fresh_plan_memo):
-    """Both statistics views of a stage come from one GTN forward, and a
-    plan's embeddings are computed once for all its configurations."""
+@pytest.mark.parametrize("benchmark,template", [("tpch", "q3"), ("tpch", "q9"),
+                                                ("tpcds", "q25")])
+def test_two_embeds_per_stage_shape_plus_one_for_the_plan(monkeypatch, fresh_plan_memo,
+                                                          benchmark, template):
+    """A plan's stages are embedded with one GTN forward per stage shape
+    and statistics view, the whole plan with one more, and a second
+    configuration of the plan embeds nothing."""
     calls = []
     embed = GTNEmbedder.embed
 
@@ -67,27 +72,34 @@ def test_one_embed_per_stage_plus_one_for_the_plan(monkeypatch, fresh_plan_memo)
         return embed(self, X, edges)
 
     monkeypatch.setattr(GTNEmbedder, "embed", spy)
-    trace_rows("tpch", "q3", 0, default_conf(), 0)
-    n_stages = partition_subqs(build_query("tpch", "q3", sf=100.0)).n_subqs()
-    assert len(calls) == n_stages + 1
-    assert all(len(shape) == 3 and shape[0] == 2 for shape in calls[:-1])
+    dag = partition_subqs(build_query(benchmark, template, variant=1))
+    trace_rows(benchmark, template, 1, default_conf(), 0)
+    n_shapes = len({(len(sq.op_ids), tuple(local_edges(dag, sq.op_ids)))
+                    for sq in dag.subqs.values()})
+    assert n_shapes > 1
+    assert len(calls) == 2 * n_shapes + 1
+    # the stage forwards stack every stage of a shape; the plan's is one graph
+    assert sum(shape[0] for shape in calls[:-1]) == 2 * dag.n_subqs()
+    assert len(calls[-1]) == 2 and calls[-1][0] == len(dag.plan.ops)
     calls.clear()
-    trace_rows("tpch", "q3", 0, lhs_sample(1, FULL_IDS, seed=1)[0], 1)
+    trace_rows(benchmark, template, 1, lhs_sample(1, FULL_IDS, seed=1)[0], 1)
     assert calls == []
 
 
-def _reference_rows(benchmark, template, variant, conf, conf_id, sf=100.0):
-    """Trace rows built one stage at a time from a fresh plan: both views
-    of each stage from ``StageFeatures.pair``, one-row ``subq_rows`` and
-    ``qs_rows``, then the ``lqp_rows`` of the plan."""
-    dag = partition_subqs(build_query(benchmark, template, sf=sf, variant=variant))
+def _reference_rows(benchmark, template, variant, conf, conf_id):
+    """Trace rows built one stage at a time from a fresh plan: each view of
+    each stage from its own single-stage ``StageFeatures.of_stages`` build,
+    one-row ``subq_rows`` and ``qs_rows``, then the ``lqp_rows`` of the
+    plan."""
+    dag = partition_subqs(build_query(benchmark, template, variant=variant))
     run = run_query(dag, conf, noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
     U_qs = U_full[:, P.QS_COLS]
     rows = []
     for sq_id, sr in run.stages.items():
         io_mb = sr.io_bytes / 1024**2
-        est, obs = P.StageFeatures.pair(dag, sq_id)
+        est, obs = (P.StageFeatures.of_stages(dag, [sq_id], true_stats=t)[sq_id]
+                    for t in (False, True))
         rows.append(("subq", sq_id, est.subq_rows(U_full, M_nat)[0],
                      sr.analytical_latency_s, io_mb))
         rows.append(("qs", sq_id, obs.qs_rows([sr.metrics.join_alg], U_qs, M_nat,
@@ -183,8 +195,7 @@ def test_generate_traces_spark_matches_local(spark):
                                       check_dtype=False, check_exact=True)
 
 
-def reference_generate(spark, benchmark, templates, *, n_variants, n_confs, seed,
-                       sf=100.0):
+def reference_generate(spark, benchmark, templates, *, n_variants, n_confs, seed):
     """The trace pipeline with its Python stage on the 64 shuffle tasks:
     the row order ``generate_traces_spark`` must keep."""
     grid = task_grid(benchmark, templates, n_variants, n_confs, seed=seed)
@@ -194,7 +205,7 @@ def reference_generate(spark, benchmark, templates, *, n_variants, n_confs, seed
             out = []
             for rec in pdf.itertuples(index=False):
                 out.extend(trace_rows(rec.benchmark, rec.template, int(rec.variant),
-                                      json.loads(rec.conf_json), int(rec.conf_id), sf=sf))
+                                      json.loads(rec.conf_json), int(rec.conf_id)))
             yield pd.DataFrame(out) if out else pd.DataFrame(columns=TRACE_COLUMNS)
 
     return spark.createDataFrame(grid).repartition(64).mapInPandas(
