@@ -105,33 +105,43 @@ def join_alg_onehot(alg: str) -> np.ndarray:
 ALPHA_DIM, BETA_DIM, GAMMA_DIM, DERIVED_DIM = 4, 3, 3, 3
 
 
-_COL = {kid: i for i, kid in enumerate(FULL_IDS)}  # M_nat column of each knob
+# the knobs the partitioning formulas read, each with its column in a
+# natural-unit 19-knob row (``FULL_IDS`` order)
+PARTITION_COLS = {kid: FULL_IDS.index(kid)
+                  for kid in ("k1", "k3", "k4", "s1", "s5", "s8", "s9", "s10", "s11")}
 
 
-def derived_partition_features(kind: str, input_bytes, M_nat: np.ndarray,
-                               skew) -> np.ndarray:
-    """(n, DERIVED_DIM) physical-partitioning hints per natural-unit
-    19-knob row (columns in ``FULL_IDS`` order): task count, bytes per task
-    and total executor cores (log-scaled). ``input_bytes`` and ``skew`` are
-    one stage's scalars, or one value per row for a batch of stages of the
-    same ``kind``.
+def partition_knobs(M_nat: np.ndarray) -> dict[str, np.ndarray]:
+    """The ``PARTITION_COLS`` columns of natural-unit 19-knob rows (views),
+    as ``derived_partition_features`` takes them."""
+    M_nat = np.atleast_2d(np.asarray(M_nat, dtype=np.float64))
+    return {kid: M_nat[:, j] for kid, j in PARTITION_COLS.items()}
+
+
+def derived_partition_features(kind: str, input_bytes, knobs, skew) -> np.ndarray:
+    """(n, DERIVED_DIM) physical-partitioning hints per configuration: task
+    count, bytes per task and total executor cores (log-scaled).
+    ``knobs`` maps each knob of ``PARTITION_COLS`` to its (n,) natural-unit
+    column: ``partition_knobs`` of whole knob rows, or the columns a
+    caller gathered itself. ``input_bytes`` and ``skew`` are one stage's
+    scalars, or one value per row for a batch of stages of the same
+    ``kind``. Every operation is elementwise, so a row's hints do not
+    depend on the rows computed with it.
 
     These are properties of the physical stage Spark itself derives from
     the knobs — the task count and bytes-per-task that dominate stage
-    latency, and the cores that run those tasks. Computed with the exact partitioning formulas of the cost
-    model (``repro.simspark.costmodel``) so features stay consistent
-    between training traces and optimization-time prediction.
+    latency, and the cores that run those tasks. Computed with the exact
+    partitioning formulas of the cost model (``repro.simspark.costmodel``)
+    so features stay consistent between training traces, compile-time and
+    runtime prediction.
     """
-    M_nat = np.atleast_2d(np.asarray(M_nat, dtype=np.float64))
     if kind == "scan":
-        p = scan_partitions_vec(input_bytes, M_nat[:, _COL["s8"]],
-                                M_nat[:, _COL["s9"]], M_nat[:, _COL["k4"]])
+        p = scan_partitions_vec(input_bytes, knobs["s8"], knobs["s9"], knobs["k4"])
     else:
-        p, _ = shuffle_partitions_vec(input_bytes, M_nat[:, _COL["s1"]],
-                                      M_nat[:, _COL["s5"]], M_nat[:, _COL["s10"]],
-                                      M_nat[:, _COL["s11"]], skew)
-    out = np.empty((len(M_nat), DERIVED_DIM))
+        p, _ = shuffle_partitions_vec(input_bytes, knobs["s1"], knobs["s5"], knobs["s10"],
+                                      knobs["s11"], skew)
+    out = np.empty((len(knobs["k1"]), DERIVED_DIM))
     out[:, 0] = np.log1p(p) / 12.0
     out[:, 1] = np.log1p(np.maximum(input_bytes, 1.0) / np.maximum(p, 1.0)) / 30.0
-    out[:, 2] = np.log1p(M_nat[:, _COL["k1"]] * M_nat[:, _COL["k3"]]) / 8.0
+    out[:, 2] = np.log1p(knobs["k1"] * knobs["k3"]) / 8.0
     return out

@@ -6,22 +6,27 @@ standardized internally. ``save``/``load`` round-trip to ``.npz`` so
 benchmark harnesses can cache trained models.
 
 ``fold`` fixes some input columns at one row of values per stage and
-returns, per row, the same function over the remaining columns (the fixed
-part moves into the first layer's bias); it folds every stage with one
-product. ``astype`` casts the weights, and ``predict`` computes
-in the weights' dtype. Both inference paths use them: per subQ at compile
-time (``repro.moo.objectives``) and per non-scan stage in the runtime
-plugin (``repro.runtime.optimizer``), one fold of a float32 copy made
-once per loaded suite (``repro.model.predictor.TargetModels.float32``).
+returns one regressor over the remaining columns: the fixed part of each
+stage moves into one row of a first-layer bias table, and every other
+weight is shared, so a query's stages share one model and are folded
+with one product. ``astype`` casts the weights, and ``predict`` and
+``predict_block`` compute in the weights' dtype. Both inference paths
+use them: one fold per query of a float32 copy made once per loaded suite
+(``repro.model.predictor.TargetModels.float32``), scored with a subQ's
+bias row at compile time (``repro.moo.objectives``) and with a non-scan
+stage's in the runtime plugin (``repro.runtime.optimizer``).
 
 ``predict`` runs its forward pass over the row ranges ``predict_blocks``
 gives, ``PREDICT_BLOCK`` rows each (a one-row remainder joins the last
-block), standardizing each block in place and writing into one
-preallocated output; no activations are kept (``fit`` keeps them, for
-backprop). A prediction's working set is then one block's activations,
-whatever the batch size. The compile-time solve (``repro.moo.hmooc``)
-cuts its batches with the same ``predict_blocks`` and scores each block
-as its own task, so a block gets the gemm ``predict`` would give it.
+block): each block is standardized (``standardize``) and forwarded
+(``predict_block``) on its own, writing into one preallocated output; no
+activations are kept (``fit`` keeps them, for backprop). A prediction's
+working set is then one block's activations, whatever the batch size.
+Standardizing is elementwise, so a caller may standardize whole tables
+once and gather blocks from them. The compile-time solve
+(``repro.moo.hmooc``) does that: it cuts its batches with the same
+``predict_blocks`` and runs ``predict_block`` on each block as its own
+task, so a block gets the gemms ``predict`` would give it.
 
 ``idle_core_threads`` is the one rule for how many threads may run MLP
 work side by side: the cores the BLAS pool leaves idle. Suite fits
@@ -162,24 +167,42 @@ class MLPRegressor:
             losses.append(ep_loss / n)
         return losses
 
+    def standardize(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Rows ``X`` of input columns ``cols``, standardized in the
+        weights' dtype: a new array, the same bytes ``predict`` forwards,
+        whatever rows or columns are standardized together."""
+        h = np.asarray(X, dtype=self.W[0].dtype) - self.x_mean[cols]
+        h /= self.x_std[cols]
+        return h
+
+    def predict_block(self, H: np.ndarray, out: np.ndarray, *, row: int | None = None) -> None:
+        """Write the natural-scale (expm1) predictions of the standardized
+        rows ``H`` into the float64 ``out`` (any strides). A fold's first
+        layer takes row ``row`` of its bias table, which a fold needs and
+        any other model refuses. ``H`` should be one of ``predict_blocks``'
+        ranges, whose gemms ``predict`` runs."""
+        if (self.b[0].ndim == 2) != (row is not None):
+            raise ValueError("a fold scores with one row of its bias table, "
+                             "and only a fold takes a row")
+        last = len(self.W) - 1
+        h = H
+        for i, (W, b) in enumerate(zip(self.W, self.b)):
+            h = h @ W
+            h += b[row] if i == 0 and row is not None else b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
+        z = h[:, 0]
+        np.clip(z, -20.0, 30.0, out=z)
+        np.expm1(z, out=out, dtype=np.float64)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets on the natural (expm1) scale, computing in the
-        weights' dtype; the result is float64."""
-        X = np.asarray(X, dtype=self.W[0].dtype)
+        weights' dtype; the result is float64. A fold, which needs a bias
+        row, scores through ``predict_block``."""
         n = len(X)
         out = np.empty(n)
-        last = len(self.W) - 1
         for s, e in predict_blocks(n):
-            h = X[s:e] - self.x_mean
-            h /= self.x_std
-            for i, (W, b) in enumerate(zip(self.W, self.b)):
-                h = h @ W
-                h += b
-                if i < last:
-                    np.maximum(h, 0.0, out=h)
-            z = h[:, 0]
-            np.clip(z, -20.0, 30.0, out=z)
-            np.expm1(z, out=out[s:e], dtype=np.float64)
+            self.predict_block(self.standardize(X[s:e]), out[s:e])
         return out
 
     # -- derived models ----------------------------------------------------------
@@ -189,20 +212,21 @@ class MLPRegressor:
         m.W, m.b, m.x_mean, m.x_std = W, b, x_mean, x_std
         return m
 
-    def fold(self, cols, values) -> list["MLPRegressor"]:
-        """The same function with input columns ``cols`` fixed, once per row
-        of the (k, len(cols)) ``values``: k regressors over the remaining
-        columns, in their order, whose first biases absorb
-        ``((row - x_mean[cols]) / x_std[cols]) @ W0[cols]`` (summed in
-        float64). The folds share one kept-column ``W0`` slice, and the
-        layers after the first are shared with this model, not copied, so
-        many folds of one model stay small; do not ``fit`` a fold.
+    def fold(self, cols, values) -> "MLPRegressor":
+        """The same function with input columns ``cols`` fixed, at one row
+        of the (k, len(cols)) ``values`` per stage: one regressor over the
+        remaining columns, in their order, whose first bias is a (k,
+        hidden) table; row i absorbs ``((values[i] - x_mean[cols]) /
+        x_std[cols]) @ W0[cols]`` (summed in float64), and ``predict_block``
+        takes the row to score with. The fold keeps the
+        kept-column ``W0`` slice and shares the layers after the first with
+        this model, not copied; do not ``fit`` a fold.
 
-        The biases come from one product, a stack of one-row products that
-        numpy multiplies with one gemv each, so a row's bias does not depend
-        on how many rows are folded at once (a gemm may round a row by its
-        position in the batch): each fold equals the one-row fold of its
-        row byte for byte."""
+        The table comes from one product, a stack of one-row products that
+        numpy multiplies with one gemv each, so a row does not depend on
+        how many rows are folded at once (a gemm may round a row by its
+        position in the batch): row i equals the one-row fold of
+        ``values[i]`` byte for byte."""
         cols = np.asarray(cols, dtype=np.int64)
         keep = np.ones(self.d_in, dtype=bool)
         keep[cols] = False
@@ -210,9 +234,8 @@ class MLPRegressor:
         fixed = (values - self.x_mean[cols]) / self.x_std[cols]
         prod = np.matmul(fixed[:, None, :], self.W[0][cols].astype(np.float64))
         b0 = (self.b[0] + prod[:, 0, :]).astype(self.b[0].dtype)
-        W = [self.W[0][keep], *self.W[1:]]
-        x_mean, x_std = self.x_mean[keep], self.x_std[keep]
-        return [self._derive(W, [b, *self.b[1:]], x_mean, x_std) for b in b0]
+        return self._derive([self.W[0][keep], *self.W[1:]], [b0, *self.b[1:]],
+                            self.x_mean[keep], self.x_std[keep])
 
     def astype(self, dtype) -> "MLPRegressor":
         """A copy whose weights and input scaling are ``dtype``."""

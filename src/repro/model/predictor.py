@@ -33,9 +33,16 @@ runtime plugin the QS columns ``qs_fixed`` under ``IDLE_GAMMA`` (at
 ``QS_FIXED_COLS``: 42 of 59) and passes the 17 ``qs_varying`` ones, join
 one-hot, (θc, θs) and derived partitioning. Each folds all of a query's
 stages with one product per model (``TargetModels.fold``) into the float32
-copy made once per loaded suite (``TargetModels.float32``).
+copy made once per loaded suite (``TargetModels.float32``): one model per
+target for the query, whose first-layer bias table has a row per stage,
+and a stage's rows score with its row. Every path lays out the derived
+partitioning columns with ``StageFeatures.derived``, from the natural-unit
+knob columns the partitioning formulas read (``features.partition_knobs``
+of whole knob rows, or columns the compile-time solve gathers itself).
 ``lqp_rows`` builds the whole-plan rows around the ``plan_embedding``, and
-``TargetModels.objectives`` turns predictions into (latency, cost).
+``to_objectives`` is the one formula that turns predicted latency and IO
+into (latency, cost), for a batch (``TargetModels.objectives``) or a
+whole solve phase at once.
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
 """
@@ -51,10 +58,10 @@ from repro.core.plan import SubQDag
 from repro.model.features import (
     ALPHA_DIM, BETA_DIM, DERIVED_DIM, GAMMA_DIM, JOIN_ALGS, alpha_features,
     beta_features, derived_partition_features, gamma_features, join_alg_onehot,
-    local_edges, op_feature_matrix,
+    local_edges, op_feature_matrix, partition_knobs,
 )
 from repro.model.gtn import EMB_DIM, GTNEmbedder
-from repro.model.mlp import MLPRegressor
+from repro.model.mlp import MLPRegressor, predict_blocks
 from repro.params import C_IDS, FULL_IDS, S_IDS, normalize_matrix
 from repro.simspark.costmodel import DEFAULT_COSTS
 
@@ -173,8 +180,12 @@ class StageFeatures:
             beta=beta_features(skew), kind=dag.subqs[sq_id].kind, input_bytes=in_bytes,
             skew=skew)
 
-    def _derived(self, M_nat: np.ndarray, input_bytes) -> np.ndarray:
-        return derived_partition_features(self.kind, input_bytes, M_nat, self.skew)
+    def derived(self, knobs, input_bytes=None) -> np.ndarray:
+        """The derived partitioning columns of this stage's rows from their
+        natural-unit ``features.PARTITION_COLS`` columns ``knobs``;
+        ``input_bytes`` replaces the stage's statistics."""
+        in_bytes = self.input_bytes if input_bytes is None else input_bytes
+        return derived_partition_features(self.kind, in_bytes, knobs, self.skew)
 
     def subq_fixed(self) -> np.ndarray:
         """The ``SUBQ_FIXED_COLS`` of every subQ row of this stage (β = γ = 0)."""
@@ -184,7 +195,7 @@ class StageFeatures:
     def subq_varying(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
         """The other subQ row columns, in order, for normalized 19-knob rows
         ``U_full`` and the same configurations in natural units ``M_nat``."""
-        return np.concatenate([U_full, self._derived(M_nat, self.input_bytes)], axis=1)
+        return np.concatenate([U_full, self.derived(partition_knobs(M_nat))], axis=1)
 
     def subq_rows(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
         """Full subQ model rows: the fixed and the varying columns."""
@@ -208,8 +219,7 @@ class StageFeatures:
         X[:, :_QS_VAR_CONF0] = _ALG_ONEHOT[[_ALG_ROW.get(a, _ALG_ROW[""])
                                             for a in join_algs]]
         X[:, _QS_VAR_CONF0:_QS_VAR_DERIVED0] = U_qs
-        in_bytes = self.input_bytes if input_bytes is None else input_bytes
-        X[:, _QS_VAR_DERIVED0:] = self._derived(M_nat, in_bytes)
+        X[:, _QS_VAR_DERIVED0:] = self.derived(partition_knobs(M_nat), input_bytes)
         return X
 
     def qs_rows(self, join_algs: list[str], U_qs: np.ndarray, M_nat: np.ndarray,
@@ -265,25 +275,61 @@ class TargetModels:
         time and the runtime plugin fold it."""
         return TargetModels(self.latency.astype(np.float32), self.io.astype(np.float32))
 
-    def fold(self, cols, values: np.ndarray) -> list["TargetModels"]:
-        """Both models with columns ``cols`` fixed, once per row of the
-        (k, len(cols)) ``values``: one ``MLPRegressor.fold`` product per
-        model."""
-        return [TargetModels(lat, io) for lat, io in zip(self.latency.fold(cols, values),
-                                                         self.io.fold(cols, values))]
+    def fold(self, cols, values: np.ndarray) -> "TargetModels":
+        """Both models with columns ``cols`` fixed at one row of the (k,
+        len(cols)) ``values`` per stage (``MLPRegressor.fold``): one model
+        each, whose first-layer bias table has a row per stage. Both models
+        are fit on the same rows, so they share one input scaling, which
+        ``standardize`` applies once for both."""
+        lat, io = self.latency.fold(cols, values), self.io.fold(cols, values)
+        if not (np.array_equal(lat.x_mean, io.x_mean) and np.array_equal(lat.x_std, io.x_std)):
+            raise ValueError("the latency and IO models differ in input scaling")
+        return TargetModels(lat, io)
+
+    def standardize(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Rows ``X`` of input columns ``cols`` in the models' shared input
+        scaling (``MLPRegressor.standardize``; a fold's)."""
+        return self.latency.standardize(X, cols)
+
+    def predict_block(self, H: np.ndarray, out: np.ndarray, *, row: int | None = None) -> None:
+        """Write the predicted latency and IO of the standardized rows ``H``
+        into columns 0 and 1 of ``out`` (``MLPRegressor.predict_block``)."""
+        self.latency.predict_block(H, out[:, 0], row=row)
+        self.io.predict_block(H, out[:, 1], row=row)
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.latency.predict(X), self.io.predict(X)
 
-    def objectives(self, X: np.ndarray, rate_s, *, clamp_latency: bool) -> np.ndarray:
+    def objectives(self, X: np.ndarray, rate_s, *, clamp_latency: bool,
+                   row: int | None = None) -> np.ndarray:
         """(n, 2) predicted [latency (s), cloud cost ($)] at ``rate_s`` $ per
-        second held. Cost always uses the latency clamped at 1e-4 s; F
-        holds the clamped latency only if ``clamp_latency`` (compile time
-        clamps, the runtime plugin keeps the raw prediction)."""
-        lat, io_mb = self.predict(X)
-        held = np.maximum(lat, 1e-4)
-        cost = held * rate_s + np.maximum(io_mb, 0.0) / 1024.0 * DEFAULT_COSTS.price_io_gb
-        return np.stack([held if clamp_latency else lat, cost], axis=1)
+        second held (``to_objectives``); a fold scores with bias row ``row``.
+        Each of ``predict_blocks``' ranges is standardized and forwarded on
+        its own, as ``MLPRegressor.predict`` does, so the bytes are its."""
+        F = np.empty((len(X), 2))
+        for s, e in predict_blocks(len(X)):
+            self.predict_block(self.standardize(X[s:e]), F[s:e], row=row)
+        return to_objectives(F, rate_s, clamp_latency=clamp_latency)
+
+
+def to_objectives(F: np.ndarray, rate_s, *, clamp_latency: bool) -> np.ndarray:
+    """Turn (n, 2) predicted [latency (s), IO (MB)] into [latency (s), cloud
+    cost ($)] in place, at ``rate_s`` $ per second held (one rate, or one
+    per row), and return ``F``. Cost is ``held · rate + IO · price`` with
+    the latency held at least 1e-4 s; ``F`` keeps the held latency only if
+    ``clamp_latency`` (compile time clamps, the runtime plugin keeps the
+    raw prediction). Elementwise, so rows may be turned one batch or one
+    phase at a time."""
+    held = np.maximum(F[:, 0], 1e-4)
+    if clamp_latency:
+        F[:, 0] = held
+    held *= rate_s
+    io = F[:, 1]
+    np.maximum(io, 0.0, out=io)
+    io /= 1024.0
+    io *= DEFAULT_COSTS.price_io_gb
+    io += held
+    return F
 
 
 @dataclass

@@ -14,15 +14,17 @@ and the cost formula come from ``repro.model.predictor``.
 Each subQ's embedding and α ‖ β ‖ γ are the same in every row, so at
 construction they are folded, for all subQs with one product per model
 (``TargetModels.fold``), into the float32 copy of the subQ latency and IO
-models that the suite makes once (``TargetModels.float32``); a batch then
-builds and multiplies only the 19 knob columns and the 3 derived
-partitioning columns.
+models that the suite makes once (``TargetModels.float32``): one model
+per target for the query, whose first-layer bias table has one row per
+subQ (``models``). A row then carries only the 19 knob columns and the 3
+derived partitioning columns.
 
-``score`` is the one row path: it takes rows already decoded, with their
-resource rates. HMOOC's solve (``repro.moo.hmooc``) gathers both from
-tables it decodes once per solve and scores one ``predict`` block at a
-time; ``subq_batch``, the baselines' path, decodes its rows and scores
-them in one call.
+``subq_batch``, the baselines' path, decodes its rows, lays them out and
+scores them in one call. HMOOC's solve (``repro.moo.hmooc``) drives
+``models`` itself: it standardizes its decoded tables once, takes each
+subQ's derived columns from ``derived`` once per phase, and turns a
+phase's predictions into objectives at once
+(``predictor.to_objectives``, the one cost formula).
 
 Everything is vectorized over normalized knob matrices ``U`` whose columns
 follow ``FULL_IDS`` (θc ‖ θp ‖ θs).
@@ -51,8 +53,9 @@ class CompileTimeObjectives:
         self.sq_ids = sorted(dag.subqs)
         self._stages = P.StageFeatures.of_stages(dag, self.sq_ids, true_stats=False)
         fixed = np.stack([st.subq_fixed() for st in self._stages.values()])
-        self._models = dict(zip(self._stages,
-                                suite.subq.float32.fold(P.SUBQ_FIXED_COLS, fixed)))
+        # one fold for the query: bias-table row i is subQ sq_ids[i]
+        self.models = suite.subq.float32.fold(P.SUBQ_FIXED_COLS, fixed)
+        self._row = {sq: i for i, sq in enumerate(self.sq_ids)}
 
     @property
     def m(self) -> int:
@@ -62,21 +65,20 @@ class CompileTimeObjectives:
         """$ per second held (executors + driver/cluster occupancy)."""
         return resource_rate_h(M_nat[:, _K1], M_nat[:, _K2], M_nat[:, _K3]) / 3600.0
 
-    def score(self, sq_id: int, U_full: np.ndarray, M_nat: np.ndarray,
-              rate_s: np.ndarray) -> np.ndarray:
-        """(n, 2) predicted [analytical latency (s), cloud cost ($)] of
-        normalized 19-knob rows ``U_full``, given the same rows in natural
-        units ``M_nat`` and their ``resource_rate`` ``rate_s``: one forward
-        per folded model."""
-        X = self._stages[sq_id].subq_varying(U_full, M_nat)
-        return self._models[sq_id].objectives(X, rate_s, clamp_latency=True)
+    def derived(self, sq_id: int, knobs) -> np.ndarray:
+        """SubQ ``sq_id``'s derived partitioning columns of rows whose
+        natural-unit ``features.PARTITION_COLS`` columns are ``knobs``."""
+        return self._stages[sq_id].derived(knobs)
 
     def subq_batch(self, sq_id: int, U_full: np.ndarray) -> np.ndarray:
         """(n, 2) predicted [analytical latency (s), cloud cost ($)] of
-        normalized 19-knob rows, decoded here."""
+        normalized 19-knob rows, decoded here: one forward per model of the
+        query's fold, with the subQ's bias row."""
         U_full = np.atleast_2d(U_full)
         M_nat = denormalize_matrix(U_full, P.FULL_IDS)
-        return self.score(sq_id, U_full, M_nat, self.resource_rate(M_nat))
+        X = self._stages[sq_id].subq_varying(U_full, M_nat)
+        return self.models.objectives(X, self.resource_rate(M_nat), clamp_latency=True,
+                                      row=self._row[sq_id])
 
     def query_fine_batch(self, U_big: np.ndarray) -> np.ndarray:
         """Query-level objectives for fine-grained decision vectors

@@ -14,18 +14,20 @@ trained and evaluated for Table 3 only):
 
 At construction the plugin builds every non-scan stage's true-statistics
 :class:`~repro.model.predictor.StageFeatures` (``StageFeatures.of_stages``,
-one GTN forward per stage shape) and folds the stage's 42 fixed QS
+one GTN forward per stage shape) and folds each stage's 42 fixed QS
 columns (embedding, α, β and the idle ``IDLE_GAMMA``) into the float32
 copy of the QS latency and IO models that the suite makes once: all
-stages with one product per model (``TargetModels.fold``).
+stages with one product per model (``TargetModels.fold``), into one model
+per target whose first-layer bias table has a row per stage.
 
 Both hooks share one scoring path, which starts from a knob matrix: one
 natural-unit 19-knob row per candidate (``FULL_IDS`` order; row 0 is the
 current configuration) → its (θc, θs) columns normalized in one
 ``params.normalize_matrix`` call → the stage's 17 varying QS columns
 (``StageFeatures.qs_varying``: join one-hot, (θc, θs), derived
-partitioning) → predicted (latency, cost), one forward per model of the
-stage's folded float32 models → the weighted pick on min-max-normalized
+partitioning from the knob columns, as compile time lays them out) →
+predicted (latency, cost), one forward per folded float32 model with the
+stage's bias row → the weighted pick on min-max-normalized
 objectives (``pareto.weighted_picks``, shared with WS and SO-FW), which
 replaces the current θ only if its raw weighted score beats the current
 one's by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``). The θs hook
@@ -88,21 +90,25 @@ class OnlineOptimizer:
         # scan stages are never scored: both hooks prune them
         self._stages = P.StageFeatures.of_stages(
             dag, [i for i, s in dag.subqs.items() if s.kind != "scan"], true_stats=True)
-        # one row of fixed QS columns per stage (no row for a scan-only DAG)
+        # one row of fixed QS columns per stage (no row for a scan-only DAG),
+        # folded into one model per target: bias-table row i is the i-th stage
         fixed = np.reshape([st.qs_fixed(P.IDLE_GAMMA) for st in self._stages.values()],
                            (len(self._stages), len(P.QS_FIXED_COLS)))
-        self._models = dict(zip(self._stages, suite.qs.float32.fold(P.QS_FIXED_COLS, fixed)))
+        self._models = suite.qs.float32.fold(P.QS_FIXED_COLS, fixed)
+        self._row = {sq: i for i, sq in enumerate(self._stages)}
         self._mem_exec = exec_mem(theta_c)
 
     # -- helpers ---------------------------------------------------------------
     def _objectives(self, sq_id: int, M_nat: np.ndarray, algs: list[str],
                     input_bytes: float | None) -> np.ndarray:
         """(n, 2) predicted [latency (s), cost ($)] of the rows of the
-        natural-unit 19-knob matrix ``M_nat``: one forward per model, of the
-        stage's folded float32 QS models over the varying columns."""
+        natural-unit 19-knob matrix ``M_nat``: one forward per model of the
+        query's folded float32 QS models over the varying columns, with the
+        stage's bias row."""
         U_qs = normalize_matrix(M_nat[:, P.QS_COLS], P.QS_IDS)
         X = self._stages[sq_id].qs_varying(algs, U_qs, M_nat, input_bytes=input_bytes)
-        return self._models[sq_id].objectives(X, self._rate_s, clamp_latency=False)
+        return self._models.objectives(X, self._rate_s, clamp_latency=False,
+                                       row=self._row[sq_id])
 
     def _choose(self, sq_id: int, M_nat: np.ndarray, algs: list[str], margin: float,
                 *, input_bytes: float | None = None) -> int:

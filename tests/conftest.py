@@ -12,6 +12,7 @@ import pandas as pd
 import pytest
 
 from repro.model.gtn import EMB_DIM
+from repro.model.mlp import predict_blocks
 from repro.model.predictor import ModelSuite, TargetModels
 from repro.params import ALL_KNOBS, denormalize_matrix, normalize_matrix
 
@@ -75,39 +76,63 @@ class FakeRegressor:
         return self.scale * 10.0 * (0.2 + emb_mag) * (1.2 - 0.4 * conf[:, 6])
 
     def fold(self, cols, values):
-        return fold_each(lambda row: FoldedRegressor(self, cols, row), values)
+        return FoldedRegressor(self, cols, values)
 
     def astype(self, dtype) -> "FakeRegressor":
         return self
 
 
-def fold_each(make, values):
-    """``MLPRegressor.fold``'s result for a duck-typed regressor: a list of
-    ``make`` of each row of the 2-D ``values``."""
-    return [make(row) for row in np.asarray(values, dtype=np.float64)]
-
-
 class FoldedRegressor:
     """``MLPRegressor.fold`` for a duck-typed regressor: the same function
-    over the columns other than ``cols``, which are fixed at ``values``."""
+    over the columns other than ``cols``, which are fixed at row ``row`` of
+    the 2-D ``values``. It has no input scaling: ``standardize`` returns a
+    float64 copy."""
 
     def __init__(self, inner, cols, values):
         self.inner = inner
         self.cols = np.asarray(cols)
         self.values = np.asarray(values, dtype=np.float64)
+        self.x_mean = self.x_std = None   # no input scaling
 
-    def full_rows(self, X: np.ndarray) -> np.ndarray:
+    def full_rows(self, X: np.ndarray, row: int) -> np.ndarray:
         X = np.atleast_2d(X)
         full = np.empty((len(X), len(self.cols) + X.shape[1]))
-        full[:, self.cols] = self.values
+        full[:, self.cols] = self.values[row]
         full[:, np.setdiff1d(np.arange(full.shape[1]), self.cols)] = X
         return full
 
-    def astype(self, dtype) -> "FoldedRegressor":
-        return FoldedRegressor(self.inner.astype(dtype), self.cols, self.values)
+    def standardize(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
+        return np.array(X, dtype=np.float64)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.inner.predict(self.full_rows(X))
+    def predict_block(self, H: np.ndarray, out: np.ndarray, *, row: int) -> None:
+        out[:] = self.inner.predict(self.full_rows(H, row))
+
+
+def fold_rows(model, cols, values) -> list:
+    """``MLPRegressor.fold`` one stage at a time: one regressor per row of
+    the (k, len(cols)) ``values``, each with its own 1-D first bias and the
+    kept-column ``W0`` slice, the biases computed with the same stacked
+    one-row products. The oracle for a fold's bias-table row."""
+    cols = np.asarray(cols, dtype=np.int64)
+    keep = np.ones(model.d_in, dtype=bool)
+    keep[cols] = False
+    values = np.asarray(values, dtype=np.float64)
+    fixed = (values - model.x_mean[cols]) / model.x_std[cols]
+    prod = np.matmul(fixed[:, None, :], model.W[0][cols].astype(np.float64))
+    b0 = (model.b[0] + prod[:, 0, :]).astype(model.b[0].dtype)
+    W = [model.W[0][keep], *model.W[1:]]
+    return [model._derive(W, [b, *model.b[1:]], model.x_mean[keep], model.x_std[keep])
+            for b in b0]
+
+
+def predict_row(model, X: np.ndarray, row: int) -> np.ndarray:
+    """A fold's predictions of rows ``X`` with bias-table row ``row``, each
+    of ``predict_blocks``' ranges standardized and forwarded on its own, as
+    ``MLPRegressor.predict`` and ``TargetModels.objectives`` run them."""
+    out = np.empty(len(X))
+    for s, e in predict_blocks(len(X)):
+        model.predict_block(model.standardize(X[s:e]), out[s:e], row=row)
+    return out
 
 
 @pytest.fixture

@@ -106,7 +106,7 @@ def test_derived_features_match_costmodel():
                                  input_bytes=input_bytes, input_rows=1e8,
                                  output_bytes=input_bytes / 10, writes_shuffle=True,
                                  skew=0.0, conf=c).n_tasks for c in confs]
-        d = FT.derived_partition_features(kind, input_bytes, M, 0.0)
+        d = FT.derived_partition_features(kind, input_bytes, FT.partition_knobs(M), 0.0)
         assert np.array_equal(d[:, 0], np.log1p(n_tasks) / 12.0), (input_bytes, kind)
 
 
@@ -115,7 +115,8 @@ def test_derived_features_batched():
     M = np.array([[conf[i] for i in FULL_IDS]] * 5)
     M[:, FULL_IDS.index("s5")] = [16, 64, 256, 1024, 2048]
     M[:, FULL_IDS.index("s1")] = 1 * MB
-    d = FT.derived_partition_features("shuffle", 100 * 1024**3, M, 0.0)
+    d = FT.derived_partition_features("shuffle", 100 * 1024**3, FT.partition_knobs(M),
+                                      0.0)
     assert d.shape == (5, FT.DERIVED_DIM)
     assert np.all(np.diff(d[:, 0]) >= 0)  # more s5 -> more partitions
 
@@ -138,7 +139,9 @@ def test_derived_features_per_stage_arrays_equal_scalar_calls(benchmark):
             row = np.array([[conf[i] for i in FULL_IDS]])
             M = np.repeat(row, len(stages), axis=0)
             for kind in ("scan", "shuffle"):
-                batched = FT.derived_partition_features(kind, in_bytes, M, skew)
-                singles = np.vstack([FT.derived_partition_features(kind, b, row, s)
+                batched = FT.derived_partition_features(kind, in_bytes, FT.partition_knobs(M),
+                                                       skew)
+                one = FT.partition_knobs(row)
+                singles = np.vstack([FT.derived_partition_features(kind, b, one, s)
                                      for b, s in stages])
                 assert np.array_equal(batched, singles), (q, kind)

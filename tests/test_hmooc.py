@@ -216,15 +216,27 @@ def test_effective_set_structure(obj):
 
 
 class _CountingObjectives:
+    """``obj`` whose folded models log each block they score as (subQ,
+    rows) in ``calls``."""
+
     def __init__(self, obj):
-        self.obj, self.sq_ids, self.calls = obj, obj.sq_ids, []
+        self.obj, self.calls = obj, []
+        self.models = _CountingModels(obj.models, obj.sq_ids, self.calls)
 
-    def resource_rate(self, M_nat):
-        return self.obj.resource_rate(M_nat)
+    def __getattr__(self, name):
+        return getattr(self.obj, name)
 
-    def score(self, sq_id, U_full, M_nat, rate_s):
-        self.calls.append((sq_id, len(U_full)))
-        return self.obj.score(sq_id, U_full, M_nat, rate_s)
+
+class _CountingModels:
+    def __init__(self, models, sq_ids, calls):
+        self.inner, self.sq_ids, self.calls = models, sq_ids, calls
+
+    def standardize(self, X, cols):
+        return self.inner.standardize(X, cols)
+
+    def predict_block(self, H, out, *, row):
+        self.calls.append((self.sq_ids[row], len(H)))
+        self.inner.predict_block(H, out, row=row)
 
 
 def test_batched_effective_set_equals_per_block_calls(obj):
@@ -250,6 +262,28 @@ def test_batched_effective_set_equals_per_block_calls(obj):
         want += [(sq, e - s) for n in batches for s, e in predict_blocks(n)]
     assert sorted(counting.calls) == sorted(want)
     assert (obj.sq_ids[0], 513) in want
+
+
+def test_derived_columns_once_per_phase_and_subq(monkeypatch, obj):
+    """A solve lays out each subQ's derived partitioning columns with one
+    ``derived_partition_features`` call per phase (optimize, then assign
+    and re-assign together), not one per block: with a 1,025-row optimize
+    batch per subQ, the blocks outnumber the calls."""
+    from repro.model import predictor
+    calls = []
+    derive = predictor.derived_partition_features
+
+    def spy(kind, input_bytes, knobs, skew):
+        calls.append(len(knobs["k1"]))
+        return derive(kind, input_bytes, knobs, skew)
+
+    monkeypatch.setattr(predictor, "derived_partition_features", spy)
+    counting = _CountingObjectives(obj)
+    H.generate_effective_set(counting, n_c=40, n_clusters=5, n_p=205, seed=3)
+    m = len(obj.sq_ids)
+    assert len(calls) == 2 * m < len(counting.calls)
+    assert calls[:m] == [5 * 205] * m
+    assert sum(calls) == sum(n for _, n in counting.calls)
 
 
 def test_blocks_score_as_one_call_per_subq(small_suite):

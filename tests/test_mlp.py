@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.model.mlp import PREDICT_BLOCK, MLPRegressor, predict_blocks
+from tests.conftest import fold_rows, predict_row
 
 
 @pytest.fixture(scope="module")
@@ -195,18 +196,18 @@ def _rest(X, cols):
 
 def test_fold_float64_matches_full_rows(wide):
     m, cols, X = wide
-    (f,) = m.fold(cols, X[:1, cols])
-    assert f.d_in == 12 - len(cols) and f.W[0].shape == (8, 32)
-    np.testing.assert_allclose(f.predict(_rest(X, cols)), m.predict(X), rtol=1e-12)
+    f = m.fold(cols, X[:1, cols])
+    assert f.d_in == 12 - len(cols) and f.W[0].shape == (8, 32) and f.b[0].shape == (1, 32)
+    np.testing.assert_allclose(predict_row(f, _rest(X, cols), 0), m.predict(X), rtol=1e-12)
 
 
 @pytest.mark.parametrize("cast_first", [True, False], ids=["cast-fold", "fold-cast"])
 def test_fold_float32_matches_full_rows(wide, cast_first):
     m, cols, X = wide
-    f = (m.astype(np.float32).fold(cols, X[:1, cols])[0] if cast_first
-         else m.fold(cols, X[:1, cols])[0].astype(np.float32))
+    f = (m.astype(np.float32).fold(cols, X[:1, cols]) if cast_first
+         else m.fold(cols, X[:1, cols]).astype(np.float32))
     assert all(w.dtype == np.float32 for w in f.W + f.b + [f.x_mean, f.x_std])
-    pred = f.predict(_rest(X, cols))
+    pred = predict_row(f, _rest(X, cols), 0)
     assert pred.dtype == np.float64
     np.testing.assert_allclose(pred, m.predict(X), rtol=1e-5)
 
@@ -214,12 +215,13 @@ def test_fold_float32_matches_full_rows(wide, cast_first):
 @pytest.mark.parametrize("k", [1, 2, 5, 7, 16, 64])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 def test_2d_fold_is_1d_fold_per_row(k, dtype):
-    """A (k, len(cols)) ``values`` gives k folds, each byte for byte the
-    one-row fold of its row, so a fold does not depend on its row's place
-    in the batch; they share one kept-column ``W0`` slice and the layers
-    after the first, and their predictions are the same bytes too. The
-    model has a QS row's shape (59 inputs, 42 folded, 96 hidden), where a
-    BLAS product would round some rows of a batch differently."""
+    """A (k, len(cols)) ``values`` gives one fold whose bias-table row i is,
+    byte for byte, the first bias of the one-row fold of ``V[i:i+1]``
+    (``conftest.fold_rows``, the per-row fold it replaced), so a row does
+    not depend on its place in the batch; the fold shares the layers after
+    the first, and its predictions with row i are the one-row fold's bytes
+    too. The model has a QS row's shape (59 inputs, 42 folded, 96 hidden),
+    where a BLAS product would round some rows of a batch differently."""
     rng = np.random.default_rng(k)
     m = MLPRegressor(59, hidden=(96, 96), seed=k)
     m.b = [rng.normal(0.0, 0.1, b.shape) for b in m.b]
@@ -227,24 +229,63 @@ def test_2d_fold_is_1d_fold_per_row(k, dtype):
     m = m.astype(dtype)
     cols = np.r_[0:32, 46:56]
     V = rng.normal(0.0, 3.0, (k, len(cols)))
-    folds = m.fold(cols, V)
-    assert isinstance(folds, list) and len(folds) == k
+    fold = m.fold(cols, V)
+    assert isinstance(fold, MLPRegressor) and fold.b[0].shape == (k, 96)
+    assert all(a is b for a, b in zip(fold.W[1:] + fold.b[1:], m.W[1:] + m.b[1:]))
     rest = rng.normal(0.0, 3.0, (5, 59 - len(cols)))
-    for i, f in enumerate(folds):
-        (one,) = m.fold(cols, V[i:i + 1])
-        assert f.W[0] is folds[0].W[0] and f.x_mean is folds[0].x_mean
-        assert all(a is b for a, b in zip(f.W[1:] + f.b[1:], m.W[1:] + m.b[1:]))
-        for a, b in zip(f.W + f.b + [f.x_mean, f.x_std],
-                        one.W + one.b + [one.x_mean, one.x_std]):
+    for i in range(k):
+        (one,) = fold_rows(m, cols, V[i:i + 1])
+        for a, b in zip([fold.W[0], fold.b[0][i], fold.x_mean, fold.x_std],
+                        [one.W[0], one.b[0], one.x_mean, one.x_std]):
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()
-        assert f.predict(rest).tobytes() == one.predict(rest).tobytes()
+        assert fold_rows(m, cols, V)[i].b[0].tobytes() == one.b[0].tobytes()
+        assert predict_row(fold, rest, i).tobytes() == one.predict(rest).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_fold_needs_a_bias_row(wide, k):
+    """A fold refuses to score without a bias-table row, even where numpy
+    would broadcast the table over the rows (one row, or exactly k rows of
+    input), and a plain model refuses a row."""
+    m, cols, X = wide
+    f = m.fold(cols, X[:k, cols])
+    H = f.standardize(_rest(X[:k], cols))
+    out = np.empty(k)
+    with pytest.raises(ValueError):
+        f.predict_block(H, out)
+    with pytest.raises(ValueError):
+        f.predict(_rest(X[:k], cols))
+    with pytest.raises(ValueError):
+        m.predict_block(m.standardize(X[:k]), out, row=0)
+    f.predict_block(H, out, row=k - 1)
+    assert out.tobytes() == fold_rows(m, cols, X[k - 1:k, cols])[0].predict(
+        _rest(X[:k], cols)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 300, 513])
+def test_standardized_tables_predict_like_predict(n):
+    """Standardizing two column groups of a table once and forwarding
+    gathered rows with ``predict_block`` gives ``predict``'s bytes: the
+    compile-time solve's split of the work."""
+    rng = np.random.default_rng(n)
+    m = MLPRegressor(22, hidden=(64, 64), seed=n)
+    m.b = [rng.normal(0.0, 0.1, b.shape) for b in m.b]
+    m.x_mean, m.x_std = rng.normal(0.0, 2.0, 22), rng.uniform(0.5, 3.0, 22)
+    f = m.astype(np.float32).fold([0, 1], rng.normal(0.0, 1.0, (3, 2)))
+    A, B = rng.random((40, 8)), rng.random((30, 12))
+    ia, ib = rng.integers(0, 40, n), rng.integers(0, 30, n)
+    As, Bs = f.standardize(A, slice(0, 8)), f.standardize(B, slice(8, 20))
+    out = np.empty((n, 2))
+    f.predict_block(np.concatenate([As[ia], Bs[ib]], axis=1), out[:, 1], row=2)
+    want = predict_row(f, np.concatenate([A[ia], B[ib]], axis=1), 2)
+    assert out[:, 1].tobytes() == want.tobytes()
 
 
 def test_float32_copy_leaves_original_roundtrip_unchanged(tmp_path, wide):
     m, cols, X = wide
     before = m.predict(X)
-    m.fold(cols, X[:1, cols])[0].astype(np.float32).predict(_rest(X, cols))
+    predict_row(m.fold(cols, X[:1, cols]).astype(np.float32), _rest(X, cols), 0)
     m.astype(np.float32).predict(X)
     path = str(tmp_path / "m.npz")
     m.save(path)
@@ -274,12 +315,12 @@ def test_predict_is_one_shot_forward_per_block(wide, n, f32_fold):
     m, cols, _ = wide
     X = np.random.default_rng(n).normal(2.0, 3.0, (n, 12))
     if f32_fold:
-        m, X = m.astype(np.float32).fold(cols, X[:1, cols])[0], _rest(X, cols)
+        m, X = m.astype(np.float32).fold(cols, X[:1, cols]), _rest(X, cols)
     starts = list(range(0, n, PREDICT_BLOCK))
     if n > 1 and n % PREDICT_BLOCK == 1:
         starts.pop()
     want = np.concatenate([_one_shot(m, X[s:e]) for s, e in zip(starts, starts[1:] + [n])])
-    got = m.predict(X)
+    got = predict_row(m, X, 0) if f32_fold else m.predict(X)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert got.tobytes() == want.tobytes()
 

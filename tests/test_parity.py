@@ -13,7 +13,8 @@ from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.experiments.table5 import PREFS
 from repro.model.features import (DERIVED_DIM, GAMMA_DIM, JOIN_ALGS,
-                                  derived_partition_features, join_alg_onehot)
+                                  derived_partition_features, join_alg_onehot,
+                                  partition_knobs)
 from repro.model.gtn import EMB_DIM
 from repro.model.predictor import (FULL_IDS, IDLE_GAMMA, QS_DIM, QS_IDS, ModelSuite,
                                    TargetModels)
@@ -23,7 +24,7 @@ from repro.moo.objectives import CompileTimeObjectives
 from repro.params import C_IDS, GB, MB, lhs_sample
 from repro.runtime.optimizer import _THETA_S_ROWS, OnlineOptimizer
 from repro.simspark.executor import run_query
-from tests.conftest import FoldedRegressor, fold_each, to_vector
+from tests.conftest import FoldedRegressor, to_vector
 
 QUERIES = [("tpch", "q9"), ("tpcds", "q17")]
 VARIANT = 1
@@ -52,7 +53,7 @@ class SpyRegressor:
         return cast
 
     def fold(self, cols, values):
-        return fold_each(lambda row: SpyFold(self, self.inner, cols, row), values)
+        return SpyFold(self, self.inner, cols, values)
 
 
 class SpyFold(FoldedRegressor):
@@ -62,12 +63,9 @@ class SpyFold(FoldedRegressor):
         super().__init__(inner, cols, values)
         self.spy = spy
 
-    def astype(self, dtype):
-        return SpyFold(self.spy, self.inner.astype(dtype), self.cols, self.values)
-
-    def predict(self, X):
-        self.spy.seen_folded.append(self.full_rows(X))
-        return super().predict(X)
+    def predict_block(self, H, out, *, row):
+        self.spy.seen_folded.append(self.full_rows(H, row))
+        super().predict_block(H, out, row=row)
 
 
 @pytest.fixture
@@ -170,10 +168,10 @@ def _qs_rows_reference(st, confs, algs, input_bytes):
     M_nat = np.array([[c[i] for i in FULL_IDS] for c in confs])
     tail = np.concatenate([st.alpha, st.beta, IDLE_GAMMA])
     in_bytes = st.input_bytes if input_bytes is None else input_bytes
+    derived = derived_partition_features(st.kind, in_bytes, partition_knobs(M_nat), st.skew)
     return np.concatenate(
         [np.tile(st.emb, (n, 1)), np.array([join_alg_onehot(a) for a in algs]), U_qs,
-         np.tile(tail, (n, 1)), derived_partition_features(st.kind, in_bytes, M_nat, st.skew)],
-        axis=1)
+         np.tile(tail, (n, 1)), derived], axis=1)
 
 
 def _row(conf):

@@ -137,8 +137,11 @@ def test_objectives_clamp_latency_only_where_asked():
         def __init__(self, v):
             self.v = v
 
-        def predict(self, X):
-            return np.full(len(X), self.v)
+        def standardize(self, X, cols=slice(None)):
+            return X
+
+        def predict_block(self, H, out, *, row=None):
+            out[:] = self.v
 
     tm = P.TargetModels(Const(-0.5), Const(2048.0))
     X = np.zeros((3, 4))
@@ -148,6 +151,24 @@ def test_objectives_clamp_latency_only_where_asked():
     # the cost always prices the clamped latency plus 2 GB of IO
     np.testing.assert_array_equal(clamped[:, 1], raw[:, 1])
     np.testing.assert_allclose(raw[:, 1], 1e-4 * 2.0 + 2.0 * DEFAULT_COSTS.price_io_gb)
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_to_objectives_in_place_is_the_batch_formula(clamp):
+    """``to_objectives`` turns [latency, IO] in place into the bytes of the
+    formula written over whole columns, with one rate per row or one for
+    all, negative and tiny predictions included."""
+    rng = np.random.default_rng(int(clamp))
+    lat = rng.normal(0.0, 1.0, 500) * 10.0 ** rng.integers(-6, 3, 500)
+    io = rng.normal(0.0, 1.0, 500) * 10.0 ** rng.integers(-3, 5, 500)
+    for rate in (rng.random(500) * 1e-2, 3.7e-3):
+        held = np.maximum(lat, 1e-4)
+        want = np.stack([held if clamp else lat,
+                         held * rate + np.maximum(io, 0.0) / 1024.0 * DEFAULT_COSTS.price_io_gb],
+                        axis=1)
+        F = np.stack([lat, io], axis=1)
+        assert P.to_objectives(F, rate, clamp_latency=clamp) is F
+        assert F.tobytes() == want.tobytes()
 
 
 def test_shared_gtn_singleton():
