@@ -1,20 +1,11 @@
-import importlib.util
 import os
 import sys
 
+from repro import blas
 
-def _pin_blas() -> None:
-    """Pin OpenBLAS as the pipeline does (``jobs/run.py``'s ``pin_blas``:
-    one thread, the Haswell kernel where the CPU has AVX2 and FMA), before
-    anything loads numpy."""
-    spec = importlib.util.spec_from_file_location(
-        "_jobs_run", os.path.join(os.path.dirname(__file__), "jobs", "run.py"))
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    run.pin_blas()
-
-
-_pin_blas()
+# Pin OpenBLAS as the pipeline does (one thread, the Haswell kernel where
+# the CPU has AVX2 and FMA), before anything loads numpy.
+blas.pin()
 
 
 def _driver_mem() -> str:

@@ -15,13 +15,13 @@ table; then the job lists every failed gate (the modules' ``check_*``)
 and exits non-zero if there is one. Spark builds the traces
 and is otherwise idle.
 
-Before numpy loads, ``pin_blas`` gives OpenBLAS one thread and, on a CPU
-with AVX2 and FMA, the Haswell kernel: model bits depend on both, and
+Before numpy loads, ``repro.blas.pin`` gives OpenBLAS one thread and, on a
+CPU with AVX2 and FMA, the Haswell kernel: model bits depend on both, and
 OpenBLAS otherwise picks its kernel by host. One BLAS thread leaves
 nproc − 1 cores idle, so ``common.train_suite`` fits a suite's six models
 side by side (``common.fit_workers``) and each HMOOC3 solve scores its row
 blocks on every core (``hmooc.solve_workers``; both read
-``mlp.idle_core_threads``). Under ``spark-submit`` the session comes from
+``blas.idle_core_threads``). Under ``spark-submit`` the session comes from
 the submitted context, whose JVM and Python workers keep the environment
 they were started with; under plain ``python jobs/run.py`` a local master
 is configured after the pins, so the workers inherit them (same settings
@@ -32,31 +32,9 @@ import os
 import sys
 import time
 
+from repro import blas
+
 BENCHMARKS = ("tpch", "tpcds")
-# the variables that size OpenBLAS's thread pool
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def cpu_flags() -> set[str]:
-    """The CPU's feature flags from ``/proc/cpuinfo``; empty where it is
-    not readable."""
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("flags"):
-                    return set(line.split(":", 1)[1].split())
-    except OSError:
-        pass
-    return set()
-
-
-def pin_blas() -> None:
-    """One OpenBLAS thread, and the ``Haswell`` kernel when the CPU has
-    AVX2 and FMA (the kernel needs both); effective only before numpy
-    loads."""
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    if {"avx2", "fma"} <= cpu_flags():
-        os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 
 def get_spark():
@@ -143,7 +121,7 @@ COMMANDS = {"traces": traces,
 
 
 def main(argv: list[str] | None = None) -> None:
-    pin_blas()
+    blas.pin()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("command", nargs="+",
                     help=f"one or more of {', '.join(COMMANDS)}, then optionally "

@@ -22,7 +22,7 @@ import pandas as pd
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
-from repro.model.mlp import idle_core_threads
+from repro.blas import idle_core_threads
 from repro.model.predictor import ModelSuite, TargetModels, train_target
 from repro.model.traces import generate_traces_spark, split_traces
 from repro.moo.hmooc import MOOResult
@@ -105,7 +105,7 @@ def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
 
 
 def fit_workers() -> int:
-    """Threads for a suite's six fits: ``mlp.idle_core_threads()``, the
+    """Threads for a suite's six fits: ``blas.idle_core_threads()``, the
     cores the driver's BLAS pool leaves idle, at most 6."""
     return min(6, idle_core_threads())
 

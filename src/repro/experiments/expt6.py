@@ -92,11 +92,12 @@ def format_expt6(results: dict) -> str:
 
 
 def check_expt6(results: dict) -> list[str]:
-    """Failed gates: HMOOC3 beats every fine-grained rival on average HV
-    and stays inside the paper's 1-2 s cloud budget. (Absolute solving
-    times are not comparable to the paper's: our numpy rivals skip the
-    GPU-server round trips that dominated theirs — the measured times are
-    still printed for the record.) An empty list passes."""
+    """Failed gates: HMOOC3's average HV is at most 3 points below every
+    fine-grained rival's, and its average solve stays inside the paper's
+    1-2 s cloud budget. Solving time is not compared with the rivals':
+    Evo and PF solve in about HMOOC3's time or less on their fixed
+    budgets, and WS takes four to six times as long (DESIGN.md "Numbers").
+    The measured times are printed for the record. An empty list passes."""
     m = results["methods"]
     h = m["hmooc3"]
     out = [f"HMOOC3 HV {h['hv']:.1%} < {r} HV {m[r]['hv']:.1%} - 3 pts"

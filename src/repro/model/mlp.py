@@ -1,8 +1,9 @@
 """A small numpy MLP regressor (the trained half of GTN+regressor).
 
 Trains with Adam on the MSE of ``log1p(target)`` — latencies and IO span
-orders of magnitude, and the paper's WMAPE metric is relative. Inputs are
-standardized internally. ``save``/``load`` round-trip to ``.npz`` so
+orders of magnitude, and the paper's WMAPE metric is relative — with one
+recipe (``BATCH``, ``LR``, ``WEIGHT_DECAY``). Inputs are standardized
+internally. ``save``/``load`` round-trip to ``.npz`` so
 benchmark harnesses can cache trained models.
 
 ``fold`` fixes some input columns at one row of values per stage and
@@ -27,15 +28,8 @@ once and gather blocks from them. The compile-time solve
 (``repro.moo.hmooc``) does that: it cuts its batches with the same
 ``predict_blocks`` and runs ``predict_block`` on each block as its own
 task, so a block gets the gemms ``predict`` would give it.
-
-``idle_core_threads`` is the one rule for how many threads may run MLP
-work side by side: the cores the BLAS pool leaves idle. Suite fits
-(``repro.experiments.common``) and the compile-time solve's block
-scoring (``repro.moo.hmooc``) both size their pools with it.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -43,8 +37,10 @@ import numpy as np
 # 256 KB.
 PREDICT_BLOCK = 512
 
-# The variables that size OpenBLAS's thread pool, in the order it reads them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# ``fit``'s minibatch rows, Adam step size and L2 decay of the weights
+BATCH = 256
+LR = 2e-3
+WEIGHT_DECAY = 1e-5
 
 
 def predict_blocks(n: int) -> list[tuple[int, int]]:
@@ -58,31 +54,10 @@ def predict_blocks(n: int) -> list[tuple[int, int]]:
             for s in range(0, max(n - 1, 1), PREDICT_BLOCK)]
 
 
-def idle_core_threads() -> int:
-    """Threads that can run BLAS work side by side without sharing cores:
-    ``nproc // BLAS threads``, at least 1.
-
-    The BLAS pool size is read from ``OPENBLAS_NUM_THREADS``, then
-    ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``; unset (or not a
-    positive integer) it is nproc. Calls sharing a multi-threaded pool run
-    slower together than one after another, so such a process gets one
-    thread.
-    """
-    nproc = os.cpu_count() or 1
-    blas = nproc
-    for var in _BLAS_THREAD_VARS:
-        if var in os.environ:
-            value = os.environ[var].strip()
-            if value.isdigit() and int(value) > 0:
-                blas = int(value)
-            break
-    return max(1, nproc // blas)
-
-
 class MLPRegressor:
     """Fully-connected ReLU regressor, log-space target."""
 
-    def __init__(self, d_in: int, hidden: tuple[int, ...] = (96, 96), seed: int = 0):
+    def __init__(self, d_in: int, hidden: tuple[int, ...], seed: int = 0):
         self.d_in = d_in
         self.hidden = tuple(hidden)
         rng = np.random.default_rng(seed)
@@ -106,8 +81,7 @@ class MLPRegressor:
             acts.append(h)
         return h[:, 0], acts
 
-    def fit(self, X: np.ndarray, y: np.ndarray, *, epochs: int = 60,
-            batch: int = 256, lr: float = 2e-3, weight_decay: float = 1e-5) -> list[float]:
+    def fit(self, X: np.ndarray, y: np.ndarray, *, epochs: int) -> list[float]:
         """Train; returns the per-epoch training losses."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -127,8 +101,8 @@ class MLPRegressor:
         for ep in range(epochs):
             idx = rng.permutation(n)
             ep_loss = 0.0
-            for s in range(0, n, batch):
-                bi = idx[s:s + batch]
+            for s in range(0, n, BATCH):
+                bi = idx[s:s + BATCH]
                 # Standardized per batch, in place in the gathered copy: no
                 # standardized copy of X is kept.
                 xb = X[bi]
@@ -143,7 +117,7 @@ class MLPRegressor:
                 gb = [None] * len(self.W)
                 for i in range(len(self.W) - 1, -1, -1):
                     gW[i] = acts[i].T @ g
-                    gW[i] += weight_decay * self.W[i]
+                    gW[i] += WEIGHT_DECAY * self.W[i]
                     gb[i] = g.sum(axis=0)
                     if i > 0:  # ReLU: acts[i] > 0 exactly where its input is
                         g = g @ self.W[i].T
@@ -158,7 +132,7 @@ class MLPRegressor:
                     v *= b2
                     v += (1 - b2) * gp ** 2
                     upd = m / c1
-                    upd *= lr
+                    upd *= LR
                     den = v / c2
                     np.sqrt(den, out=den)
                     den += eps

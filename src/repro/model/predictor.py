@@ -18,9 +18,10 @@ on. Every row is GTN embedding ‖ knobs ‖ α ‖ β ‖ γ (paper §4.3):
 
 :class:`StageFeatures` holds what is fixed for one stage under one
 statistics view; its ``subq_rows``/``qs_rows`` append a batch of knob
-rows. ``StageFeatures.of_stages`` is the one builder of these views: it
-builds the views of many stages under one statistics view with one GTN
-forward per stage shape (operator count and local edges; the 541 stages
+rows (a runtime request's observed bytes enter through ``qs_varying``).
+``StageFeatures.of_stages`` is the one builder of these views: it builds
+the views of many stages under one statistics view with one GTN forward
+per stage shape (operator count and local edges; the 541 stages
 of the 52 benchmark queries have two shapes). The compile-time objectives
 build the estimated views with it, the runtime plugin the true ones, and
 trace generation both. ``StageFeatures.stack`` joins the views of
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -96,17 +97,14 @@ _SUBQ_VARYING_COLS = np.setdiff1d(np.arange(SUBQ_DIM), SUBQ_FIXED_COLS)
 # γ of a runtime request: the plugin observes no sibling-stage contention.
 IDLE_GAMMA = gamma_features(1, 0.0, 0.0)
 
-_GTN: GTNEmbedder | None = None
+THROUGHPUT_REPEATS = 5   # timed passes of ``inference_throughput``
 
 
+@cache
 def shared_gtn() -> GTNEmbedder:
     """Process-wide fixed-weight GTN (weights are seeded, so identical
     across processes — safe to use from Spark workers)."""
-    global _GTN
-    if _GTN is None:
-        from repro.model.features import OP_FEAT_DIM
-        _GTN = GTNEmbedder(OP_FEAT_DIM)
-    return _GTN
+    return GTNEmbedder()
 
 
 def encode_confs(confs: list[dict], ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +221,11 @@ class StageFeatures:
         return X
 
     def qs_rows(self, join_algs: list[str], U_qs: np.ndarray, M_nat: np.ndarray,
-                gamma: np.ndarray, *, input_bytes: float | None = None) -> np.ndarray:
+                gamma: np.ndarray) -> np.ndarray:
         """Full QS model rows: the fixed and the varying columns."""
         X = np.empty((len(U_qs), QS_DIM))
         X[:, QS_FIXED_COLS] = self.qs_fixed(gamma)
-        X[:, _QS_VARYING_COLS] = self.qs_varying(join_algs, U_qs, M_nat,
-                                                 input_bytes=input_bytes)
+        X[:, _QS_VARYING_COLS] = self.qs_varying(join_algs, U_qs, M_nat)
         return X
 
 
@@ -296,9 +293,6 @@ class TargetModels:
         into columns 0 and 1 of ``out`` (``MLPRegressor.predict_block``)."""
         self.latency.predict_block(H, out[:, 0], row=row)
         self.io.predict_block(H, out[:, 1], row=row)
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.latency.predict(X), self.io.predict(X)
 
     def objectives(self, X: np.ndarray, rate_s, *, clamp_latency: bool,
                    row: int | None = None) -> np.ndarray:
@@ -390,12 +384,12 @@ def eval_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, float]:
     }
 
 
-def inference_throughput(model: MLPRegressor, X: np.ndarray, *, repeats: int = 5) -> float:
+def inference_throughput(model: MLPRegressor, X: np.ndarray) -> float:
     """Predictions per second on a batch (paper's Xput column)."""
     import time
     model.predict(X[: min(64, len(X))])  # warm
     t0 = time.perf_counter()
-    for _ in range(repeats):
+    for _ in range(THROUGHPUT_REPEATS):
         model.predict(X)
     dt = time.perf_counter() - t0
-    return repeats * len(X) / dt
+    return THROUGHPUT_REPEATS * len(X) / dt

@@ -10,7 +10,8 @@ collapsed plan (LQP̄).
 pipeline (``mapInPandas`` over the task grid); ``trace_rows`` is the pure
 per-task row builder it ships to executors (and the unit-testable core).
 The grid is shuffled ``ORDER_PARTITIONS`` ways only to fix the order of the
-returned rows, which ``split_traces`` permutes by position. Each grid row
+returned rows, which ``split_traces`` permutes by position into one
+seeded 8:1:1 split. Each grid row
 is tagged with its place in that order; the Python stage then runs on one
 task per Spark core, and the collected rows are sorted back on the tag.
 
@@ -49,6 +50,11 @@ TRACE_COLUMNS = [field.split()[0] for field in TRACE_SCHEMA.split(", ")]
 
 # The largest trace grid's plans: TPC-DS, 30 templates × 4 variants
 PLAN_MEMO_SIZE = 30 * 4
+
+# ``split_traces``' permutation seed and train and validation shares (§4.3)
+SPLIT_SEED = 42
+FRAC_TRAIN = 0.8
+FRAC_VAL = 0.1
 
 # Width of the shuffle that puts the task grid in order. It fixes the order
 # of the trace rows, and so the split and the trained models; it sets no
@@ -122,7 +128,7 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
 
 
 def task_grid(benchmark: str, templates: list[str], n_variants: int,
-              n_confs: int, *, seed: int = 0) -> pd.DataFrame:
+              n_confs: int, *, seed: int) -> pd.DataFrame:
     """The (template, variant, conf) fan-out as a pandas frame."""
     ids = [k.kid for k in ALL_KNOBS]
     confs = lhs_sample(n_confs, ids, seed=seed)
@@ -181,17 +187,15 @@ def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
             .reset_index(drop=True))
 
 
-def split_traces(traces: pd.DataFrame, kind: str, *, seed: int = 42,
-                 frac_train: float = 0.8, frac_val: float = 0.1):
+def split_traces(traces: pd.DataFrame, kind: str):
     """8:1:1 split of one trace kind into (X, y_lat, y_io) triples."""
     sub = traces[traces["kind"] == kind].reset_index(drop=True)
     X = np.stack(sub["feats"].to_numpy())
     y_lat = sub["latency"].to_numpy(dtype=np.float64)
     y_io = sub["io_mb"].to_numpy(dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(sub))
-    n_tr = int(frac_train * len(sub))
-    n_va = int(frac_val * len(sub))
+    idx = np.random.default_rng(SPLIT_SEED).permutation(len(sub))
+    n_tr = int(FRAC_TRAIN * len(sub))
+    n_va = int(FRAC_VAL * len(sub))
     tr, va, te = idx[:n_tr], idx[n_tr:n_tr + n_va], idx[n_tr + n_va:]
     return ((X[tr], y_lat[tr], y_io[tr]), (X[va], y_lat[va], y_io[va]),
             (X[te], y_lat[te], y_io[te]))

@@ -10,7 +10,8 @@ isolate the algorithm, not the models.
 
 ``fine`` only sets the dimension that is sampled (and that Evo mutates):
 a query-level vector is evaluated and decoded in the fine-grained layout
-with its one θp‖θs repeated for every subQ.
+with its one θp‖θs repeated for every subQ. Each method returns a
+``MOOResult``; the caller knows which method it ran.
 """
 from __future__ import annotations
 
@@ -47,12 +48,12 @@ def _draw(obj: CompileTimeObjectives, n: int, fine: bool,
 
 
 def _result(obj: CompileTimeObjectives, F: np.ndarray, U_fine: np.ndarray,
-            solving_time_s: float, method: str) -> MOOResult:
+            solving_time_s: float) -> MOOResult:
     """The Pareto points ``F`` and their fine-layout decision vectors as a
     ``MOOResult``."""
     configs = [QueryConfig.decode(u[:D_C], u[D_C:].reshape(obj.m, D_PS), obj.sq_ids)
                for u in U_fine]
-    return MOOResult(F=F, configs=configs, solving_time_s=solving_time_s, method=method)
+    return MOOResult(F=F, configs=configs, solving_time_s=solving_time_s)
 
 
 def weighted_sum(obj: CompileTimeObjectives, *, n_samples: int = 10_000,
@@ -67,8 +68,7 @@ def weighted_sum(obj: CompileTimeObjectives, *, n_samples: int = 10_000,
     w = np.linspace(0, 1, n_weights)
     picks = np.unique(weighted_picks(F, np.stack([w, 1 - w], axis=1)))
     keep = picks[pareto_indices(F[picks])]
-    return _result(obj, F[keep], U[keep], time.perf_counter() - t0,
-                   f"ws-{'fine' if fine else 'query'}")
+    return _result(obj, F[keep], U[keep], time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,7 @@ def evo(obj: CompileTimeObjectives, *, pop: int = 100, n_evals: int = 500,
         sel = np.array(order[:pop])
         P, FP = allP[sel], allF[sel]
     keep = pareto_indices(FP)
-    return _result(obj, FP[keep], _to_fine(obj, P[keep]), time.perf_counter() - t0,
-                   f"evo-{'fine' if fine else 'query'}")
+    return _result(obj, FP[keep], _to_fine(obj, P[keep]), time.perf_counter() - t0)
 
 
 def progressive_frontier(obj: CompileTimeObjectives, *, n_probes: int = 2048,
@@ -195,8 +194,7 @@ def progressive_frontier(obj: CompileTimeObjectives, *, n_probes: int = 2048,
     idx = np.array(sorted(sols))
     keep = pareto_indices(F[idx])
     final = idx[keep]
-    return _result(obj, F[final], U[final], time.perf_counter() - t0,
-                   f"pf-{'fine' if fine else 'query'}")
+    return _result(obj, F[final], U[final], time.perf_counter() - t0)
 
 
 def so_fixed_weights(obj: CompileTimeObjectives, prefs, *, n_samples: int = 4096,
@@ -214,5 +212,5 @@ def so_fixed_weights(obj: CompileTimeObjectives, prefs, *, n_samples: int = 4096
     U, F = _draw(obj, n_samples, False, seed)
     picks = weighted_picks(F, prefs)
     solve_t = time.perf_counter() - t0
-    return {tuple(w): _result(obj, F[i:i + 1], U[i:i + 1], solve_t, "so-fw")
+    return {tuple(w): _result(obj, F[i:i + 1], U[i:i + 1], solve_t)
             for w, i in zip(prefs, picks)}

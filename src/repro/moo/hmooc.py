@@ -36,11 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.model.features import DERIVED_DIM, PARTITION_COLS
-from repro.model.mlp import idle_core_threads, predict_blocks
+from repro.blas import idle_core_threads
+from repro.model.mlp import predict_blocks
 from repro.model.predictor import to_objectives
 from repro.moo.objectives import D_FULL, CompileTimeObjectives
 from repro.moo.pareto import pareto_indices, pareto_mask, wun_select
 from repro.params import C_IDS, D_C, D_P, P_IDS, S_IDS, denormalize_matrix, refined_lhs
+
+KMEANS_ITERS = 20   # most Lloyd iterations of the θc clustering
 
 
 @dataclass
@@ -75,7 +78,6 @@ class MOOResult:
     F: np.ndarray                 # (n, 2) [latency, cost]
     configs: list[QueryConfig]
     solving_time_s: float
-    method: str
 
     def recommend(self, weights) -> tuple[np.ndarray, QueryConfig]:
         i = wun_select(self.F, np.asarray(weights))
@@ -87,18 +89,16 @@ def _sq_dist(U: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((U[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
-def _kmeans(U: np.ndarray, k: int, *, iters: int = 20, seed: int = 0):
-    """Tiny k-means over normalized θc vectors; returns (labels, rep_idx,
-    centers)."""
+def _kmeans(U: np.ndarray, k: int, *, seed: int):
+    """Tiny k-means over normalized θc vectors, at most ``KMEANS_ITERS``
+    Lloyd iterations; returns (labels, rep_idx, centers)."""
     rng = np.random.default_rng(seed)
     k = min(k, len(U))
     centers = U[rng.choice(len(U), k, replace=False)]
     labels = np.zeros(len(U), dtype=int)
-    for _ in range(iters):
-        d = _sq_dist(U, centers)
-        new_labels = d.argmin(axis=1)
+    for _ in range(KMEANS_ITERS):
+        new_labels = _sq_dist(U, centers).argmin(axis=1)
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
         for j in range(k):
@@ -135,10 +135,8 @@ def _crossover_enrich(Uc: np.ndarray, n_new: int, seed: int) -> np.ndarray:
 class _EffectiveSet:
     """Each subQ's two extreme points under every θc candidate."""
 
-    Uc: np.ndarray        # (n_c, 8) θc candidates (normalized)
-    pool: np.ndarray      # (n_p, 11) shared θp⊗θs pool (normalized)
-    C_nat: np.ndarray     # Uc in natural units
-    pool_nat: np.ndarray  # pool in natural units
+    C_nat: np.ndarray     # (n_c, 8) θc candidates in natural units
+    pool_nat: np.ndarray  # (n_p, 11) shared θp⊗θs pool in natural units
     # F[i, ci, j]: the objectives of subQ i's best point on objective j
     # under candidate ci, (m, n_c, 2, 2); picks[i, ci, j]: its pool index
     F: np.ndarray
@@ -146,7 +144,7 @@ class _EffectiveSet:
 
 
 def solve_workers(n_blocks: int) -> int:
-    """Threads that score a solve's row blocks: ``mlp.idle_core_threads()``,
+    """Threads that score a solve's row blocks: ``blas.idle_core_threads()``,
     the cores the BLAS pool leaves idle, at most one per block."""
     return min(n_blocks, idle_core_threads())
 
@@ -259,8 +257,7 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
     picks = np.empty((m, n_cands, 2), dtype=np.int64)
     F_ext[seg_sq, seg_c] = F[best]
     picks[seg_sq, seg_c] = p_idx[best]
-    return _EffectiveSet(Uc=Uc, pool=pool, C_nat=C_nat, pool_nat=pool_nat, F=F_ext,
-                         picks=picks)
+    return _EffectiveSet(C_nat=C_nat, pool_nat=pool_nat, F=F_ext, picks=picks)
 
 
 # ---------------------------------------------------------------------------
@@ -300,5 +297,4 @@ def hmooc(dag, suite, *, agg: str = "boundary", n_c: int = 128, n_clusters: int 
     keep = pareto_indices(F)
     configs = [QueryConfig.of_natural(eff.C_nat[ci], eff.pool_nat[picks[ci, j]], obj.sq_ids)
                for ci, j in zip(*np.divmod(keep, 2))]
-    return MOOResult(F=F[keep], configs=configs,
-                     solving_time_s=time.perf_counter() - t0, method=f"hmooc-{agg}")
+    return MOOResult(F=F[keep], configs=configs, solving_time_s=time.perf_counter() - t0)

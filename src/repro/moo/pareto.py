@@ -38,12 +38,6 @@ def pareto_mask(F: np.ndarray) -> np.ndarray:
     return keep
 
 
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff point ``a`` Pareto-dominates ``b`` (Def. 3.2)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def hypervolume_2d(F: np.ndarray, ref: np.ndarray) -> float:
     """Dominated 2-D hypervolume of the Pareto front of ``F`` w.r.t. ``ref``.
 

@@ -17,8 +17,9 @@ from repro.model.predictor import ModelSuite, TargetModels
 from repro.params import ALL_KNOBS, denormalize_matrix, normalize_matrix
 
 
-# One-row and one-value codec cases and a plan count that only tests use,
-# kept here as oracles over the program's batch forms.
+# One-row and one-value codec cases, a plan count and the pairwise
+# dominance test that only tests use, kept here as oracles over the
+# program's batch forms.
 
 def knob_normalize(knob, v: float) -> float:
     """One natural-unit value of ``knob`` → [0, 1] (``params.normalize_matrix``)."""
@@ -47,6 +48,13 @@ def from_vector(vec: np.ndarray, ids: list[str] | None = None) -> dict:
 def n_joins(plan) -> int:
     """Join operators in a logical plan."""
     return sum(op.op_type == "join" for op in plan.ops.values())
+
+
+def dominates(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff point ``a`` Pareto-dominates ``b`` (Def. 3.2): the oracle
+    the Pareto filters are checked against."""
+    a, b = np.asarray(a), np.asarray(b)
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 class FakeRegressor:

@@ -1,24 +1,14 @@
-"""The BLAS pins of the pipeline (``jobs/run.py``'s ``pin_blas``), which the
-root conftest applies to the test session before numpy loads: numpy's
-OpenBLAS runs one thread, on the Haswell kernel where the CPU has AVX2
-and FMA."""
+"""The BLAS pins of the pipeline (``repro.blas.pin``), which the root
+conftest applies to the test session before numpy loads: numpy's OpenBLAS
+runs one thread, on the Haswell kernel where the CPU has AVX2 and FMA."""
 import ctypes
 import glob
-import importlib.util
 import os
 
 import numpy as np
 import pytest
 
-JOB = os.path.join(os.path.dirname(__file__), "..", "jobs", "run.py")
-
-
-@pytest.fixture(scope="module")
-def run():
-    spec = importlib.util.spec_from_file_location("job_run_pins", JOB)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from repro import blas
 
 
 def _openblas():
@@ -37,11 +27,11 @@ def _openblas():
     return lib
 
 
-def test_session_blas_is_pinned(run):
+def test_session_blas_is_pinned():
     lib = _openblas()
     assert lib.openblas_get_num_threads64_() == 1
     core = lib.openblas_get_corename64_().decode()
-    if {"avx2", "fma"} <= run.cpu_flags():
+    if {"avx2", "fma"} <= blas.cpu_flags():
         assert core == "Haswell"
 
 
@@ -51,12 +41,12 @@ def test_session_blas_is_pinned(run):
     ({"sse3", "avx", "fma"}, None),
     (set(), None),
 ], ids=["avx2-fma", "avx2-only", "fma-only", "no-flags"])
-def test_pin_blas(monkeypatch, run, flags, coretype):
+def test_pin_blas(monkeypatch, flags, coretype):
     """One thread under every variable OpenBLAS reads; the Haswell kernel
     only with both AVX2 and FMA."""
-    for var in (*run.BLAS_THREAD_VARS, "OPENBLAS_CORETYPE"):
+    for var in (*blas.THREAD_VARS, "OPENBLAS_CORETYPE"):
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(run, "cpu_flags", lambda: flags)
-    run.pin_blas()
-    assert all(os.environ[v] == "1" for v in run.BLAS_THREAD_VARS)
+    monkeypatch.setattr(blas, "cpu_flags", lambda: flags)
+    blas.pin()
+    assert all(os.environ[v] == "1" for v in blas.THREAD_VARS)
     assert os.environ.get("OPENBLAS_CORETYPE") == coretype

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from repro import blas
 from repro.core.workloads import benchmark_queries, build_query
 from repro.experiments import common, expt6
 from repro.experiments.expt6 import format_expt6, run_expt6
@@ -188,7 +189,6 @@ def test_artifact_key_covers_sources_and_constants(monkeypatch):
     assert common.artifact_key.__wrapped__() != key
 
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 NPROC = os.cpu_count() or 1
 
 
@@ -202,7 +202,7 @@ NPROC = os.cpu_count() or 1
 ], ids=["openblas-1", "openblas-nproc", "omp-nproc", "unset",
         "openblas-over-omp", "openblas-nproc-over-omp-1"])
 def test_fit_workers_use_the_cores_blas_leaves_idle(monkeypatch, env, workers):
-    for var in BLAS_VARS:
+    for var in blas.THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -215,7 +215,7 @@ def test_concurrent_suite_equals_sequential_fits(monkeypatch, tiny_traces):
     from repro.model.predictor import train_target
     from repro.model.traces import split_traces
 
-    for var in BLAS_VARS:
+    for var in blas.THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert common.fit_workers() == min(NPROC, 6)

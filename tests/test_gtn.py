@@ -5,12 +5,13 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
 from repro.model.features import OP_FEAT_DIM, local_edges, op_feature_matrix
-from repro.model.gtn import EMB_DIM, SHAPE_MEMO_SIZE, GTNEmbedder, adjacency
+from repro.model.gtn import (EMB_DIM, N_HEADS, PE_DIM, SEED, SHAPE_MEMO_SIZE, GTNEmbedder,
+                              adjacency)
 
 
 @pytest.fixture(scope="module")
 def gtn():
-    return GTNEmbedder(OP_FEAT_DIM)
+    return GTNEmbedder()
 
 
 def _chain(n):
@@ -18,7 +19,7 @@ def _chain(n):
 
 
 def head_weight(wqkv: np.ndarray, block: int, h: int, dh: int) -> np.ndarray:
-    """Head ``h``'s (d_model, dh) weight in block 0 (Q), 1 (K) or 2 (V)."""
+    """Head ``h``'s (EMB_DIM, dh) weight in block 0 (Q), 1 (K) or 2 (V)."""
     d = wqkv.shape[0]
     return wqkv[:, block * d + h * dh:block * d + (h + 1) * dh]
 
@@ -27,7 +28,7 @@ def reference_embed(g: GTNEmbedder, X: np.ndarray, edges) -> np.ndarray:
     """The unbatched forward the kernel must match bit for bit: Python edge
     loops for the positional encoding and the bias, and three matmuls per
     head with per-head weights sliced out of the fused ``wqkv``."""
-    n, d, dh = X.shape[0], g.d_model, g.d_model // g.n_heads
+    n, dh = X.shape[0], EMB_DIM // N_HEADS
     A = np.zeros((n, n))
     for i, j in edges:
         A[i, j] = A[j, i] = 1.0
@@ -35,9 +36,9 @@ def reference_embed(g: GTNEmbedder, X: np.ndarray, edges) -> np.ndarray:
     dinv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-9)), 0.0)
     L = np.eye(n) - dinv[:, None] * A * dinv[None, :]
     vals, vecs = np.linalg.eigh(L)
-    pe = vecs[:, 1:1 + g.pe_dim] if n > 1 else np.zeros((n, g.pe_dim))
-    if pe.shape[1] < g.pe_dim:
-        pe = np.pad(pe, ((0, 0), (0, g.pe_dim - pe.shape[1])))
+    pe = vecs[:, 1:1 + PE_DIM] if n > 1 else np.zeros((n, PE_DIM))
+    if pe.shape[1] < PE_DIM:
+        pe = np.pad(pe, ((0, 0), (0, PE_DIM - pe.shape[1])))
     signs = np.where(np.abs(pe).max(axis=0) > 0,
                      np.sign(pe[np.abs(pe).argmax(axis=0), range(pe.shape[1])]), 1.0)
     pe = pe * np.where(signs == 0, 1.0, signs)
@@ -48,7 +49,7 @@ def reference_embed(g: GTNEmbedder, X: np.ndarray, edges) -> np.ndarray:
         bias[i, j] = bias[j, i] = 0.0
     for layer in g.layers:
         heads = []
-        for h in range(g.n_heads):
+        for h in range(N_HEADS):
             wq, wk, wv = (np.ascontiguousarray(head_weight(layer["wqkv"], b, h, dh))
                           for b in range(3))
             q, k, v = H @ wq, H @ wk, H @ wv
@@ -58,7 +59,7 @@ def reference_embed(g: GTNEmbedder, X: np.ndarray, edges) -> np.ndarray:
             w /= w.sum(axis=1, keepdims=True)
             heads.append(w @ v)
         H = H + np.concatenate(heads, axis=1) @ layer["wo"]
-        H = H / (np.linalg.norm(H, axis=1, keepdims=True) / np.sqrt(g.d_model) + 1e-6)
+        H = H / (np.linalg.norm(H, axis=1, keepdims=True) / np.sqrt(EMB_DIM) + 1e-6)
         H = H + np.maximum(H @ layer["w1"], 0.0) @ layer["w2"]
     return H.mean(axis=0)
 
@@ -66,16 +67,16 @@ def reference_embed(g: GTNEmbedder, X: np.ndarray, edges) -> np.ndarray:
 def test_fused_weights_follow_the_draw_order(gtn):
     """Each layer draws per-head Q, K and V weights, then wo, w1 and w2,
     from one seeded stream; ``wqkv`` holds head h of Q, K, V in blocks."""
-    rng = np.random.default_rng(7)
-    d, dh = gtn.d_model, gtn.d_model // gtn.n_heads
+    rng = np.random.default_rng(SEED)
+    d, dh = EMB_DIM, EMB_DIM // N_HEADS
     s = 1.0 / np.sqrt(d)
     assert np.array_equal(gtn.w_in, rng.normal(0, 1.0 / np.sqrt(OP_FEAT_DIM), (OP_FEAT_DIM, d)))
-    assert np.array_equal(gtn.w_pe, rng.normal(0, 0.5, (gtn.pe_dim, d)))
+    assert np.array_equal(gtn.w_pe, rng.normal(0, 0.5, (PE_DIM, d)))
     for layer in gtn.layers:
         assert layer["wqkv"].shape == (d, 3 * d)
         for block in range(3):
-            w = rng.normal(0, s, (gtn.n_heads, d, dh))
-            for h in range(gtn.n_heads):
+            w = rng.normal(0, s, (N_HEADS, d, dh))
+            for h in range(N_HEADS):
                 assert np.array_equal(head_weight(layer["wqkv"], block, h, dh), w[h])
         assert np.array_equal(layer["wo"], rng.normal(0, s, (d, d)))
         assert np.array_equal(layer["w1"], rng.normal(0, s, (d, 2 * d)))
@@ -133,7 +134,7 @@ def test_kernel_matches_reference_on_degenerate_graphs(gtn, n, edges):
 def test_warm_shape_memo_gives_cold_bytes():
     """An embed whose shape parts come from the memo gives the bytes of one
     that computes them, on every benchmark graph and the degenerate ones."""
-    gtn = GTNEmbedder(OP_FEAT_DIM)
+    gtn = GTNEmbedder()
     rng = np.random.default_rng(8)
     graphs = list(_benchmark_graphs())
     graphs += [(f"degenerate/{n}", rng.random((2, n, OP_FEAT_DIM)), edges)
@@ -164,8 +165,8 @@ def test_embedding_shape(gtn):
 
 def test_embedding_deterministic():
     X = np.random.default_rng(1).random((4, OP_FEAT_DIM))
-    a = GTNEmbedder(OP_FEAT_DIM).embed(X, _chain(4))
-    b = GTNEmbedder(OP_FEAT_DIM).embed(X, _chain(4))
+    a = GTNEmbedder().embed(X, _chain(4))
+    b = GTNEmbedder().embed(X, _chain(4))
     np.testing.assert_allclose(a, b)
 
 
@@ -194,7 +195,7 @@ def test_single_node(gtn):
 
 def test_laplacian_pe_orthogonal(gtn):
     pe = gtn._laplacian_pe(adjacency(6, _chain(6)))
-    assert pe.shape == (6, gtn.pe_dim)
+    assert pe.shape == (6, PE_DIM)
     # eigenvectors of a symmetric matrix are orthogonal
     G = pe.T @ pe
     off = G - np.diag(np.diag(G))
@@ -203,7 +204,7 @@ def test_laplacian_pe_orthogonal(gtn):
 
 def test_laplacian_pe_pads_small_graphs(gtn):
     pe = gtn._laplacian_pe(adjacency(2, [(0, 1)]))
-    assert pe.shape == (2, gtn.pe_dim)
+    assert pe.shape == (2, PE_DIM)
     assert np.all(np.isfinite(pe))
 
 

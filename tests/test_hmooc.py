@@ -9,13 +9,15 @@ import sys
 import numpy as np
 import pytest
 
+from repro import blas
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.model.mlp import predict_blocks
 from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
-from repro.moo.pareto import dominates, pareto_indices
-from repro.params import C_IDS, P_IDS, S_IDS, lhs_unit, refined_lhs
+from repro.moo.pareto import pareto_indices
+from repro.params import C_IDS, P_IDS, S_IDS, denormalize_matrix, lhs_unit, refined_lhs
+from tests.conftest import dominates
 
 
 def _sols(rng, n, m):
@@ -197,13 +199,13 @@ def test_effective_set_structure(obj):
     kw = dict(n_c=12, n_clusters=3, n_p=16, seed=0)
     eff = H.generate_effective_set(obj, **kw)
     m = len(obj.sq_ids)
-    assert eff.Uc.shape[1] == 8
-    assert len(eff.Uc) == 12 + 6  # crossover enrichment adds n_c // 2
-    assert eff.F.shape == (m, len(eff.Uc), 2, 2)
-    assert eff.picks.shape == (m, len(eff.Uc), 2)
+    assert eff.C_nat.shape[1] == 8
+    assert len(eff.C_nat) == 12 + 6  # crossover enrichment adds n_c // 2
+    assert eff.F.shape == (m, len(eff.C_nat), 2, 2)
+    assert eff.picks.shape == (m, len(eff.C_nat), 2)
     _, _, sols = _effective_set_per_block(obj, **kw)
     for i, sq in enumerate(obj.sq_ids):
-        assert len(sols[sq]) == len(eff.Uc)
+        assert len(sols[sq]) == len(eff.C_nat)
         for ci, (pidx, F) in enumerate(sols[sq]):
             assert len(pidx) == len(F)
             assert len(pidx) >= 1
@@ -249,8 +251,8 @@ def test_batched_effective_set_equals_per_block_calls(obj):
     counting = _CountingObjectives(obj)
     eff = H.generate_effective_set(counting, **kw)
     Uc, pool, sols = _effective_set_per_block(obj, **kw)
-    np.testing.assert_array_equal(eff.Uc, Uc)
-    np.testing.assert_array_equal(eff.pool, pool)
+    np.testing.assert_array_equal(eff.C_nat, denormalize_matrix(Uc, C_IDS))
+    np.testing.assert_array_equal(eff.pool_nat, denormalize_matrix(pool, P_IDS + S_IDS))
     F, picks = _extremes([sols[sq] for sq in obj.sq_ids])
     assert eff.F.tobytes() == F.tobytes()
     assert eff.picks.tobytes() == picks.astype(eff.picks.dtype).tobytes()
@@ -391,7 +393,6 @@ def test_hmooc_dnc_front_dominates_boundary(obj, fake_suite):
     assert hv_d >= hv_b - 1e-9
 
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 NPROC = os.cpu_count() or 1
 
 
@@ -407,7 +408,7 @@ NPROC = os.cpu_count() or 1
 ], ids=["openblas-1", "openblas-nproc", "omp-nproc", "unset",
         "openblas-over-omp", "openblas-nproc-over-omp-1", "subq-cap", "never-below-1"])
 def test_solve_workers_use_the_cores_blas_leaves_idle(monkeypatch, env, n_blocks, workers):
-    for var in BLAS_VARS:
+    for var in blas.THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -422,7 +423,7 @@ def test_concurrent_solve_equals_one_worker(monkeypatch, small_suite, bm, q):
     whose fronts have several points."""
     dag = partition_subqs(build_query(bm, q))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for var in BLAS_VARS:
+    for var in blas.THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     assert H.solve_workers(len(dag.subqs)) == 1

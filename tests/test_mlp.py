@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.model.mlp import PREDICT_BLOCK, MLPRegressor, predict_blocks
+from repro.model.mlp import (BATCH, LR, PREDICT_BLOCK, WEIGHT_DECAY, MLPRegressor,
+                             predict_blocks)
 from tests.conftest import fold_rows, predict_row
 
 
@@ -24,7 +25,7 @@ def test_training_reduces_loss(toy):
 def test_learns_function(toy):
     X, y = toy
     m = MLPRegressor(6, hidden=(64, 64), seed=1)
-    m.fit(X, y, epochs=200, lr=5e-3)
+    m.fit(X, y, epochs=300)
     pred = m.predict(X)
     wmape = np.abs(pred - y).sum() / y.sum()
     assert wmape < 0.10
@@ -32,7 +33,7 @@ def test_learns_function(toy):
 
 def test_predict_shape_and_positive(toy):
     X, y = toy
-    m = MLPRegressor(6, seed=0)
+    m = MLPRegressor(6, hidden=(32, 32), seed=0)
     m.fit(X, y, epochs=5)
     pred = m.predict(X[:10])
     assert pred.shape == (10,)
@@ -41,9 +42,9 @@ def test_predict_shape_and_positive(toy):
 
 def test_deterministic_training(toy):
     X, y = toy
-    a = MLPRegressor(6, seed=3)
+    a = MLPRegressor(6, hidden=(32, 32), seed=3)
     a.fit(X, y, epochs=5)
-    b = MLPRegressor(6, seed=3)
+    b = MLPRegressor(6, hidden=(32, 32), seed=3)
     b.fit(X, y, epochs=5)
     for pa, pb in zip(_params(a), _params(b)):
         np.testing.assert_array_equal(pa, pb)
@@ -54,7 +55,7 @@ def _params(m):
     return [*m.W, *m.b, m.x_mean, m.x_std]
 
 
-def reference_fit(m, X, y, *, epochs=60, batch=256, lr=2e-3, weight_decay=1e-5):
+def reference_fit(m, X, y, *, epochs):
     """``MLPRegressor.fit`` as it was when it standardized the whole
     training matrix once, before the epochs."""
     X = np.asarray(X, dtype=np.float64)
@@ -72,14 +73,14 @@ def reference_fit(m, X, y, *, epochs=60, batch=256, lr=2e-3, weight_decay=1e-5):
     step = 0
     for _ in range(epochs):
         idx = rng.permutation(len(Xn))
-        for s in range(0, len(Xn), batch):
-            bi = idx[s:s + batch]
+        for s in range(0, len(Xn), BATCH):
+            bi = idx[s:s + BATCH]
             pred, acts = m._forward(Xn[bi])
             g = (2.0 * (pred - t[bi]) / len(bi))[:, None]
             gW = [None] * len(m.W)
             gb = [None] * len(m.W)
             for i in range(len(m.W) - 1, -1, -1):
-                gW[i] = acts[i].T @ g + weight_decay * m.W[i]
+                gW[i] = acts[i].T @ g + WEIGHT_DECAY * m.W[i]
                 gb[i] = g.sum(axis=0)
                 if i > 0:
                     g = (g @ m.W[i].T) * (acts[i] > 0)
@@ -89,8 +90,8 @@ def reference_fit(m, X, y, *, epochs=60, batch=256, lr=2e-3, weight_decay=1e-5):
                 vW[i] = b2 * vW[i] + (1 - b2) * gW[i] ** 2
                 mb[i] = b1 * mb[i] + (1 - b1) * gb[i]
                 vb[i] = b2 * vb[i] + (1 - b2) * gb[i] ** 2
-                m.W[i] -= lr * (mW[i] / (1 - b1**step)) / (np.sqrt(vW[i] / (1 - b2**step)) + eps)
-                m.b[i] -= lr * (mb[i] / (1 - b1**step)) / (np.sqrt(vb[i] / (1 - b2**step)) + eps)
+                m.W[i] -= LR * (mW[i] / (1 - b1**step)) / (np.sqrt(vW[i] / (1 - b2**step)) + eps)
+                m.b[i] -= LR * (mb[i] / (1 - b1**step)) / (np.sqrt(vb[i] / (1 - b2**step)) + eps)
 
 
 @pytest.mark.parametrize("constant_col", [False, True], ids=["varied", "constant-column"])
@@ -123,7 +124,7 @@ def test_save_load_roundtrip(tmp_path, toy):
 
 def test_standardization_stored(toy):
     X, y = toy
-    m = MLPRegressor(6, seed=0)
+    m = MLPRegressor(6, hidden=(32, 32), seed=0)
     m.fit(X, y, epochs=2)
     np.testing.assert_allclose(m.x_mean, X.mean(axis=0))
     assert np.all(m.x_std > 0)
@@ -133,24 +134,27 @@ def test_constant_feature_no_nan(toy):
     X, y = toy
     X = X.copy()
     X[:, 5] = 7.0  # zero-variance feature
-    m = MLPRegressor(6, seed=0)
+    m = MLPRegressor(6, hidden=(32, 32), seed=0)
     m.fit(X, y, epochs=3)
     assert np.all(np.isfinite(m.predict(X[:5])))
 
 
 def test_fit_step_follows_finite_difference_gradient():
-    """One full-batch Adam step (no weight decay) moves every parameter by
-    about lr against the sign of the log-target MSE gradient, computed here
-    by central differences through ``_forward``."""
+    """One full-batch Adam step moves every parameter by about ``LR``
+    against the sign of the gradient of the log-target MSE plus the
+    ``WEIGHT_DECAY`` L2 term on the weights, computed here by central
+    differences through ``_forward``."""
     rng = np.random.default_rng(4)
     X = rng.random((40, 3))
+    assert len(X) <= BATCH   # one epoch is one full-batch step
     y = 5.0 * X[:, 0] + X[:, 1] * X[:, 2]
     m = MLPRegressor(3, hidden=(5, 4), seed=2)
     Xn = (X - X.mean(axis=0)) / X.std(axis=0)
     t = np.log1p(y)
 
     def loss():
-        return float(((m._forward(Xn)[0] - t) ** 2).mean())
+        decay = 0.5 * WEIGHT_DECAY * sum(float((W * W).sum()) for W in m.W)
+        return float(((m._forward(Xn)[0] - t) ** 2).mean()) + decay
 
     params = m.W + m.b
     before = [p.copy() for p in params]
@@ -165,14 +169,13 @@ def test_fit_step_follows_finite_difference_gradient():
             g[i] = (up - loss()) / (2 * h)
             p[i] += h
         grads.append(g)
-    lr = 1e-3
-    m.fit(X, y, epochs=1, batch=len(X), lr=lr, weight_decay=0.0)
+    m.fit(X, y, epochs=1)
     for p, p0, g in zip(m.W + m.b, before, grads):
         moved = p - p0
         live = np.abs(g) > 1e-6
         assert live.any()
         np.testing.assert_array_equal(np.sign(moved[live]), -np.sign(g[live]))
-        np.testing.assert_allclose(np.abs(moved[live]), lr, rtol=2e-2)
+        np.testing.assert_allclose(np.abs(moved[live]), LR, rtol=2e-2)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.experiments.table5 import PREFS
 from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
+from repro.model.features import DERIVED_DIM, partition_knobs
 from repro.model.predictor import FULL_IDS, IDLE_GAMMA, QS_COLS, QS_IDS, StageFeatures
 from repro.params import C_IDS, denormalize_matrix, lhs_unit, normalize_matrix
 from repro.runtime.optimizer import OnlineOptimizer
@@ -140,8 +141,10 @@ def test_runtime_folded_float32_matches_full_float64_rows(small_suite):
                 run_query(dag, conf, runtime_opt=opt, noise_seed=pi)
                 for sq, M, algs, in_bytes, got in opt.scored:
                     U_qs = normalize_matrix(M[:, QS_COLS], QS_IDS)
-                    X = StageFeatures.of_stages(dag, [sq], true_stats=True)[sq].qs_rows(
-                        algs, U_qs, M, IDLE_GAMMA, input_bytes=in_bytes)
+                    st = StageFeatures.of_stages(dag, [sq], true_stats=True)[sq]
+                    X = st.qs_rows(algs, U_qs, M, IDLE_GAMMA)
+                    # the bytes the request observed, as qs_varying lays them out
+                    X[:, -DERIVED_DIM:] = st.derived(partition_knobs(M), in_bytes)
                     full = small_suite.qs.objectives(X, opt._rate_s, clamp_latency=False)
                     _assert_float32_close(got, full, opt._rate_s)
                 served += len(opt.scored)

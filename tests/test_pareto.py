@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.moo.pareto import (dominates, hypervolume_2d, normalize, pareto_indices,
-                              pareto_mask, weighted_picks, wun_select)
+from repro.moo.pareto import (hypervolume_2d, normalize, pareto_indices, pareto_mask,
+                              weighted_picks, wun_select)
+from tests.conftest import dominates
 
 
 def brute_force_pareto(F: np.ndarray) -> set[int]:

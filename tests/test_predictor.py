@@ -121,13 +121,16 @@ def test_stage_builder_matches_the_per_stage_forward():
 
 
 def test_runtime_request_bytes_override_stage_stats(dag):
+    """The bytes a runtime request observed (``qs_varying``'s
+    ``input_bytes``, which the runtime plugin passes) replace the stage's
+    statistics in the derived partitioning columns only."""
     conf = default_conf()
     U_qs, M = P.encode_confs([conf], P.QS_IDS)
     sq = max(dag.subqs)
     st = P.StageFeatures.of_stages(dag, [sq], true_stats=True)[sq]
-    same = st.qs_rows([""], U_qs, M, P.IDLE_GAMMA, input_bytes=st.input_bytes)
-    assert np.array_equal(same, st.qs_rows([""], U_qs, M, P.IDLE_GAMMA))
-    bigger = st.qs_rows([""], U_qs, M, P.IDLE_GAMMA, input_bytes=100 * st.input_bytes)
+    same = st.qs_varying([""], U_qs, M, input_bytes=st.input_bytes)
+    assert np.array_equal(same, st.qs_varying([""], U_qs, M))
+    bigger = st.qs_varying([""], U_qs, M, input_bytes=100 * st.input_bytes)
     assert not np.array_equal(same[:, -DERIVED_DIM:], bigger[:, -DERIVED_DIM:])
     assert np.array_equal(same[:, :-DERIVED_DIM], bigger[:, :-DERIVED_DIM])
 
@@ -194,7 +197,7 @@ def test_inference_throughput_positive():
     m = MLPRegressor(4, hidden=(8,), seed=0)
     m.fit(np.random.default_rng(0).random((64, 4)), np.ones(64), epochs=1)
     x = np.random.default_rng(1).random((1000, 4))
-    assert P.inference_throughput(m, x, repeats=2) > 1000
+    assert P.inference_throughput(m, x) > 1000
 
 
 def test_suite_save_load(tmp_path):
@@ -218,11 +221,3 @@ def test_suite_save_load(tmp_path):
     np.testing.assert_allclose(suite.qs.latency.predict(X),
                                loaded.qs.latency.predict(X))
 
-
-def test_target_models_predict_pair():
-    rng = np.random.default_rng(0)
-    m1 = MLPRegressor(3, hidden=(4,), seed=1)
-    m1.fit(rng.random((32, 3)), np.ones(32), epochs=1)
-    tm = P.TargetModels(m1, m1)
-    lat, io = tm.predict(rng.random((7, 3)))
-    assert lat.shape == (7,) and io.shape == (7,)

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.moo.pareto import (dominates, hypervolume_2d, normalize,
-                              pareto_indices, wun_select)
+from repro.moo.pareto import hypervolume_2d, normalize, pareto_indices, wun_select
 from repro.params import ALL_KNOBS, KNOB_BY_ID
-from tests.conftest import from_vector, to_vector
+from tests.conftest import dominates, from_vector, to_vector
 
 _objs = arrays(np.float64, (20, 2), elements=st.floats(0.0, 100.0))
 

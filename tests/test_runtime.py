@@ -118,7 +118,7 @@ def test_one_fold_per_qs_model(monkeypatch, fake_suite):
 
     monkeypatch.setattr(MLPRegressor, "fold", fold_spy)
     monkeypatch.setattr(MLPRegressor, "astype", astype_spy)
-    qs = TargetModels(MLPRegressor(QS_DIM, seed=1), MLPRegressor(QS_DIM, seed=2))
+    qs = TargetModels(MLPRegressor(QS_DIM, hidden=(32, 32), seed=1), MLPRegressor(QS_DIM, hidden=(32, 32), seed=2))
     suite = ModelSuite(fake_suite.subq, qs, fake_suite.lqp)
     theta_c, _, _ = split_conf(default_conf())
     casts = 0
