@@ -6,6 +6,10 @@ Heavy artifacts (traces, trained models, table results) are cached under
 directory to regenerate from scratch. Traces and models carry a
 ``.stamp`` file with the ``artifact_key`` they were built under and are
 rebuilt when it no longer matches.
+
+Every consumer of the model store imports this module, so it loads numpy
+and no dataframe or engine library; ``get_traces`` imports pandas to read
+cached traces, and trace generation imports it in ``repro.model.traces``.
 """
 from __future__ import annotations
 
@@ -16,9 +20,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 
 from repro.core.plan import partition_subqs
 from repro.core.workloads import benchmark_queries, build_query
@@ -28,6 +32,9 @@ from repro.model.traces import generate_traces_spark, split_traces
 from repro.moo.hmooc import MOOResult
 from repro.moo.objectives import CompileTimeObjectives
 from repro.tuner import compile_hmooc3
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR",
                              os.path.join(os.path.dirname(__file__), "..", "..", "..", "results"))
@@ -95,6 +102,8 @@ def get_traces(spark, benchmark: str, *, force: bool = False) -> pd.DataFrame:
     """Load cached traces or generate them with the Spark pipeline."""
     path = traces_path(benchmark)
     if not force and os.path.exists(path) and _is_current(path):
+        import pandas as pd
+
         return pd.read_parquet(path)
     traces = generate_traces_spark(
         spark, benchmark, benchmark_queries(benchmark),

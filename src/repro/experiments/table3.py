@@ -6,8 +6,6 @@ throughput (K predictions/sec) — the same cells as the paper's Table 3.
 """
 from __future__ import annotations
 
-import pandas as pd
-
 from repro.experiments import common
 from repro.model.predictor import eval_metrics, inference_throughput
 from repro.model.traces import split_traces

@@ -26,21 +26,29 @@ forwards per stage shape, plus one for the plan. ``trace_rows`` then lays
 out a task's subQ and QS rows one matrix per stage kind with the
 ``predictor`` row builders. The memo hands every task the same DAG and
 arrays, which the simulator and the row builders only read.
+
+Importing this module loads numpy but not pandas, because
+``repro.experiments.common``, which every process that solves or adapts
+imports, imports it. ``task_grid`` and the ``mapInPandas`` worker import
+pandas when they run.
 """
 from __future__ import annotations
 
 import functools
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 
 from repro.core.plan import SubQDag, partition_subqs
 from repro.core.workloads import build_query
 from repro.model import predictor as P
 from repro.params import ALL_KNOBS, lhs_sample
 from repro.simspark.executor import run_query
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 TRACE_SCHEMA = (
     "kind string, benchmark string, template string, variant int, conf_id int, "
@@ -130,6 +138,8 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
 def task_grid(benchmark: str, templates: list[str], n_variants: int,
               n_confs: int, *, seed: int) -> pd.DataFrame:
     """The (template, variant, conf) fan-out as a pandas frame."""
+    import pandas as pd
+
     ids = [k.kid for k in ALL_KNOBS]
     confs = lhs_sample(n_confs, ids, seed=seed)
     recs = []
@@ -173,6 +183,8 @@ def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
     grid = task_grid(benchmark, templates, n_variants, n_confs, seed=seed)
 
     def worker(batches):
+        import pandas as pd
+
         for pdf in batches:
             out: list[dict] = []
             for rec in pdf.itertuples(index=False):
