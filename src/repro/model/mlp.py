@@ -24,10 +24,12 @@ block): each block is standardized (``standardize``) and forwarded
 activations are kept (``fit`` keeps them, for backprop). A prediction's
 working set is then one block's activations, whatever the batch size.
 Standardizing is elementwise, so a caller may standardize whole tables
-once and gather blocks from them. The compile-time solve
-(``repro.moo.hmooc``) does that: it cuts its batches with the same
-``predict_blocks`` and runs ``predict_block`` on each block as its own
-task, so a block gets the gemms ``predict`` would give it.
+once and gather blocks from them. The one compile-time scorer
+(``repro.moo.objectives.CompileTimeObjectives.score``) does that: it
+cuts its batches with the same ``predict_blocks`` and runs
+``predict_block`` on each block as its own task, so a block gets the
+gemms ``predict`` would give it. A runtime request's few rows are one
+such block.
 """
 from __future__ import annotations
 

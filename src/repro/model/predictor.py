@@ -29,21 +29,23 @@ several stages of one kind into one whose rows are one per stage, so
 trace generation lays out a whole execution's rows with the same
 builders. Both inference paths fold what is fixed per stage into the
 models and pass only the varying columns: compile time the subQ columns
-``subq_fixed`` (at ``SUBQ_FIXED_COLS``) and passes ``subq_varying``; the
-runtime plugin the QS columns ``qs_fixed`` under ``IDLE_GAMMA`` (at
-``QS_FIXED_COLS``: 42 of 59) and passes the 17 ``qs_varying`` ones, join
-one-hot, (θc, θs) and derived partitioning. Each folds all of a query's
-stages with one product per model (``TargetModels.fold``) into the float32
-copy made once per loaded suite (``TargetModels.float32``): one model per
-target for the query, whose first-layer bias table has a row per stage,
-and a stage's rows score with its row. Every path lays out the derived
+``subq_fixed`` (at ``SUBQ_FIXED_COLS``), and it lays out the 19 knobs
+and the derived partitioning itself, from decoded and standardized knob
+tables (``repro.moo.objectives``); the runtime plugin the QS columns
+``qs_fixed`` under ``IDLE_GAMMA`` (at ``QS_FIXED_COLS``: 42 of 59) and
+passes the 17 ``qs_varying`` ones, join one-hot, (θc, θs) and derived
+partitioning. Each folds all of a query's stages with one product per
+model (``TargetModels.fold``) into the float32 copy made once per loaded
+suite (``TargetModels.float32``): one model per target for the query,
+whose first-layer bias table has a row per stage, and a stage's rows
+score with its row. Every path lays out the derived
 partitioning columns with ``StageFeatures.derived``, from the natural-unit
 knob columns the partitioning formulas read (``features.partition_knobs``
-of whole knob rows, or columns the compile-time solve gathers itself).
+of whole knob rows, or columns the compile-time scorer gathers itself).
 ``lqp_rows`` builds the whole-plan rows around the ``plan_embedding``, and
 ``to_objectives`` is the one formula that turns predicted latency and IO
-into (latency, cost), for a batch (``TargetModels.objectives``) or a
-whole solve phase at once.
+into (latency, cost), for a runtime request's one block or for all rows
+of a compile-time ``CompileTimeObjectives.score`` call at once.
 
 Targets: (analytical) latency in seconds and IO in MB, each its own MLP.
 """
@@ -62,7 +64,7 @@ from repro.model.features import (
     local_edges, op_feature_matrix, partition_knobs,
 )
 from repro.model.gtn import EMB_DIM, GTNEmbedder
-from repro.model.mlp import MLPRegressor, predict_blocks
+from repro.model.mlp import MLPRegressor
 from repro.params import C_IDS, FULL_IDS, S_IDS, normalize_matrix
 from repro.simspark.costmodel import DEFAULT_COSTS
 
@@ -190,16 +192,13 @@ class StageFeatures:
         zeros = np.zeros(self.alpha.shape[:-1] + (BETA_DIM + GAMMA_DIM,))
         return np.concatenate([self.emb, self.alpha, zeros], axis=-1)
 
-    def subq_varying(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
-        """The other subQ row columns, in order, for normalized 19-knob rows
-        ``U_full`` and the same configurations in natural units ``M_nat``."""
-        return np.concatenate([U_full, self.derived(partition_knobs(M_nat))], axis=1)
-
     def subq_rows(self, U_full: np.ndarray, M_nat: np.ndarray) -> np.ndarray:
-        """Full subQ model rows: the fixed and the varying columns."""
+        """Full subQ model rows for normalized 19-knob rows ``U_full`` and the
+        same configurations in natural units ``M_nat``: the fixed columns,
+        then the varying ones, the knobs and the derived partitioning."""
         X = np.empty((len(U_full), SUBQ_DIM))
         X[:, SUBQ_FIXED_COLS] = self.subq_fixed()
-        X[:, _SUBQ_VARYING_COLS] = self.subq_varying(U_full, M_nat)
+        X[:, _SUBQ_VARYING_COLS] = np.hstack([U_full, self.derived(partition_knobs(M_nat))])
         return X
 
     def qs_fixed(self, gamma: np.ndarray) -> np.ndarray:
@@ -293,17 +292,6 @@ class TargetModels:
         into columns 0 and 1 of ``out`` (``MLPRegressor.predict_block``)."""
         self.latency.predict_block(H, out[:, 0], row=row)
         self.io.predict_block(H, out[:, 1], row=row)
-
-    def objectives(self, X: np.ndarray, rate_s, *, clamp_latency: bool,
-                   row: int | None = None) -> np.ndarray:
-        """(n, 2) predicted [latency (s), cloud cost ($)] at ``rate_s`` $ per
-        second held (``to_objectives``); a fold scores with bias row ``row``.
-        Each of ``predict_blocks``' ranges is standardized and forwarded on
-        its own, as ``MLPRegressor.predict`` does, so the bytes are its."""
-        F = np.empty((len(X), 2))
-        for s, e in predict_blocks(len(X)):
-            self.predict_block(self.standardize(X[s:e]), F[s:e], row=row)
-        return to_objectives(F, rate_s, clamp_latency=clamp_latency)
 
 
 def to_objectives(F: np.ndarray, rate_s, *, clamp_latency: bool) -> np.ndarray:

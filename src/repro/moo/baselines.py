@@ -4,9 +4,13 @@ Frontier, and the fixed-weight single-objective method (SO-FW).
 Each method solves Def. 3.3 over the *global* parameter space — either
 query-level (one shared 19-knob vector: the prior-work control mode, e.g.
 MO-WS = UDAO's weighted sum) or fine-grained (8 + 11·m dims), matching the
-paper's Expt 6/7 configurations. All consume the same model-based
-``CompileTimeObjectives`` evaluator that HMOOC uses, so comparisons
-isolate the algorithm, not the models.
+paper's Expt 6/7 configurations. All score through the one
+compile-time scorer HMOOC3 uses (``CompileTimeObjectives.score``, by way
+of ``query_fine_batch``), so every method ranks the same predictions of
+the same models. They do not run on the same engine: HMOOC3 scores its
+blocks on the cores the BLAS pool leaves idle, the rivals on the calling
+thread, so wall-clock solving times compare engines as well as
+algorithms (ROADMAP item 16).
 
 ``fine`` only sets the dimension that is sampled (and that Evo mutates):
 a query-level vector is evaluated and decoded in the fine-grained layout

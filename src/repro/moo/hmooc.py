@@ -8,15 +8,17 @@ the constraint that every subQ shares the same θc:
    representative per subQ over a shared sample pool, assign each member
    its representative's optimal θp set, then *enrich* θc by the crossover
    (Cartesian-product) heuristic of Appendix C.1 and re-assign. All θc
-   candidates (the crossover's too) and the pool are drawn, decoded and
-   standardized once per solve; every scored row gathers from those
-   tables. The work unit is one of ``MLPRegressor.predict``'s 512-row
-   blocks of one subQ's batch, and each phase (optimize, then assign and
-   re-assign together) scores all subQs' blocks on the cores the BLAS
-   pool leaves idle (``solve_workers``). A worker only gathers a block's
-   rows and multiplies them through the query's folded models; the
-   derived columns (once per subQ) and the objectives (once over all
-   rows) are taken on the calling thread. Optimize's Pareto filters run
+   candidates (the crossover's too) and the pool are drawn, and made
+   into the objectives' ``tables`` (decoded and standardized) once per
+   solve; every scored row gathers from those tables. Each phase
+   (optimize, then assign and re-assign together) is one
+   ``CompileTimeObjectives.score`` call, whose work unit is one of
+   ``MLPRegressor.predict``'s 512-row blocks of one subQ's batch: the
+   solve runs them on the cores the BLAS pool leaves idle
+   (``solve_workers``). A worker only gathers a block's rows and
+   multiplies them through the query's folded models; ``score`` takes
+   the derived columns (once per subQ) and the objectives (once over all
+   rows) on the calling thread. Optimize's Pareto filters run
    as one sweep (``pareto.pareto_mask``), and the effective set keeps,
    per (subQ, θc candidate), only the two points aggregation reads.
 2. **DAG aggregation** — HMOOC3's boundary approximation: under each θc,
@@ -35,13 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.model.features import DERIVED_DIM, PARTITION_COLS
 from repro.blas import idle_core_threads
 from repro.model.mlp import predict_blocks
-from repro.model.predictor import to_objectives
-from repro.moo.objectives import D_FULL, CompileTimeObjectives
+from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices, pareto_mask, wun_select
-from repro.params import C_IDS, D_C, D_P, P_IDS, S_IDS, denormalize_matrix, refined_lhs
+from repro.params import C_IDS, D_P, P_IDS, S_IDS, denormalize_matrix, refined_lhs
 
 KMEANS_ITERS = 20   # most Lloyd iterations of the θc clustering
 
@@ -156,23 +156,15 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
     reduced to each set's two extreme points.
 
     Every θc candidate is drawn up front (the crossover has its own RNG),
-    and the candidates and the pool are decoded once and standardized once
-    (in the scaling of ``obj.models``, the query's fold). A row pairs a
-    candidate with a pool row; its model input is the candidate's θc ‖
-    the pool row's θp‖θs ‖ its derived partitioning, and its rate is the
-    candidate's. Each phase lays out one batch of rows per subQ (per pass
-    in assign) and, on the calling thread, takes each subQ's derived
-    columns with one ``obj.derived`` call over the knob columns gathered
-    from the natural-unit tables. It cuts the batches into ``predict``'s
-    blocks (``mlp.predict_blocks``) and scores all subQs' blocks on
-    ``solve_workers`` threads (numpy releases the GIL in BLAS calls): a
-    block gathers its rows into one buffer and runs each model's gemm
-    chain with the subQ's bias row, writing the predicted latency and IO
-    into its slice of the phase's F. The clamp and the cost formula
-    (``predictor.to_objectives``) then run once over the phase. Every step
-    outside the gemms is elementwise, and a block is forwarded exactly as
-    ``predict`` forwards it within its batch, so the sets are
-    bit-identical to one ``subq_batch`` call per batch, in any order.
+    and the candidates and the pool make one ``obj.tables`` (decoded once,
+    standardized once in the scaling of ``obj.models``, the query's fold).
+    A row pairs a candidate with a pool row. Each phase lays out one batch
+    of rows per subQ (per pass in assign) and scores all of them with one
+    ``obj.score`` call, whose blocks run on ``solve_workers`` threads
+    (numpy releases the GIL in BLAS calls). ``score`` makes a batch's
+    bytes independent of what is scored with it and of the order its
+    blocks run in, so the sets are bit-identical to scoring each batch
+    on its own, laid out in full and forwarded block by block.
     """
     rng = np.random.default_rng(seed)
     Uc = refined_lhs(n_c, C_IDS, rng)
@@ -186,51 +178,14 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
         labels = np.concatenate([labels, _assign_cluster(U_new, centers)])
         passes.append(len(Uc) + np.argsort(labels[len(Uc):], kind="stable"))
         Uc = np.concatenate([Uc, U_new], axis=0)
-    C_nat = denormalize_matrix(Uc, C_IDS)
-    pool_nat = denormalize_matrix(pool, P_IDS + S_IDS)
-    rate = obj.resource_rate(C_nat)
+    T = obj.tables(Uc, pool)
     m, k, n_cands = len(obj.sq_ids), len(rep_idx), len(Uc)
-    models = obj.models
-    Ucs = models.standardize(Uc, slice(0, D_C))
-    Ps = models.standardize(pool, slice(D_C, D_FULL))
-
     workers = ThreadPoolExecutor(solve_workers(m * len(predict_blocks(k * n_p))))
-
-    def score(c_idx: np.ndarray, p_idx: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        # F of rows (candidate c_idx, pool row p_idx) laid out subQ after
-        # subQ, subQ i's as batches of sizes[i] rows. Each subQ's derived
-        # columns are computed here, each block's gathers and gemms run on
-        # a worker, and the objectives are taken over all rows at the end.
-        F = np.empty((len(c_idx), 2))
-        D = np.empty((len(c_idx), DERIVED_DIM), dtype=Ucs.dtype)
-        tasks, lo = [], 0
-        for i, (sq, batches) in enumerate(zip(obj.sq_ids, sizes.tolist())):
-            hi = lo + sum(batches)
-            c, p = c_idx[lo:hi], p_idx[lo:hi]
-            knobs = {kid: C_nat[c, j] if j < D_C else pool_nat[p, j - D_C]
-                     for kid, j in PARTITION_COLS.items()}
-            D[lo:hi] = models.standardize(obj.derived(sq, knobs), slice(D_FULL, None))
-            for n in batches:
-                tasks += [(i, lo + s, lo + e) for s, e in predict_blocks(n)]
-                lo += n
-
-        def block(task):
-            i, s, e = task
-            H = np.empty((e - s, D_FULL + DERIVED_DIM), dtype=D.dtype)
-            H[:, :D_C] = Ucs[c_idx[s:e]]
-            H[:, D_C:D_FULL] = Ps[p_idx[s:e]]
-            H[:, D_FULL:] = D[s:e]
-            models.predict_block(H, F[s:e], row=i)
-
-        for _ in workers.map(block, tasks):
-            pass
-        return to_objectives(F, rate[c_idx], clamp_latency=True)
-
     with workers:
         # optimize_p_moo: each representative's local Pareto θp⊗θs, scored
         # against the whole pool
-        F = score(np.tile(np.repeat(rep_idx, n_p), m), np.tile(np.arange(n_p), m * k),
-                  np.full((m, 1), k * n_p))
+        F = obj.score(T, np.tile(np.repeat(rep_idx, n_p), m), np.tile(np.arange(n_p), m * k),
+                      enumerate(np.full((m, 1), k * n_p)), workers.map)
         keep = pareto_mask(F.reshape(m * k, n_p, 2))
         # assign and re-assign: every member of a cluster is scored with
         # its representative's Pareto set, one segment of rows per (subQ,
@@ -245,8 +200,9 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
         p_idx = np.nonzero(keep)[1][np.repeat(set_starts[sets] - starts, seg_len)
                                     + np.arange(seg_len.sum())]
         cuts = np.cumsum([0] + [len(c) for c in passes[:-1]])
-        F = score(np.repeat(seg_c, seg_len), p_idx,
-                  np.add.reduceat(seg_len.reshape(m, n_cands), cuts, axis=1))
+        F = obj.score(T, np.repeat(seg_c, seg_len), p_idx,
+                      enumerate(np.add.reduceat(seg_len.reshape(m, n_cands), cuts, axis=1)),
+                      workers.map)
     # each segment's first best row on each objective
     best = np.empty((len(seg_len), 2), dtype=np.int64)
     for j in range(2):
@@ -257,7 +213,7 @@ def generate_effective_set(obj: CompileTimeObjectives, *, n_c: int = 128,
     picks = np.empty((m, n_cands, 2), dtype=np.int64)
     F_ext[seg_sq, seg_c] = F[best]
     picks[seg_sq, seg_c] = p_idx[best]
-    return _EffectiveSet(C_nat=C_nat, pool_nat=pool_nat, F=F_ext, picks=picks)
+    return _EffectiveSet(C_nat=T.C_nat, pool_nat=T.PS_nat, F=F_ext, picks=picks)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ current configuration) → its (θc, θs) columns normalized in one
 ``params.normalize_matrix`` call → the stage's 17 varying QS columns
 (``StageFeatures.qs_varying``: join one-hot, (θc, θs), derived
 partitioning from the knob columns, as compile time lays them out) →
-predicted (latency, cost), one forward per folded float32 model with the
-stage's bias row → the weighted pick on min-max-normalized
+predicted (latency, cost): the rows standardized and forwarded as one
+block (``TargetModels.predict_block``) through each folded float32 model
+with the stage's bias row, then priced with the raw predicted latency
+kept (``predictor.to_objectives``) → the weighted pick on min-max-normalized
 objectives (``pareto.weighted_picks``, shared with WS and SO-FW), which
 replaces the current θ only if its raw weighted score beats the current
 one's by a margin (``THETA_P_MARGIN``, ``THETA_S_MARGIN``). The θs hook
@@ -104,11 +106,14 @@ class OnlineOptimizer:
         """(n, 2) predicted [latency (s), cost ($)] of the rows of the
         natural-unit 19-knob matrix ``M_nat``: one forward per model of the
         query's folded float32 QS models over the varying columns, with the
-        stage's bias row."""
+        stage's bias row. A request's 2–17 rows are the one block
+        ``mlp.predict_blocks`` gives them, so they score as ``predict``
+        would score them."""
         U_qs = normalize_matrix(M_nat[:, P.QS_COLS], P.QS_IDS)
         X = self._stages[sq_id].qs_varying(algs, U_qs, M_nat, input_bytes=input_bytes)
-        return self._models.objectives(X, self._rate_s, clamp_latency=False,
-                                       row=self._row[sq_id])
+        F = np.empty((len(X), 2))
+        self._models.predict_block(self._models.standardize(X), F, row=self._row[sq_id])
+        return P.to_objectives(F, self._rate_s, clamp_latency=False)
 
     def _choose(self, sq_id: int, M_nat: np.ndarray, algs: list[str], margin: float,
                 *, input_bytes: float | None = None) -> int:

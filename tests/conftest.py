@@ -13,13 +13,15 @@ import pytest
 
 from repro.model.gtn import EMB_DIM
 from repro.model.mlp import predict_blocks
-from repro.model.predictor import ModelSuite, TargetModels
-from repro.params import ALL_KNOBS, denormalize_matrix, normalize_matrix
+from repro.model.predictor import (FULL_IDS, SUBQ_FIXED_COLS, ModelSuite, StageFeatures,
+                                   TargetModels, to_objectives)
+from repro.moo.objectives import D_PS
+from repro.params import ALL_KNOBS, D_C, denormalize_matrix, normalize_matrix
 
 
-# One-row and one-value codec cases, a plan count and the pairwise
-# dominance test that only tests use, kept here as oracles over the
-# program's batch forms.
+# One-row and one-value codec cases, a plan count, the pairwise
+# dominance test and the direct compile-time scorer that only tests use,
+# kept here as oracles over the program's batch forms.
 
 def knob_normalize(knob, v: float) -> float:
     """One natural-unit value of ``knob`` → [0, 1] (``params.normalize_matrix``)."""
@@ -136,11 +138,49 @@ def fold_rows(model, cols, values) -> list:
 def predict_row(model, X: np.ndarray, row: int) -> np.ndarray:
     """A fold's predictions of rows ``X`` with bias-table row ``row``, each
     of ``predict_blocks``' ranges standardized and forwarded on its own, as
-    ``MLPRegressor.predict`` and ``TargetModels.objectives`` run them."""
+    ``MLPRegressor.predict`` runs them."""
     out = np.empty(len(X))
     for s, e in predict_blocks(len(X)):
         model.predict_block(model.standardize(X[s:e]), out[s:e], row=row)
     return out
+
+
+def subq_batch_oracle(obj, sq_id: int, U_full: np.ndarray) -> np.ndarray:
+    """(n, 2) objectives of normalized 19-knob rows for subQ ``sq_id`` of
+    ``obj`` (a ``CompileTimeObjectives``), scored the direct way: decode
+    the whole rows, lay out the full subQ rows and keep the varying
+    columns, forward each of ``predict_blocks``' ranges on its own through
+    the query's fold with the subQ's bias row, and price with the latency
+    clamped. The bit-exact oracle of ``CompileTimeObjectives.score``."""
+    U_full = np.atleast_2d(U_full)
+    M_nat = denormalize_matrix(U_full, FULL_IDS)
+    st = StageFeatures.of_stages(obj.dag, [sq_id], true_stats=False)[sq_id]
+    X = np.delete(st.subq_rows(U_full, M_nat), SUBQ_FIXED_COLS, axis=1)
+    row = obj.sq_ids.index(sq_id)
+    F = np.column_stack([predict_row(obj.models.latency, X, row),
+                         predict_row(obj.models.io, X, row)])
+    return to_objectives(F, obj.resource_rate(M_nat), clamp_latency=True)
+
+
+def query_fine_oracle(obj, U_big: np.ndarray) -> np.ndarray:
+    """``CompileTimeObjectives.query_fine_batch`` from the oracle: each
+    subQ's θc ‖ θp‖θs rows scored on their own, summed from zeros in subQ
+    order."""
+    U_big = np.atleast_2d(U_big)
+    F = np.zeros((len(U_big), 2))
+    for j, sq in enumerate(obj.sq_ids):
+        lo = D_C + j * D_PS
+        F += subq_batch_oracle(obj, sq, np.concatenate([U_big[:, :D_C], U_big[:, lo:lo + D_PS]],
+                                                       axis=1))
+    return F
+
+
+def full_row_objectives(tm, X: np.ndarray, rate, *, clamp_latency: bool) -> np.ndarray:
+    """(n, 2) objectives of full model rows ``X`` by the unfolded models of
+    ``tm`` (a ``TargetModels``) in their own dtype, at ``rate`` $ per
+    second held."""
+    return to_objectives(np.column_stack([tm.latency.predict(X), tm.io.predict(X)]), rate,
+                         clamp_latency=clamp_latency)
 
 
 @pytest.fixture

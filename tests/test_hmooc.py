@@ -2,6 +2,7 @@
 aggregation and the end-to-end pipeline — including the paper's formal
 properties (Prop. 5.1–5.3, Appendix B). The exact per-θc aggregation
 (HMOOC1) lives here only as a test oracle."""
+import copy
 import itertools
 import os
 import sys
@@ -17,7 +18,7 @@ from repro.moo import hmooc as H
 from repro.moo.objectives import CompileTimeObjectives
 from repro.moo.pareto import pareto_indices
 from repro.params import C_IDS, P_IDS, S_IDS, denormalize_matrix, lhs_unit, refined_lhs
-from tests.conftest import dominates
+from tests.conftest import dominates, subq_batch_oracle
 
 
 def _sols(rng, n, m):
@@ -160,11 +161,11 @@ def obj(fake_suite):
 
 
 def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
-    """Algorithm 1 as one ``subq_batch`` call per subQ per pass (optimize,
-    assign, re-assign) over the pass's (cluster, subQ) blocks in cluster
-    order, each call decoding its own rows, keeping every candidate's
-    full set: returns the candidates, the pool and, per subQ, one
-    ``(pool indices, F)`` per candidate."""
+    """Algorithm 1 as one oracle call (``subq_batch_oracle``) per subQ per
+    pass (optimize, assign, re-assign) over the pass's (cluster, subQ)
+    blocks in cluster order, each call decoding its own rows, keeping
+    every candidate's full set: returns the candidates, the pool and, per
+    subQ, one ``(pool indices, F)`` per candidate."""
     rng = np.random.default_rng(seed)
     Uc = refined_lhs(n_c, C_IDS, rng)
     labels, rep_idx, centers = H._kmeans(Uc, n_clusters, seed=seed)
@@ -173,7 +174,8 @@ def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
     for sq in obj.sq_ids:
         U_full = np.concatenate([np.concatenate([np.tile(Uc[r], (n_p, 1)), pool], axis=1)
                                  for r in rep_idx])
-        for g, F in enumerate(obj.subq_batch(sq, U_full).reshape(len(rep_idx), n_p, 2)):
+        F_sq = subq_batch_oracle(obj, sq, U_full)
+        for g, F in enumerate(F_sq.reshape(len(rep_idx), n_p, 2)):
             opt_idx[(g, sq)] = pareto_indices(F)
 
     def assign(U_cands, cand_labels):
@@ -181,7 +183,7 @@ def _effective_set_per_block(obj, *, n_c, n_clusters, n_p, seed):
         for sq in obj.sq_ids:
             rows = [(ci, opt_idx[(g, sq)]) for g in range(len(rep_idx))
                     for ci in np.flatnonzero(cand_labels == g)]
-            F = obj.subq_batch(sq, np.concatenate(
+            F = subq_batch_oracle(obj, sq, np.concatenate(
                 [np.concatenate([np.tile(U_cands[ci], (len(pidx), 1)), pool[pidx]], axis=1)
                  for ci, pidx in rows]))
             out[sq] = [None] * len(U_cands)
@@ -217,16 +219,13 @@ def test_effective_set_structure(obj):
                 assert eff.F[i, ci, j, j] == F[:, j].min()
 
 
-class _CountingObjectives:
-    """``obj`` whose folded models log each block they score as (subQ,
-    rows) in ``calls``."""
-
-    def __init__(self, obj):
-        self.obj, self.calls = obj, []
-        self.models = _CountingModels(obj.models, obj.sq_ids, self.calls)
-
-    def __getattr__(self, name):
-        return getattr(self.obj, name)
+def _counting(obj):
+    """A shallow copy of ``obj`` whose folded models log each block they
+    score as (subQ, rows) in the copy's ``calls``."""
+    counting = copy.copy(obj)
+    counting.calls = []
+    counting.models = _CountingModels(obj.models, obj.sq_ids, counting.calls)
+    return counting
 
 
 class _CountingModels:
@@ -248,7 +247,7 @@ def test_batched_effective_set_equals_per_block_calls(obj):
     makes the optimize batch 1,025 rows, whose one-row remainder joins
     the last block."""
     kw = dict(n_c=40, n_clusters=5, n_p=205, seed=3)
-    counting = _CountingObjectives(obj)
+    counting = _counting(obj)
     eff = H.generate_effective_set(counting, **kw)
     Uc, pool, sols = _effective_set_per_block(obj, **kw)
     np.testing.assert_array_equal(eff.C_nat, denormalize_matrix(Uc, C_IDS))
@@ -280,7 +279,7 @@ def test_derived_columns_once_per_phase_and_subq(monkeypatch, obj):
         return derive(kind, input_bytes, knobs, skew)
 
     monkeypatch.setattr(predictor, "derived_partition_features", spy)
-    counting = _CountingObjectives(obj)
+    counting = _counting(obj)
     H.generate_effective_set(counting, n_c=40, n_clusters=5, n_p=205, seed=3)
     m = len(obj.sq_ids)
     assert len(calls) == 2 * m < len(counting.calls)
@@ -291,8 +290,8 @@ def test_derived_columns_once_per_phase_and_subq(monkeypatch, obj):
 def test_blocks_score_as_one_call_per_subq(small_suite):
     """On trained MLPs (float32 folds, BLAS gemms, every input column
     used), scoring each batch block by block from the decoded tables gives
-    the bytes of one ``subq_batch`` call per subQ per pass, which decodes
-    its own rows."""
+    the bytes of one oracle call per subQ per pass, which decodes its own
+    rows."""
     dag = partition_subqs(build_query("tpch", "q3", sf=10.0))
     obj = CompileTimeObjectives(dag, small_suite)
     kw = dict(n_c=40, n_clusters=5, n_p=205, seed=3)

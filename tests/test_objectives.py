@@ -12,6 +12,7 @@ from repro.params import C_IDS, denormalize_matrix, lhs_unit, normalize_matrix
 from repro.runtime.optimizer import OnlineOptimizer
 from repro.simspark.costmodel import DEFAULT_COSTS
 from repro.simspark.executor import run_query
+from tests.conftest import full_row_objectives, query_fine_oracle, subq_batch_oracle
 from tests.test_parity import CONFS, QUERIES, SF, VARIANT
 
 
@@ -46,7 +47,7 @@ def test_query_shared_is_sum_of_subqs(obj):
     from repro.moo.baselines import _to_fine
     rng = np.random.default_rng(1)
     U = lhs_unit(4, D_FULL, rng)
-    total = sum(obj.subq_batch(sq, U) for sq in obj.sq_ids)
+    total = sum(subq_batch_oracle(obj, sq, U) for sq in obj.sq_ids)
     np.testing.assert_array_equal(obj.query_fine_batch(_to_fine(obj, U)), total)
 
 
@@ -57,10 +58,10 @@ def test_query_fine_equals_shared_when_replicated(obj):
     rng = np.random.default_rng(2)
     U = lhs_unit(3, D_FULL, rng)
     np.testing.assert_array_equal(obj.query_fine_batch(_replicated(obj, U)),
-                                  sum(obj.subq_batch(sq, U) for sq in obj.sq_ids))
+                                  sum(subq_batch_oracle(obj, sq, U) for sq in obj.sq_ids))
     blocks = [lhs_unit(3, D_PS, rng) for _ in obj.sq_ids]
     U_big = np.concatenate([U[:, :D_C]] + blocks, axis=1)
-    per_sq = sum(obj.subq_batch(sq, np.concatenate([U[:, :D_C], b], axis=1))
+    per_sq = sum(subq_batch_oracle(obj, sq, np.concatenate([U[:, :D_C], b], axis=1))
                  for sq, b in zip(obj.sq_ids, blocks))
     np.testing.assert_array_equal(obj.query_fine_batch(U_big), per_sq)
 
@@ -110,7 +111,7 @@ def test_folded_float32_matches_full_float64_rows(small_suite):
     rate = obj.resource_rate(M)
     for sq in obj.sq_ids:
         X = StageFeatures.of_stages(dag, [sq], true_stats=False)[sq].subq_rows(U, M)
-        full = small_suite.subq.objectives(X, rate, clamp_latency=True)
+        full = full_row_objectives(small_suite.subq, X, rate, clamp_latency=True)
         _assert_float32_close(obj.subq_batch(sq, U), full, rate)
 
 
@@ -145,7 +146,83 @@ def test_runtime_folded_float32_matches_full_float64_rows(small_suite):
                     X = st.qs_rows(algs, U_qs, M, IDLE_GAMMA)
                     # the bytes the request observed, as qs_varying lays them out
                     X[:, -DERIVED_DIM:] = st.derived(partition_knobs(M), in_bytes)
-                    full = small_suite.qs.objectives(X, opt._rate_s, clamp_latency=False)
+                    full = full_row_objectives(small_suite.qs, X, opt._rate_s,
+                                               clamp_latency=False)
                     _assert_float32_close(got, full, opt._rate_s)
                 served += len(opt.scored)
     assert served > 0
+
+
+@pytest.fixture(scope="module")
+def trained_obj(small_suite):
+    dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
+    return CompileTimeObjectives(dag, small_suite)
+
+
+@pytest.mark.parametrize("n", [1, 2, 512, 513, 514, 1025, 1100])
+def test_scorer_is_the_oracle_bit_for_bit(trained_obj, n):
+    """On trained MLPs (float32 folds, BLAS gemms, every input column
+    used), ``subq_batch`` gives the oracle's bytes on every subQ, with or
+    without a one-row remainder joining the last block, and
+    ``query_fine_batch`` gives the oracle summed over subQs in order."""
+    obj = trained_obj
+    rng = np.random.default_rng(n)
+    U = lhs_unit(n, D_FULL, rng)
+    for sq in obj.sq_ids:
+        assert obj.subq_batch(sq, U).tobytes() == subq_batch_oracle(obj, sq, U).tobytes()
+    U_big = np.concatenate([U[:, :D_C]] + [lhs_unit(n, D_PS, rng) for _ in obj.sq_ids], axis=1)
+    F = obj.query_fine_batch(U_big)
+    assert F.tobytes() == query_fine_oracle(obj, U_big).tobytes()
+    assert len(np.unique(F)) > F.size // 2   # objectives that tell rows apart
+
+
+def _baseline_solves(obj):
+    from repro.moo import baselines as B
+    out = [solve(obj, fine=fine) for fine in (False, True)
+           for solve in (B.weighted_sum, B.evo, B.progressive_frontier)]
+    return out + list(B.so_fixed_weights(obj, PREFS).values())
+
+
+def test_baselines_unchanged_on_the_oracle(monkeypatch, trained_obj):
+    """WS, Evo and PF, query-level and fine-grained, and SO-FW at every
+    Table 5 preference find the same front and configurations when
+    ``query_fine_batch`` is replaced by the oracle's sum."""
+    got = _baseline_solves(trained_obj)
+    monkeypatch.setattr(trained_obj, "query_fine_batch",
+                        lambda U: query_fine_oracle(trained_obj, U))
+    want = _baseline_solves(trained_obj)
+    assert len(got) == len(want) == 6 + len(PREFS)
+    for g, w in zip(got, want):
+        assert g.F.tobytes() == w.F.tobytes()
+        assert g.configs == w.configs
+
+
+def test_compile_time_has_one_scorer(monkeypatch, obj, fake_suite):
+    """One HMOOC3 solve, one solve of each baseline and ``subq_batch`` all
+    score through ``CompileTimeObjectives.score``. HMOOC3's blocks run on
+    its pool's threads; every other caller's run on the calling thread."""
+    import threading
+
+    from repro.moo import baselines as B
+    from repro.moo import hmooc as H
+    score, calls = CompileTimeObjectives.score, []
+
+    def spy(self, tables, c_idx, p_idx, sizes, map_blocks):
+        threads = set()
+        calls.append(threads)
+        return score(self, tables, c_idx, p_idx, sizes, lambda fn, blocks: map_blocks(
+            lambda b: threads.add(threading.get_ident()) or fn(b), blocks))
+
+    monkeypatch.setattr(CompileTimeObjectives, "score", spy)
+    me = threading.get_ident()
+    H.hmooc(obj.dag, fake_suite, n_c=12, n_clusters=3, n_p=16, seed=0, objectives=obj)
+    assert len(calls) == 2 and all(t and me not in t for t in calls)
+    U = lhs_unit(4, D_FULL, np.random.default_rng(5))
+    for solve in (lambda: B.weighted_sum(obj, n_samples=64),
+                  lambda: B.evo(obj, pop=10, n_evals=20),
+                  lambda: B.progressive_frontier(obj, n_probes=64),
+                  lambda: B.so_fixed_weights(obj, PREFS, n_samples=64),
+                  lambda: obj.subq_batch(obj.sq_ids[0], U)):
+        calls.clear()
+        solve()
+        assert calls and all(t == {me} for t in calls)

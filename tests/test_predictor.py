@@ -135,27 +135,6 @@ def test_runtime_request_bytes_override_stage_stats(dag):
     assert np.array_equal(same[:, :-DERIVED_DIM], bigger[:, :-DERIVED_DIM])
 
 
-def test_objectives_clamp_latency_only_where_asked():
-    class Const:
-        def __init__(self, v):
-            self.v = v
-
-        def standardize(self, X, cols=slice(None)):
-            return X
-
-        def predict_block(self, H, out, *, row=None):
-            out[:] = self.v
-
-    tm = P.TargetModels(Const(-0.5), Const(2048.0))
-    X = np.zeros((3, 4))
-    clamped = tm.objectives(X, 2.0, clamp_latency=True)
-    raw = tm.objectives(X, 2.0, clamp_latency=False)
-    assert np.all(clamped[:, 0] == 1e-4) and np.all(raw[:, 0] == -0.5)
-    # the cost always prices the clamped latency plus 2 GB of IO
-    np.testing.assert_array_equal(clamped[:, 1], raw[:, 1])
-    np.testing.assert_allclose(raw[:, 1], 1e-4 * 2.0 + 2.0 * DEFAULT_COSTS.price_io_gb)
-
-
 @pytest.mark.parametrize("clamp", [True, False])
 def test_to_objectives_in_place_is_the_batch_formula(clamp):
     """``to_objectives`` turns [latency, IO] in place into the bytes of the

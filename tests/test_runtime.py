@@ -161,9 +161,9 @@ def test_single_algorithm_lqp_request_is_not_scored(monkeypatch, dag, fake_suite
     theta_c, theta_p, _ = split_conf(default_conf())
     join_sq = next(i for i, s in dag.subqs.items() if s.boundary_type == "join")
     calls = []
-    objectives = TargetModels.objectives
-    monkeypatch.setattr(TargetModels, "objectives",
-                        lambda self, *a, **kw: calls.append(a) or objectives(self, *a, **kw))
+    predict_block = TargetModels.predict_block
+    monkeypatch.setattr(TargetModels, "predict_block",
+                        lambda self, *a, **kw: calls.append(a) or predict_block(self, *a, **kw))
     monkeypatch.setattr(R, "choose_join_algorithm", lambda *a, **kw: SMJ)
     opt = OnlineOptimizer(dag, fake_suite, theta_c, (0.9, 0.1))
     out = opt.on_collapsed_lqp(dag, join_sq, {}, theta_p)
