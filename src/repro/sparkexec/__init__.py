@@ -1,3 +1,4 @@
-"""Real-Spark validation layer: the per-query-settable θp knobs applied to
-the live local session, with physical-plan inspection and DuckDB-oracle
-correctness checks."""
+"""Real-Spark validation layer: each live query is one SQL text that Spark
+runs under the per-query-settable θp knobs on the live local session, with
+physical-plan inspection, and that the DuckDB oracle runs for the expected
+rows."""

@@ -4,7 +4,7 @@ The paper's runtime-settable knobs (θp/θs) map 1:1 onto ``spark.conf``
 settings that Spark honours per query; θc knobs (executor resources)
 require JVM restart and are covered by the simulator instead (DESIGN.md).
 
-``run_with_conf`` executes a query under a configuration and returns the
+``run_with_conf`` runs a query's SQL under a configuration and returns the
 collected result plus the final (post-AQE) physical plan, from which
 ``join_algorithms``/``count_exchanges`` extract what the parametric rules
 actually did — the hook the plan-change tests assert on.
@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.params import spark_conf_items
@@ -48,7 +49,7 @@ def applied_conf(spark: SparkSession, items: dict[str, str]):
 class ExecResult:
     """Result of one configured query execution on the live session."""
 
-    rows: list
+    rows: pd.DataFrame  # the collected rows, one column per output column
     plan: str           # final physical plan (post-AQE)
     wall_s: float
 
@@ -59,21 +60,26 @@ def final_plan(df: DataFrame) -> str:
     return df._jdf.queryExecution().executedPlan().toString()
 
 
-def run_with_conf(spark: SparkSession, df_builder, tables: dict,
+def run_with_conf(spark: SparkSession, query, tables: dict,
                   conf: dict | None = None) -> ExecResult:
-    """Build and execute a query under ``conf`` (19-knob dict or None) with
-    AQE enabled, which most θp knobs and all θs knobs act through."""
+    """Run ``query.sql`` (a ``LiteQuery``) over ``tables`` under ``conf``
+    (19-knob dict or None) with AQE enabled, which most θp knobs and all θs
+    knobs act through. ``tables`` are registered as the temp views the SQL
+    reads here, on every call, so a view registered earlier from other
+    tables (another SF) cannot stand in for them."""
     import time
 
+    for name, df in tables.items():
+        df.createOrReplaceTempView(name)
     items = live_conf_items(conf) if conf else {}
     items["spark.sql.adaptive.enabled"] = "true"
     with applied_conf(spark, items):
-        df = df_builder(**tables)
+        df = spark.sql(query.sql)
         t0 = time.perf_counter()
         rows = df.collect()
         wall = time.perf_counter() - t0
         plan = final_plan(df)
-    return ExecResult(rows=rows, plan=plan, wall_s=wall)
+    return ExecResult(rows=pd.DataFrame(rows, columns=df.columns), plan=plan, wall_s=wall)
 
 
 def _final_section(plan: str) -> str:

@@ -1,8 +1,9 @@
 """Synthetic OLAP data at a configurable scale factor.
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+benchmarks use SF~=0.1. Each random table draws from its own fixed seed,
+so a table is the same on every call and the DuckDB oracle sees the input
+Spark saw.
 """
 import numpy as np
 import pandas as pd
@@ -16,15 +17,11 @@ def _n(tables: dict, name: str, sf: float) -> int:
     return max(1, int(tables[name].rows(sf)))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+def lineitem(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCH_TABLES, "lineitem", sf)
     n_orders = _n(TPCH_TABLES, "orders", sf)
     n_part = _n(TPCH_TABLES, "part", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(0)
     pdf = pd.DataFrame(
         {
             "l_orderkey": g.integers(1, n_orders + 1, n),
@@ -43,10 +40,10 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
+def orders(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCH_TABLES, "orders", sf)
     n_cust = _n(TPCH_TABLES, "customer", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(1)
     pdf = pd.DataFrame(
         {
             "o_orderkey": np.arange(1, n + 1),
@@ -63,9 +60,9 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
     return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
+def part(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCH_TABLES, "part", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(5)
     pdf = pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
@@ -80,9 +77,9 @@ def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
+def customer(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCH_TABLES, "customer", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(2)
     pdf = pd.DataFrame(
         {
             "c_custkey": np.arange(1, n + 1),
@@ -96,9 +93,9 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
+def supplier(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCH_TABLES, "supplier", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(6)
     pdf = pd.DataFrame(
         {
             "s_suppkey": np.arange(1, n + 1),
@@ -109,7 +106,7 @@ def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def nation(spark: SparkSession, *, seed: int = 7) -> DataFrame:
+def nation(spark: SparkSession) -> DataFrame:
     """25-row fixed dimension (SF-independent, like the TPC-H spec)."""
     pdf = pd.DataFrame(
         {
@@ -124,10 +121,10 @@ def nation(spark: SparkSession, *, seed: int = 7) -> DataFrame:
 # --- TPC-DS-lite (store_sales star schema at the same SF conventions) -------
 
 
-def store_sales(spark: SparkSession, *, sf: float = 0.01, seed: int = 8) -> DataFrame:
+def store_sales(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCDS_TABLES, "store_sales", sf)
     n_item = _n(TPCDS_TABLES, "item", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(8)
     pdf = pd.DataFrame(
         {
             "ss_sold_date_sk": g.integers(2450816, 2450816 + 1826, n),
@@ -141,9 +138,9 @@ def store_sales(spark: SparkSession, *, sf: float = 0.01, seed: int = 8) -> Data
     return spark.createDataFrame(pdf)
 
 
-def item(spark: SparkSession, *, sf: float = 0.01, seed: int = 9) -> DataFrame:
+def item(spark: SparkSession, *, sf: float = 0.01) -> DataFrame:
     n = _n(TPCDS_TABLES, "item", sf)
-    g = _rng(seed)
+    g = np.random.default_rng(9)
     pdf = pd.DataFrame(
         {
             "i_item_sk": np.arange(1, n + 1),
@@ -156,7 +153,7 @@ def item(spark: SparkSession, *, sf: float = 0.01, seed: int = 9) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def date_dim(spark: SparkSession, *, seed: int = 10) -> DataFrame:
+def date_dim(spark: SparkSession) -> DataFrame:
     """~5 years of calendar days keyed like TPC-DS julian date surrogates."""
     n = 1826
     sk = np.arange(2450816, 2450816 + n)

@@ -83,6 +83,9 @@ DOCTORED = [
     ("e6-solve", "expt6", {"methods/hmooc3/avg_solve": 2.0}, "HMOOC3 avg solve"),
     ("live-off", "live", {"runs/broadcast-disabled/joins/BHJ": 1}, "with broadcast disabled"),
     ("live-tuned", "live", {"runs/tuned/joins/BHJ": 0}, "under the tuned"),
+    ("live-rows", "live",
+     {"runs/tuned/rows/0/revenue": lambda r: _get(r, "runs/tuned/rows/0/revenue") + 0.01},
+     "return different rows"),
 ]
 
 

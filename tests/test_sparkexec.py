@@ -1,5 +1,5 @@
 """Real-Spark validation: θp knobs change live Catalyst/AQE plans, and
-results stay correct under every configuration (DuckDB oracle).
+each configured run's rows equal DuckDB's for the same SQL (the oracle).
 
 This is the layer that grounds the simulator: the same knobs the tuner
 manipulates (broadcast/shuffle-hash thresholds, shuffle partitions,
@@ -35,13 +35,23 @@ def tables_cache(spark):
 def test_oracle_default_conf(spark, tables_cache, qname):
     q = LITE_QUERIES[qname]
     tables = tables_cache(q.tables)
-    with_conf = run_with_conf(spark, q.build, tables, default_conf())
-    df = q.build(**tables)
-    assert_equivalent(df, q.sql, **tables)
-    assert len(with_conf.rows) == df.count() or with_conf.rows is not None
+    res = run_with_conf(spark, q, tables, default_conf())
+    assert_equivalent(res.rows, q.sql, **tables)
 
 
-@pytest.mark.parametrize("qname", ["q3", "q12", "q14", "ds_q3"])
+@pytest.mark.parametrize("qname", sorted(LITE_QUERIES))
+def test_query_returns_rows_and_runs_its_joins(spark, tables_cache, qname):
+    """A query whose result is empty, or whose joins AQE drops, checks
+    nothing under any conf: every query returns a row, and every query over
+    more than one table keeps a join in its default-conf final plan."""
+    q = LITE_QUERIES[qname]
+    res = run_with_conf(spark, q, tables_cache(q.tables), default_conf())
+    assert len(res.rows) >= 1
+    if len(q.tables) > 1:
+        assert sum(join_algorithms(res.plan).values()) >= 1, res.plan
+
+
+@pytest.mark.parametrize("qname", sorted(LITE_QUERIES))
 @pytest.mark.parametrize("variant", ["no_broadcast", "broadcast", "many_parts"])
 def test_oracle_under_tuned_confs(spark, tables_cache, qname, variant):
     """Result equality must hold whatever the optimizer picks."""
@@ -56,14 +66,8 @@ def test_oracle_under_tuned_confs(spark, tables_cache, qname, variant):
     else:
         conf["s5"] = 199.0
         conf["s1"] = 1 * MB
-    res = run_with_conf(spark, q.build, tables, conf)
-    import pandas as pd
-    got = pd.DataFrame([r.asDict() for r in res.rows])
-    # compare via the oracle on a fresh build (same conf applied inside)
-    from repro.sparkexec.runner import applied_conf, live_conf_items
-    with applied_conf(spark, live_conf_items(conf)):
-        df = q.build(**tables)
-        assert_equivalent(df, q.sql, **tables)
+    res = run_with_conf(spark, q, tables, conf)
+    assert_equivalent(res.rows, q.sql, **tables)
 
 
 # --- plan changes driven by θp ------------------------------------------------
@@ -73,8 +77,8 @@ def test_s4_flips_smj_to_bhj(spark, tables_cache):
     tables = tables_cache(q.tables)
     lo = dict(default_conf(), s4=1.0, s3=1.0)
     hi = dict(default_conf(), s4=256 * MB)
-    r_lo = run_with_conf(spark, q.build, tables, lo)
-    r_hi = run_with_conf(spark, q.build, tables, hi)
+    r_lo = run_with_conf(spark, q, tables, lo)
+    r_hi = run_with_conf(spark, q, tables, hi)
     assert join_algorithms(r_lo.plan)["BHJ"] == 0
     assert join_algorithms(r_lo.plan)["SMJ"] >= 2
     assert join_algorithms(r_hi.plan)["BHJ"] >= 1
@@ -84,7 +88,7 @@ def test_s3_enables_shuffled_hash_join(spark, tables_cache):
     q = LITE_QUERIES["q12"]
     tables = tables_cache(q.tables)
     conf = dict(default_conf(), s4=1.0, s3=512 * MB)
-    r = run_with_conf(spark, q.build, tables, conf)
+    r = run_with_conf(spark, q, tables, conf)
     algs = join_algorithms(r.plan)
     assert algs["SHJ"] >= 1 or algs["BHJ"] >= 1  # SMJ avoided
     assert algs["SMJ"] == 0
@@ -96,8 +100,8 @@ def test_broadcast_localizes_shuffle_reads(spark, tables_cache):
     the physical signature of the conversion."""
     q = LITE_QUERIES["q14"]
     tables = tables_cache(q.tables)
-    r_smj = run_with_conf(spark, q.build, tables, dict(default_conf(), s4=1.0, s3=1.0))
-    r_bhj = run_with_conf(spark, q.build, tables, dict(default_conf(), s4=256 * MB))
+    r_smj = run_with_conf(spark, q, tables, dict(default_conf(), s4=1.0, s3=1.0))
+    r_bhj = run_with_conf(spark, q, tables, dict(default_conf(), s4=256 * MB))
     assert "AQEShuffleRead local" in r_bhj.plan
     assert "AQEShuffleRead local" not in r_smj.plan.split("== Initial Plan ==")[0]
     # shuffle-exchange count certainly does not grow
@@ -111,7 +115,7 @@ def test_aqe_coalesces_partitions(spark, tables_cache):
     q = LITE_QUERIES["q1"]
     tables = tables_cache(q.tables)
     big = dict(default_conf(), s5=200.0, s1=64 * MB)
-    r = run_with_conf(spark, q.build, tables, big)
+    r = run_with_conf(spark, q, tables, big)
     assert "AQEShuffleRead" in r.plan
 
 
@@ -119,7 +123,7 @@ def test_conf_restored_after_run(spark, tables_cache):
     q = LITE_QUERIES["q6"]
     tables = tables_cache(q.tables)
     before = spark.conf.get("spark.sql.shuffle.partitions")
-    run_with_conf(spark, q.build, tables, dict(default_conf(), s5=1234.0))
+    run_with_conf(spark, q, tables, dict(default_conf(), s5=1234.0))
     assert spark.conf.get("spark.sql.shuffle.partitions") == before
 
 
@@ -144,5 +148,5 @@ def test_live_knobs_are_runtime_confs(spark):
 def test_wall_time_recorded(spark, tables_cache):
     q = LITE_QUERIES["q6"]
     tables = tables_cache(q.tables)
-    r = run_with_conf(spark, q.build, tables, default_conf())
+    r = run_with_conf(spark, q, tables, default_conf())
     assert r.wall_s > 0
