@@ -9,7 +9,11 @@ rebuilt when it no longer matches.
 
 Every consumer of the model store imports this module, so it loads numpy
 and no dataframe or engine library; ``get_traces`` imports pandas to read
-cached traces, and trace generation imports it in ``repro.model.traces``.
+cached traces. Trace generation (``repro.model.traces``) imports pandas on
+the driver only, to build the task grid and unpack the records of its
+Spark stage. That stage maps a numpy-only record builder over the grid's
+RDD, on Python workers that an empty job started while the JVM planned
+the ordering shuffle, so the workers load neither pandas nor pyarrow.
 """
 from __future__ import annotations
 

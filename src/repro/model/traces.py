@@ -6,14 +6,19 @@ runs once under an LHS-sampled configuration; every run yields one row per
 subQ (compile-time view), one per QS (runtime view) and one for the whole
 collapsed plan (LQP̄).
 
-``generate_traces_spark`` distributes the fan-out as a Spark DataFrame
-pipeline (``mapInPandas`` over the task grid); ``trace_rows`` is the pure
-per-task row builder it ships to executors (and the unit-testable core).
+``generate_traces_spark`` distributes the fan-out over Spark: a DataFrame
+front over the task grid, then a Python stage that maps ``task_record``
+over its RDD. ``trace_rows`` is the per-task row builder (and the
+unit-testable core); ``task_record`` packs the same rows into one compact
+record per task, its features and labels in one float64 buffer.
 The grid is shuffled ``ORDER_PARTITIONS`` ways only to fix the order of the
 returned rows, which ``split_traces`` permutes by position into one
-seeded 8:1:1 split. Each grid row
-is tagged with its place in that order; the Python stage then runs on one
-task per Spark core, and the collected rows are sorted back on the tag.
+seeded 8:1:1 split. Each grid row is tagged with its place in that order;
+the Python stage then runs on one task per Spark core, and the driver
+sorts the records back on the tag. The first Python job of a session pays
+for starting the workers, so a second driver thread runs an empty job of
+as many tasks while the JVM plans and runs the shuffle, and the stage
+finds the workers started, with this module imported.
 
 A subQ's GTN embedding and its α/β columns depend only on the plan and the
 statistics view (§4.3); the configuration enters only through the knob,
@@ -29,14 +34,18 @@ arrays, which the simulator and the row builders only read.
 
 Importing this module loads numpy but not pandas, because
 ``repro.experiments.common``, which every process that solves or adapts
-imports, imports it. ``task_grid`` and the ``mapInPandas`` worker import
-pandas when they run.
+imports, imports it, and because the Spark workers import it to run
+``task_record``, which needs neither pandas nor pyarrow. ``task_grid`` and
+the driver's unpacking of the records into a frame import pandas when they
+run.
 """
 from __future__ import annotations
 
 import functools
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,11 +59,13 @@ from repro.simspark.executor import run_query
 if TYPE_CHECKING:
     import pandas as pd
 
-TRACE_SCHEMA = (
-    "kind string, benchmark string, template string, variant int, conf_id int, "
-    "sq_id int, feats array<double>, latency double, io_mb double"
-)
-TRACE_COLUMNS = [field.split()[0] for field in TRACE_SCHEMA.split(", ")]
+# The trace frame's columns and the dtypes they are cast to: each row's
+# keys, its feature vector (one float64 array per cell) and its labels
+TRACE_SCHEMA = {"kind": object, "benchmark": object, "template": object,
+                "variant": np.int32, "conf_id": np.int32, "sq_id": np.int32,
+                "feats": object, "latency": np.float64, "io_mb": np.float64}
+# Feature columns of each trace row kind
+_FEAT_DIMS = {"subq": P.SUBQ_DIM, "qs": P.QS_DIM, "lqp": P.LQP_DIM}
 
 # The largest trace grid's plans: TPC-DS, 30 templates × 4 variants
 PLAN_MEMO_SIZE = 30 * 4
@@ -97,10 +108,10 @@ def plan_features(benchmark: str, template: str, variant: int) -> PlanFeatures:
     return PlanFeatures(dag, groups, P.plan_embedding(dag))
 
 
-def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
-               conf_id: int) -> list[dict]:
-    """All trace rows for one (parametric query, configuration) run, on the
-    plan ``build_query`` builds at its default scale."""
+def _rows(benchmark: str, template: str, variant: int, conf: dict, conf_id: int):
+    """(kind, sq_id, features, latency, IO MB) of each trace row of one run,
+    in ``trace_rows`` order: each stage's subQ then QS row, in run order,
+    then the LQP̄ row."""
     plan = plan_features(benchmark, template, variant)
     run = run_query(plan.dag, conf, noise_seed=conf_id * 7919 + variant)
     U_full, M_nat = P.encode_confs([conf], P.FULL_IDS)
@@ -117,22 +128,38 @@ def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
         X_qs[ids] = obs.qs_rows([sr.metrics.join_alg for sr in srs], U_qs[conf_rows],
                                 M_nat[conf_rows],
                                 np.array([P.observed_gamma(sr) for sr in srs]))
-    rows: list[dict] = []
-
-    def add(kind: str, sq_id: int, x: np.ndarray, latency: float, io_mb: float) -> None:
-        rows.append(dict(
-            kind=kind, benchmark=benchmark, template=template, variant=variant,
-            conf_id=conf_id, sq_id=sq_id, feats=x.tolist(),
-            latency=latency, io_mb=io_mb))
-
     for sq_id, sr in run.stages.items():
         io_mb = sr.io_bytes / 1024**2
-        add("subq", sq_id, X_subq[sq_id], sr.analytical_latency_s, io_mb)
-        add("qs", sq_id, X_qs[sq_id], sr.analytical_latency_s, io_mb)
+        yield "subq", sq_id, X_subq[sq_id], sr.analytical_latency_s, io_mb
+        yield "qs", sq_id, X_qs[sq_id], sr.analytical_latency_s, io_mb
     # LQP̄ (whole collapsed plan; end-to-end latency and IO)
-    add("lqp", -1, P.lqp_rows(plan.dag, plan.lqp_emb, U_full, run.stages.values())[0],
-        run.latency_s, run.io_gb * 1024.0)
-    return rows
+    yield ("lqp", -1, P.lqp_rows(plan.dag, plan.lqp_emb, U_full, run.stages.values())[0],
+           run.latency_s, run.io_gb * 1024.0)
+
+
+def trace_rows(benchmark: str, template: str, variant: int, conf: dict,
+               conf_id: int) -> list[dict]:
+    """All trace rows for one (parametric query, configuration) run, on the
+    plan ``build_query`` builds at its default scale."""
+    return [dict(kind=kind, benchmark=benchmark, template=template, variant=variant,
+                 conf_id=conf_id, sq_id=sq_id, feats=x.tolist(), latency=latency,
+                 io_mb=io_mb)
+            for kind, sq_id, x, latency, io_mb in _rows(benchmark, template, variant,
+                                                        conf, conf_id)]
+
+
+def task_record(task) -> tuple:
+    """One task's trace rows as the Spark stage ships them: ``(tag,
+    benchmark, template, variant, conf_id, kinds, sq_ids, buffer)``. ``task``
+    is a tagged grid row; ``kinds`` and ``sq_ids`` name its rows in
+    ``trace_rows`` order, and ``buffer`` holds, as float64, every row's
+    features in that order and then every row's (latency, IO MB)."""
+    rows = list(_rows(task.benchmark, task.template, int(task.variant),
+                      json.loads(task.conf_json), int(task.conf_id)))
+    kinds, sq_ids, feats, latency, io_mb = zip(*rows)
+    buf = np.concatenate([*feats, np.column_stack([latency, io_mb]).ravel()])
+    return (task.tag, task.benchmark, task.template, int(task.variant), int(task.conf_id),
+            kinds, sq_ids, buf.tobytes())
 
 
 def task_grid(benchmark: str, templates: list[str], n_variants: int,
@@ -162,10 +189,14 @@ def _ordered_grid(spark, grid: pd.DataFrame):
     """
     import pyspark.sql.functions as F
 
-    width = min(ORDER_PARTITIONS, spark.sparkContext.defaultParallelism)
     return (spark.createDataFrame(grid).repartition(ORDER_PARTITIONS)
             .withColumn("tag", F.monotonically_increasing_id())
-            .coalesce(width))
+            .coalesce(_stage_width(spark.sparkContext)))
+
+
+def _stage_width(sc) -> int:
+    """Tasks of the Python stage: one per core, at most ``ORDER_PARTITIONS``."""
+    return min(ORDER_PARTITIONS, sc.defaultParallelism)
 
 
 def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
@@ -174,29 +205,46 @@ def generate_traces_spark(spark, benchmark: str, templates: list[str], *,
 
     The rows come in the grid's order after the ``ORDER_PARTITIONS``-way
     shuffle. ``split_traces`` permutes rows by position, so this order fixes
-    the trained models. The Python stage runs on one task per core, not on
-    the 64 shuffle tasks, because a 64-task ``mapInPandas`` spends seconds
-    starting tasks. Every output row carries its grid row's tag, and a
-    stable sort on the tag gives back the 64-way order, each task's rows in
-    ``trace_rows`` order.
+    the trained models. The Python stage maps ``task_record`` over the
+    tagged grid's RDD, one task per core, so the workers need neither
+    pandas nor pyarrow. While the JVM plans and runs the shuffle, a second
+    thread runs an empty job of as many tasks whose function is that same
+    ``task_record``, so the Python workers start and import this module
+    meanwhile and the stage reuses them. The driver sorts the records on
+    the tag, which gives back the 64-way order, and unpacks each task's
+    rows, in ``trace_rows`` order, into a frame of ``TRACE_SCHEMA``.
     """
-    grid = task_grid(benchmark, templates, n_variants, n_confs, seed=seed)
+    sc = spark.sparkContext
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        warm = pool.submit(
+            lambda: sc.parallelize([], _stage_width(sc)).map(task_record).collect())
+        try:
+            grid = task_grid(benchmark, templates, n_variants, n_confs, seed=seed)
+            records = _ordered_grid(spark, grid).rdd.map(task_record).collect()
+        finally:
+            warm.result()
+    return _trace_frame(sorted(records, key=itemgetter(0)))
 
-    def worker(batches):
-        import pandas as pd
 
-        for pdf in batches:
-            out: list[dict] = []
-            for rec in pdf.itertuples(index=False):
-                out.extend(dict(row, tag=rec.tag) for row in trace_rows(
-                    rec.benchmark, rec.template, int(rec.variant),
-                    json.loads(rec.conf_json), int(rec.conf_id)))
-            yield pd.DataFrame(out, columns=[*TRACE_COLUMNS, "tag"])
+def _trace_frame(records: list[tuple]) -> pd.DataFrame:
+    """The trace rows of ``task_record`` records, in record order."""
+    import pandas as pd
 
-    traces = _ordered_grid(spark, grid).mapInPandas(
-        worker, schema=f"{TRACE_SCHEMA}, tag long").toPandas()
-    return (traces.sort_values("tag", kind="stable").drop(columns="tag")
-            .reset_index(drop=True))
+    keys = {c: [] for c in ("kind", "benchmark", "template", "variant", "conf_id", "sq_id")}
+    feats, labels = [], []
+    for _tag, benchmark, template, variant, conf_id, kinds, sq_ids, buf in records:
+        values = np.frombuffer(buf)
+        ends = np.cumsum([_FEAT_DIMS[k] for k in kinds])
+        feats += np.split(values[:ends[-1]], ends[:-1])
+        labels.append(values[ends[-1]:])
+        for col, v in (("benchmark", benchmark), ("template", template),
+                       ("variant", variant), ("conf_id", conf_id)):
+            keys[col] += [v] * len(kinds)
+        keys["kind"] += kinds
+        keys["sq_id"] += sq_ids
+    latency, io_mb = np.concatenate(labels).reshape(-1, 2).T
+    return pd.DataFrame({**keys, "feats": feats, "latency": latency, "io_mb": io_mb},
+                        columns=list(TRACE_SCHEMA)).astype(TRACE_SCHEMA)
 
 
 def split_traces(traces: pd.DataFrame, kind: str):

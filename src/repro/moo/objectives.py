@@ -48,6 +48,10 @@ from repro.simspark.costmodel import resource_rate_h
 D_PS = D_P + D_S
 D_FULL = D_C + D_PS
 
+# ``predict_blocks`` blocks of each subQ's rows that one ``score`` call of
+# ``query_fine_batch`` takes
+FINE_CHUNK_BLOCKS = 8
+
 # column indices of k1..k3, k2 within FULL_IDS order
 _K1, _K2, _K3 = 0, 1, 2
 
@@ -145,11 +149,24 @@ class CompileTimeObjectives:
     def query_fine_batch(self, U_big: np.ndarray) -> np.ndarray:
         """Query-level objectives for fine-grained decision vectors
         ``[θc | θp_1 θs_1 | ... | θp_m θs_m]`` of dim 8 + 11m: the sum of
-        the subQ objectives, from zeros in subQ order. One ``score`` call
-        scores every subQ's rows, with one θc table and one θp‖θs table
-        that stacks the subQs' columns subQ after subQ. Query-level control
-        repeats one θp‖θs."""
+        the subQ objectives, from zeros in subQ order. The vectors are
+        scored in chunks of ``FINE_CHUNK_BLOCKS`` of their ``predict_blocks``
+        blocks, so each subQ's rows keep the block cuts of all n rows and
+        the temporaries hold m chunks, not m·n rows. One ``score`` call
+        scores a chunk for every subQ, with one θc table and one θp‖θs
+        table that stacks the subQs' columns subQ after subQ. Query-level
+        control repeats one θp‖θs."""
         U_big = np.atleast_2d(U_big)
+        F = np.empty((len(U_big), 2))
+        blocks = predict_blocks(len(U_big))
+        for k in range(0, len(blocks), FINE_CHUNK_BLOCKS):
+            chunk = blocks[k:k + FINE_CHUNK_BLOCKS]
+            lo, hi = chunk[0][0], chunk[-1][1]
+            F[lo:hi] = self._fine_chunk(U_big[lo:hi])
+        return F
+
+    def _fine_chunk(self, U_big: np.ndarray) -> np.ndarray:
+        """``query_fine_batch`` of one chunk: one ``score`` call."""
         n, m = len(U_big), self.m
         Ups = U_big[:, D_C:].reshape(n, m, D_PS).transpose(1, 0, 2).reshape(m * n, D_PS)
         F = self.score(self.tables(U_big[:, :D_C], Ups), np.tile(np.arange(n), m),

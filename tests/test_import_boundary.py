@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.model import predictor as P
+
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("pandas", "pyarrow", "pyspark", "duckdb")
 # Reports the heavy modules loaded so far, as a JSON list on stdout.
@@ -53,3 +55,30 @@ def test_perfbench_harness_imports_no_dataframe_stack(tmp_path):
     (loaded,) = _run(f"import report, workloads; {_REPORT_HEAVY}", tmp_path,
                      cwd=ROOT / "perfbench")
     assert json.loads(loaded) == []
+
+
+def test_spark_trace_worker_imports_no_dataframe_stack(tmp_path):
+    """The Spark Python stage's record builder, ``traces.task_record``,
+    loads neither pandas nor pyarrow. A ``task_grid`` row comes from a
+    first interpreter, where ``task_grid`` loads both; a second builds the
+    row's record."""
+    grid_code = "\n".join([
+        "import json, repro.model.traces as T",
+        "row = T.task_grid('tpch', ['q3'], 1, 1, seed=17).to_dict('records')[0]",
+        "print(json.dumps({**row, 'tag': 5}))",
+        _REPORT_HEAVY,
+    ])
+    row, loaded = _run(grid_code, tmp_path)
+    assert {"pandas", "pyarrow"} <= set(json.loads(loaded))
+    worker_code = "\n".join([
+        "import json, types, repro.model.traces as T",
+        f"rec = T.task_record(types.SimpleNamespace(**json.loads({row!r})))",
+        "print(json.dumps([rec[0], rec[5], len(rec[-1])]))",
+        _REPORT_HEAVY,
+    ])
+    record, loaded = _run(worker_code, tmp_path)
+    assert json.loads(loaded) == []
+    tag, kinds, n_bytes = json.loads(record)
+    assert tag == 5 and kinds[-1] == "lqp" and len(kinds) % 2 == 1
+    dims = {"subq": P.SUBQ_DIM, "qs": P.QS_DIM, "lqp": P.LQP_DIM}
+    assert n_bytes == 8 * (sum(dims[k] for k in kinds) + 2 * len(kinds))

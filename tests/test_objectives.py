@@ -5,8 +5,10 @@ import pytest
 from repro.core.plan import partition_subqs
 from repro.core.workloads import build_query
 from repro.experiments.table5 import PREFS
-from repro.moo.objectives import D_C, D_FULL, D_PS, CompileTimeObjectives
+from repro.moo.objectives import (D_C, D_FULL, D_PS, FINE_CHUNK_BLOCKS,
+                                  CompileTimeObjectives)
 from repro.model.features import DERIVED_DIM, partition_knobs
+from repro.model.mlp import PREDICT_BLOCK
 from repro.model.predictor import FULL_IDS, IDLE_GAMMA, QS_COLS, QS_IDS, StageFeatures
 from repro.params import C_IDS, denormalize_matrix, lhs_unit, normalize_matrix
 from repro.runtime.optimizer import OnlineOptimizer
@@ -159,19 +161,33 @@ def trained_obj(small_suite):
     return CompileTimeObjectives(dag, small_suite)
 
 
-@pytest.mark.parametrize("n", [1, 2, 512, 513, 514, 1025, 1100])
-def test_scorer_is_the_oracle_bit_for_bit(trained_obj, n):
+# rows of each subQ in one ``score`` call of ``query_fine_batch``
+FINE_CHUNK = FINE_CHUNK_BLOCKS * PREDICT_BLOCK
+
+
+# the last n spans three chunks and ends in a 513-row block
+@pytest.mark.parametrize("n", [1, 2, 512, 513, 514, 1025, 1100, 3 * FINE_CHUNK + 1])
+def test_scorer_is_the_oracle_bit_for_bit(monkeypatch, trained_obj, n):
     """On trained MLPs (float32 folds, BLAS gemms, every input column
     used), ``subq_batch`` gives the oracle's bytes on every subQ, with or
     without a one-row remainder joining the last block, and
-    ``query_fine_batch`` gives the oracle summed over subQs in order."""
+    ``query_fine_batch`` gives the oracle summed over subQs in order. It
+    scores ``FINE_CHUNK`` rows of each subQ per ``score`` call; a one-row
+    remainder joins the last call, as it joins the last block."""
     obj = trained_obj
     rng = np.random.default_rng(n)
     U = lhs_unit(n, D_FULL, rng)
     for sq in obj.sq_ids:
         assert obj.subq_batch(sq, U).tobytes() == subq_batch_oracle(obj, sq, U).tobytes()
     U_big = np.concatenate([U[:, :D_C]] + [lhs_unit(n, D_PS, rng) for _ in obj.sq_ids], axis=1)
+    score, rows = CompileTimeObjectives.score, []
+    monkeypatch.setattr(CompileTimeObjectives, "score", lambda self, tables, c_idx, *a:
+                        rows.append(len(c_idx)) or score(self, tables, c_idx, *a))
     F = obj.query_fine_batch(U_big)
+    chunks = [min(FINE_CHUNK, n - lo) for lo in range(0, n, FINE_CHUNK)]
+    if chunks[-1] == 1 < n:
+        chunks[-2:] = [FINE_CHUNK + 1]
+    assert rows == [obj.m * c for c in chunks]
     assert F.tobytes() == query_fine_oracle(obj, U_big).tobytes()
     assert len(np.unique(F)) > F.size // 2   # objectives that tell rows apart
 

@@ -10,9 +10,9 @@ from repro.core.workloads import TPCH_QUERIES, build_query
 from repro.model import predictor as P
 from repro.model.features import local_edges
 from repro.model.gtn import GTNEmbedder
-from repro.model.traces import (ORDER_PARTITIONS, TRACE_COLUMNS, TRACE_SCHEMA,
-                                _ordered_grid, generate_traces_spark, plan_features,
-                                split_traces, task_grid, trace_rows)
+from repro.model.traces import (ORDER_PARTITIONS, TRACE_SCHEMA, _ordered_grid,
+                                generate_traces_spark, plan_features, split_traces,
+                                task_grid, trace_rows)
 from repro.params import FULL_IDS, default_conf, lhs_sample
 from repro.simspark.executor import run_query
 
@@ -168,8 +168,20 @@ def test_split_traces_proportions():
     assert len(yl) == len(yi) == len(Xtr)
 
 
+# The trace rows as Spark SQL types: the schema of the reference pipeline
+REFERENCE_SCHEMA = (
+    "kind string, benchmark string, template string, variant int, conf_id int, "
+    "sq_id int, feats array<double>, latency double, io_mb double"
+)
+REFERENCE_COLUMNS = [field.split()[0] for field in REFERENCE_SCHEMA.split(", ")]
+
+
 def test_trace_schema_fields():
-    assert "feats array<double>" in TRACE_SCHEMA
+    """The frame's dtypes are those Spark's ``REFERENCE_SCHEMA`` gives."""
+    assert list(TRACE_SCHEMA) == REFERENCE_COLUMNS
+    assert TRACE_SCHEMA["feats"] is object
+    assert {c for c, t in TRACE_SCHEMA.items() if t is np.int32} == {
+        "variant", "conf_id", "sq_id"}
 
 
 def _feats_as_bytes(traces):
@@ -206,10 +218,10 @@ def reference_generate(spark, benchmark, templates, *, n_variants, n_confs, seed
             for rec in pdf.itertuples(index=False):
                 out.extend(trace_rows(rec.benchmark, rec.template, int(rec.variant),
                                       json.loads(rec.conf_json), int(rec.conf_id)))
-            yield pd.DataFrame(out) if out else pd.DataFrame(columns=TRACE_COLUMNS)
+            yield pd.DataFrame(out) if out else pd.DataFrame(columns=REFERENCE_COLUMNS)
 
     return spark.createDataFrame(grid).repartition(64).mapInPandas(
-        worker, schema=TRACE_SCHEMA).toPandas()
+        worker, schema=REFERENCE_SCHEMA).toPandas()
 
 
 # (templates, variants, configurations): 72 tasks, more than the shuffle's
@@ -222,7 +234,7 @@ ORACLE_GRIDS = [pytest.param(["q1", "q6", "q3"], 2, 12, id="72-tasks"),
 @pytest.mark.parametrize("templates,n_variants,n_confs", ORACLE_GRIDS)
 def test_generate_traces_spark_keeps_64_way_order(spark, templates, n_variants, n_confs):
     """The traces equal the 64-task pipeline's, row for row and bit for bit,
-    whatever the number of Spark cores."""
+    whatever the number of Spark cores, and write the same parquet bytes."""
     kw = dict(n_variants=n_variants, n_confs=n_confs, seed=11)
     got = generate_traces_spark(spark, "tpch", templates, **kw)
     ref = reference_generate(spark, "tpch", templates, **kw)
@@ -230,13 +242,15 @@ def test_generate_traces_spark_keeps_64_way_order(spark, templates, n_variants, 
     pd.testing.assert_frame_equal(_feats_as_bytes(got), _feats_as_bytes(ref),
                                   check_exact=True)
     assert isinstance(got.index, pd.RangeIndex)
+    assert got.to_parquet() == ref.to_parquet()
 
 
 @pytest.mark.parametrize("templates,n_variants,n_confs", ORACLE_GRIDS)
 def test_python_stage_runs_one_task_per_core(spark, templates, n_variants, n_confs):
-    """The frame fed to ``mapInPandas`` has one partition per core (at most
-    64), while its tags come from the 64-way shuffle: they name up to 64
-    shuffle partitions, and sorting on them gives the shuffle's row order."""
+    """The frame whose RDD the Python stage maps ``task_record`` over has
+    one partition per core (at most 64), while its tags come from the 64-way
+    shuffle: they name up to 64 shuffle partitions, and sorting on them
+    gives the shuffle's row order."""
     grid = task_grid("tpch", templates, n_variants, n_confs, seed=11)
     width = min(ORDER_PARTITIONS, spark.sparkContext.defaultParallelism)
     staged = _ordered_grid(spark, grid)
