@@ -21,9 +21,6 @@ class TableStats:
     def rows(self, sf: float) -> float:
         return self.rows_per_sf if self.fixed else self.rows_per_sf * sf
 
-    def bytes(self, sf: float) -> float:
-        return self.rows(sf) * self.row_bytes
-
 
 # TPC-H row counts per SF (spec) with approximate in-memory row widths.
 TPCH_TABLES: dict[str, TableStats] = {

@@ -11,18 +11,23 @@ A :class:`LogicalPlan` is a DAG of :class:`Operator` nodes built via
   joins* (the classic CBO failure mode the paper's runtime optimization
   exploits, cf. Fig. 3(b)).
 
-Errors are deterministic in ``(plan name, variant seed, op id)`` so a plan
-is reproducible across processes.
+Every node constructor of :class:`PlanBuilder` registers its operator
+through one private path (``PlanBuilder._add``), which assigns the id and
+derives the bytes and estimates. Errors are deterministic in ``(plan name,
+variant seed, op id)`` so a plan is reproducible across processes.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.catalog import get_catalog
 
+# The columns of the operator one-hot (``model.features``). No template emits
+# "project", but its column stays: dropping it would reshape the GTN's input
+# layer and move every trained model.
 OP_TYPES = ["scan", "filter", "project", "join", "agg", "sort", "limit", "union"]
 # Operators whose inputs require a data exchange (stage boundary).
 EXCHANGE_OPS = frozenset({"join", "agg", "sort", "union"})
@@ -30,23 +35,19 @@ EXCHANGE_OPS = frozenset({"join", "agg", "sort", "union"})
 
 @dataclass
 class Operator:
-    """One logical operator node; cardinalities are filled by the builder."""
+    """One logical operator node, made only by :meth:`PlanBuilder._add`."""
 
     op_id: int
     op_type: str
-    children: list[int] = field(default_factory=list)
-    table: str | None = None
-    predicate: str = ""
-    selectivity: float = 1.0  # filter
-    fanout: float = 1.0       # join: true_rows = fanout * max(child rows)
-    group_ratio: float = 0.1  # agg: true_rows = ratio * child rows
-    limit: int = 0
-    skew: float = 0.0         # partition-size skew introduced at this exchange
-    row_width: float = 0.0
-    true_rows: float = 0.0
-    true_bytes: float = 0.0
-    est_rows: float = 0.0
-    est_bytes: float = 0.0
+    children: list[int]
+    table: str | None
+    predicate: str
+    skew: float               # partition-size skew introduced at this exchange
+    row_width: float
+    true_rows: float
+    true_bytes: float
+    est_rows: float
+    est_bytes: float
 
     @property
     def is_exchange(self) -> bool:
@@ -97,14 +98,12 @@ class LogicalPlan:
     """An immutable-after-build logical query plan (DAG of operators)."""
 
     name: str
-    benchmark: str
-    sf: float
-    seed: int
     ops: dict[int, Operator]
     root: int
 
     def topological(self) -> list[int]:
-        """Operator ids children-before-parents (deterministic order)."""
+        """Operator ids reachable from the root, children before parents
+        (deterministic order)."""
         order: list[int] = []
         seen: set[int] = set()
 
@@ -117,14 +116,18 @@ class LogicalPlan:
             order.append(i)
 
         visit(self.root)
-        # include any ops not reachable from root (should not happen)
-        for i in sorted(self.ops):
-            visit(i)
         return order
 
 
 class PlanBuilder:
     """Fluent construction of a :class:`LogicalPlan` with cardinalities.
+
+    Each node constructor works out its operator's true rows, row width
+    and compounded est/true ratio, and registers it through one path,
+    :meth:`_add`: the id is the number of operators so far,
+    ``true_bytes = rows × width`` (sort and union carry their inputs'
+    bytes), ``est_rows = max(1, rows × ratio)`` and
+    ``est_bytes = est_rows × width``.
 
     Cardinality estimation error model (per operator, multiplicative,
     compounding along the DAG):
@@ -133,7 +136,8 @@ class PlanBuilder:
     * filter — lognormal(0, 0.18): predicate selectivity misestimation;
     * join — lognormal(-0.35, 0.40): correlated-predicate underestimation
       that *compounds* with join depth;
-    * agg — lognormal(0, 0.10): group-count misestimation.
+    * agg — lognormal(0, 0.10): group-count misestimation;
+    * sort, limit — the child's ratio; union — the mean of its children's.
     """
 
     FILTER_SIGMA = 0.18
@@ -141,127 +145,83 @@ class PlanBuilder:
     AGG_SIGMA = 0.10
 
     def __init__(self, benchmark: str, name: str, *, sf: float = 100.0, seed: int = 0):
-        self.benchmark = benchmark
         self.name = name
         self.sf = sf
         self.seed = seed
         self.catalog = get_catalog(benchmark)
         self._ops: dict[int, Operator] = {}
         self._err: dict[int, float] = {}  # compounded est/true ratio per op
-        self._next = 0
+
+    def _key(self, tag: str) -> tuple:
+        """Hash key of a draw for the operator being registered."""
+        return self.name, self.seed, len(self._ops), tag
+
+    def _add(self, op_type: str, children: list[int], predicate: str, rows: float,
+             width: float, ratio: float, *, table: str | None = None,
+             skew: float = 0.0, true_bytes: float | None = None) -> int:
+        op_id = len(self._ops)
+        est_rows = max(1.0, rows * ratio)
+        self._ops[op_id] = Operator(
+            op_id, op_type, children, table, predicate, skew, width, rows,
+            rows * width if true_bytes is None else true_bytes, est_rows, est_rows * width)
+        self._err[op_id] = ratio
+        return op_id
 
     # -- node constructors ---------------------------------------------------
-    def _add(self, op: Operator) -> int:
-        self._ops[op.op_id] = op
-        return op.op_id
-
-    def _new_id(self) -> int:
-        i = self._next
-        self._next += 1
-        return i
-
     def scan(self, table: str) -> int:
         t = self.catalog[table]
-        op = Operator(self._new_id(), "scan", table=table, predicate=f"scan {table}")
-        op.row_width = t.row_bytes
-        op.true_rows = max(1.0, t.rows(self.sf))
-        op.true_bytes = op.true_rows * op.row_width
-        op.est_rows, op.est_bytes = op.true_rows, op.true_bytes
-        self._err[op.op_id] = 1.0
-        return self._add(op)
+        return self._add("scan", [], f"scan {table}", max(1.0, t.rows(self.sf)),
+                         t.row_bytes, 1.0, table=table)
 
     def filter(self, child: int, selectivity: float, predicate: str = "") -> int:
         ch = self._ops[child]
-        op = Operator(self._new_id(), "filter", [child], predicate=predicate or "filter")
-        op.selectivity = float(min(max(selectivity, 1e-6), 1.0))
-        op.row_width = ch.row_width
-        op.true_rows = max(1.0, ch.true_rows * op.selectivity)
-        op.true_bytes = op.true_rows * op.row_width
-        local = _lognormal(0.0, self.FILTER_SIGMA, self.name, self.seed, op.op_id, "f")
-        self._err[op.op_id] = self._err[child] * local
-        self._finish_est(op)
-        return self._add(op)
+        sel = float(min(max(selectivity, 1e-6), 1.0))
+        local = _lognormal(0.0, self.FILTER_SIGMA, *self._key("f"))
+        return self._add("filter", [child], predicate or "filter",
+                         max(1.0, ch.true_rows * sel), ch.row_width,
+                         self._err[child] * local)
 
-    def project(self, child: int, width_ratio: float = 0.6, predicate: str = "") -> int:
-        ch = self._ops[child]
-        op = Operator(self._new_id(), "project", [child], predicate=predicate or "project")
-        op.row_width = max(8.0, ch.row_width * width_ratio)
-        op.true_rows = ch.true_rows
-        op.true_bytes = op.true_rows * op.row_width
-        self._err[op.op_id] = self._err[child]
-        self._finish_est(op)
-        return self._add(op)
-
-    def join(self, left: int, right: int, fanout: float, predicate: str = "",
-             skew: float | None = None) -> int:
+    def join(self, left: int, right: int, fanout: float, predicate: str = "") -> int:
         lc, rc = self._ops[left], self._ops[right]
-        op = Operator(self._new_id(), "join", [left, right], predicate=predicate or "join")
-        op.fanout = float(fanout)
-        op.row_width = lc.row_width + 0.8 * rc.row_width
-        op.true_rows = max(1.0, op.fanout * max(lc.true_rows, rc.true_rows))
-        op.true_bytes = op.true_rows * op.row_width
-        op.skew = skew if skew is not None else 0.2 + 1.3 * _hash01(self.name, self.seed, op.op_id, "skew")
-        local = _lognormal(self.JOIN_MU, self.JOIN_SIGMA, self.name, self.seed, op.op_id, "j")
-        self._err[op.op_id] = self._err[left] * self._err[right] * local
-        self._finish_est(op)
-        return self._add(op)
+        skew = 0.2 + 1.3 * _hash01(*self._key("skew"))
+        local = _lognormal(self.JOIN_MU, self.JOIN_SIGMA, *self._key("j"))
+        return self._add("join", [left, right], predicate or "join",
+                         max(1.0, float(fanout) * max(lc.true_rows, rc.true_rows)),
+                         lc.row_width + 0.8 * rc.row_width,
+                         self._err[left] * self._err[right] * local, skew=skew)
 
-    def agg(self, child: int, group_ratio: float = 0.05, predicate: str = "",
-            skew: float | None = None) -> int:
+    def agg(self, child: int, group_ratio: float = 0.05, predicate: str = "") -> int:
         ch = self._ops[child]
-        op = Operator(self._new_id(), "agg", [child], predicate=predicate or "group by")
-        op.group_ratio = float(min(max(group_ratio, 1e-9), 1.0))
-        op.row_width = 64.0
-        op.true_rows = max(1.0, ch.true_rows * op.group_ratio)
-        op.true_bytes = op.true_rows * op.row_width
-        op.skew = skew if skew is not None else 0.1 + 0.8 * _hash01(self.name, self.seed, op.op_id, "skew")
-        local = _lognormal(0.0, self.AGG_SIGMA, self.name, self.seed, op.op_id, "a")
-        self._err[op.op_id] = self._err[child] * local
-        self._finish_est(op)
-        return self._add(op)
+        ratio = float(min(max(group_ratio, 1e-9), 1.0))
+        skew = 0.1 + 0.8 * _hash01(*self._key("skew"))
+        local = _lognormal(0.0, self.AGG_SIGMA, *self._key("a"))
+        return self._add("agg", [child], predicate or "group by",
+                         max(1.0, ch.true_rows * ratio), 64.0,
+                         self._err[child] * local, skew=skew)
 
     def sort(self, child: int, predicate: str = "") -> int:
         ch = self._ops[child]
-        op = Operator(self._new_id(), "sort", [child], predicate=predicate or "order by")
-        op.row_width = ch.row_width
-        op.true_rows, op.true_bytes = ch.true_rows, ch.true_bytes
-        op.skew = 0.1
-        self._err[op.op_id] = self._err[child]
-        self._finish_est(op)
-        return self._add(op)
+        return self._add("sort", [child], predicate or "order by", ch.true_rows,
+                         ch.row_width, self._err[child], skew=0.1,
+                         true_bytes=ch.true_bytes)
 
     def limit_(self, child: int, n: int) -> int:
         ch = self._ops[child]
-        op = Operator(self._new_id(), "limit", [child], predicate=f"limit {n}")
-        op.limit = n
-        op.row_width = ch.row_width
-        op.true_rows = min(float(n), ch.true_rows)
-        op.true_bytes = op.true_rows * op.row_width
-        self._err[op.op_id] = self._err[child]
-        self._finish_est(op)
-        return self._add(op)
+        return self._add("limit", [child], f"limit {n}", min(float(n), ch.true_rows),
+                         ch.row_width, self._err[child])
 
     def union(self, *children: int) -> int:
         if len(children) < 2:
             raise ValueError("union needs >=2 children")
         chs = [self._ops[c] for c in children]
-        op = Operator(self._new_id(), "union", list(children), predicate="union all")
-        op.row_width = float(np.mean([c.row_width for c in chs]))
-        op.true_rows = float(sum(c.true_rows for c in chs))
-        op.true_bytes = float(sum(c.true_bytes for c in chs))
-        op.skew = 0.2
-        self._err[op.op_id] = float(np.mean([self._err[c.op_id] for c in chs]))
-        self._finish_est(op)
-        return self._add(op)
-
-    def _finish_est(self, op: Operator) -> None:
-        ratio = self._err[op.op_id]
-        op.est_rows = max(1.0, op.true_rows * ratio)
-        op.est_bytes = op.est_rows * op.row_width
+        return self._add("union", list(children), "union all",
+                         float(sum(c.true_rows for c in chs)),
+                         float(np.mean([c.row_width for c in chs])),
+                         float(np.mean([self._err[c] for c in children])), skew=0.2,
+                         true_bytes=float(sum(c.true_bytes for c in chs)))
 
     def build(self, root: int) -> LogicalPlan:
         """Finalize the plan rooted at ``root``."""
         if root not in self._ops:
             raise ValueError(f"unknown root op {root}")
-        return LogicalPlan(self.name, self.benchmark, self.sf, self.seed,
-                           dict(self._ops), root)
+        return LogicalPlan(self.name, dict(self._ops), root)

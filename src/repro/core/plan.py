@@ -5,7 +5,7 @@ maps to one query stage (QS) once the plan is physical. A stage boundary
 sits below every exchange-requiring operator (join, final aggregate, global
 sort, union): the exchange-requiring operator *starts* a new stage that
 reads its children's shuffled (or broadcast) output, while pure pipeline
-operators (filter/project/limit) stay in their child's stage.
+operators (filter/limit) stay in their child's stage.
 
 ``partition_subqs`` turns a :class:`~repro.core.operators.LogicalPlan` into
 a :class:`SubQDag` — the compile-time image of the runtime stage DAG, and

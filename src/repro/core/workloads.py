@@ -15,12 +15,11 @@ from __future__ import annotations
 from repro.core.operators import LogicalPlan, PlanBuilder, _lognormal
 
 
-def _jit(base: float, name: str, variant: int, tag: str, *, sigma: float = 0.3,
-         lo: float = 1e-5, hi: float = 1.0) -> float:
+def _jit(base: float, name: str, variant: int, tag: str, *, lo: float = 1e-5) -> float:
     """Jitter a selectivity-like quantity for parametric variants."""
     if variant == 0:
         return base
-    return min(max(base * _lognormal(0.0, sigma, "jit", name, variant, tag), lo), hi)
+    return min(max(base * _lognormal(0.0, 0.3, "jit", name, variant, tag), lo), 1.0)
 
 
 def _jf(base: float, name: str, variant: int, tag: str) -> float:
@@ -305,16 +304,13 @@ def _tpcds(qname: str, sf: float, variant: int) -> LogicalPlan:
         fsel = r.get("fsel")
         if fsel is not None:
             node = b.filter(node, F(fsel, f"{tag}:fsel"), f"{fact} predicate")
-        prev_fact = fact
         for d in r["dims"]:
             dsel = _DS_DIM_SEL[d]
             dim = b.scan(d)
             if dsel < 1.0:
                 dim = b.filter(dim, F(dsel, f"{tag}:{d}"), f"{d} predicate")
-            if r.get("chain") and d == "date_dim" and prev_fact != fact:
-                pass  # chained facts share the date join
             node = b.join(node, dim, _jf(dsel, name, variant, f"{tag}:j:{d}"),
-                          f"{prev_fact} join {d}")
+                          f"{fact} join {d}")
         return node
 
     parts: list[int] = []

@@ -53,7 +53,7 @@ import numpy as np
 from repro.core.plan import SubQDag, partition_subqs
 from repro.core.workloads import build_query
 from repro.model import predictor as P
-from repro.params import ALL_KNOBS, lhs_sample
+from repro.params import lhs_sample
 from repro.simspark.executor import run_query
 
 if TYPE_CHECKING:
@@ -167,8 +167,7 @@ def task_grid(benchmark: str, templates: list[str], n_variants: int,
     """The (template, variant, conf) fan-out as a pandas frame."""
     import pandas as pd
 
-    ids = [k.kid for k in ALL_KNOBS]
-    confs = lhs_sample(n_confs, ids, seed=seed)
+    confs = lhs_sample(n_confs, P.FULL_IDS, seed=seed)
     recs = []
     for t in templates:
         for v in range(n_variants):

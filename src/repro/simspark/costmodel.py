@@ -48,7 +48,6 @@ class CostParams:
     startup_per_exec_s: float = 0.12
     cpu_scan: float = 1.0e-8             # ~100 MB/s/core scan+decode
     cpu_filter: float = 2.0e-9
-    cpu_project: float = 1.5e-9
     cpu_agg: float = 6.0e-9
     cpu_sort: float = 1.0e-8             # x log2(rows/partition)/16
     cpu_hash_build: float = 8.0e-9
@@ -220,8 +219,6 @@ def stage_cost(
             cpu += b * costs.cpu_scan
         elif op_type == "filter":
             cpu += b * costs.cpu_filter
-        elif op_type == "project":
-            cpu += b * costs.cpu_project
         elif op_type == "agg":
             cpu += b * costs.cpu_agg
         elif op_type == "sort":

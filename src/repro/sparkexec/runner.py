@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.params import spark_conf_items
+from repro.params import P_IDS, S_IDS, spark_conf_items
 
 # θp/θs knobs that are honoured by a live session (per-query settable).
-LIVE_KNOBS = ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11"]
+LIVE_KNOBS = P_IDS + S_IDS
 
 
 def live_conf_items(conf: dict) -> dict[str, str]:

@@ -1,4 +1,7 @@
 """Unit tests for subQ partitioning (paper §4.1)."""
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core.operators import PlanBuilder
@@ -74,11 +77,12 @@ def test_pipeline_ops_stay_in_stage():
     b = PlanBuilder("tpch", "pipe", sf=1.0, seed=0)
     s = b.scan("orders")
     f = b.filter(s, 0.5)
-    p = b.project(f, 0.5)
-    plan = b.build(p)
+    lim = b.limit_(f, 10)
+    plan = b.build(lim)
     dag = partition_subqs(plan)
     assert dag.n_subqs() == 1
-    assert dag.subqs[0].root_op == p
+    assert dag.subqs[0].op_ids == [s, f, lim]
+    assert dag.subqs[0].root_op == lim
 
 
 def test_join_starts_new_stage_with_build_probe():
@@ -113,3 +117,37 @@ def test_scan_skew_small():
     dag = partition_subqs(build_query("tpch", "q1", sf=1.0))
     scan = next(s for s in dag.subqs.values() if s.kind == "scan")
     assert dag.skew(scan.sq_id) <= 0.1
+
+
+# sha256 over every operator and subQ of the 52 templates × variants 0–3 (the
+# trace grid's variants) at the default scale. Traces, models and
+# recommendations are functions of these bits, so a refactor of the plan
+# substrate must leave it unchanged; a deliberate plan change updates it.
+PLAN_DIGEST = "a842044b3c23af5ea2e4feafa66d27708e24b7c4507a6c3a4d4d892f3aaf119c"
+
+
+def _plan_digest() -> str:
+    h = hashlib.sha256()
+
+    def put(*parts):
+        h.update(repr(parts).encode())
+
+    def num(*xs):
+        h.update(np.array(xs, dtype=np.float64).tobytes())
+
+    for bm, q in ALL_QUERIES:
+        for variant in range(4):
+            dag = partition_subqs(build_query(bm, q, variant=variant))
+            put(bm, q, variant, dag.plan.root)
+            for op in dag.plan.ops.values():
+                put(op.op_id, op.op_type, op.children, op.table, op.predicate)
+                num(op.skew, op.row_width, op.true_rows, op.est_rows,
+                    op.true_bytes, op.est_bytes)
+            for sq in dag.subqs.values():
+                put(sq.sq_id, sq.op_ids, sq.root_op, sq.kind, sq.deps,
+                    sq.boundary_type, sq.join_build_dep, sq.join_probe_dep)
+    return h.hexdigest()
+
+
+def test_plan_bits_golden():
+    assert _plan_digest() == PLAN_DIGEST

@@ -31,7 +31,6 @@ def test_tpch_builds_and_scales(q):
     p1 = build_query("tpch", q, sf=1.0)
     p100 = build_query("tpch", q, sf=100.0)
     assert p100.ops[p100.root].true_rows >= p1.ops[p1.root].true_rows
-    assert p1.benchmark == "tpch"
 
 
 @pytest.mark.parametrize("q", TPCDS_QUERIES)
@@ -59,7 +58,8 @@ def test_variant_zero_canonical():
     a = build_query("tpch", "q6", sf=1.0, variant=0)
     # q6: lineitem * 0.019 selectivity
     f = next(op for op in a.ops.values() if op.op_type == "filter")
-    assert f.selectivity == pytest.approx(0.019)
+    scan = a.ops[f.children[0]]
+    assert f.true_rows / scan.true_rows == pytest.approx(0.019)
 
 
 def test_plan_sizes_spread():
