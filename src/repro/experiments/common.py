@@ -129,8 +129,11 @@ def train_suite(traces: pd.DataFrame, *, epochs: int = TRAIN_EPOCHS,
 
     The fits are independent (own seed, RNG and arrays) and numpy releases
     the GIL in BLAS calls, so they run on ``fit_workers()`` threads; the
-    models are bit-identical to fitting them one after another. The large
-    subQ and QS fits are submitted first.
+    models are bit-identical to fitting them one after another. Between
+    those calls each fit holds the GIL, once per numpy call, so a fit
+    keeps its calls per step few: float32 products, and one Adam update
+    over a flat parameter buffer rather than one per parameter array
+    (``MLPRegressor.fit``). The large subQ and QS fits are submitted first.
     """
     with ThreadPoolExecutor(fit_workers()) as pool:
         futures = {}

@@ -3,6 +3,8 @@
 For each benchmark and each target granularity (subQ, QS, LQP̄), reports
 WMAPE / P50 / P90 / Corr for (analytical) latency and IO, plus inference
 throughput (K predictions/sec) — the same cells as the paper's Table 3.
+The models predict in float32, the dtype they are trained in and both
+inference paths serve, so the throughput is the served models'.
 """
 from __future__ import annotations
 

@@ -6,16 +6,26 @@ recipe (``BATCH``, ``LR``, ``WEIGHT_DECAY``). Inputs are standardized
 internally. ``save``/``load`` round-trip to ``.npz`` so
 benchmark harnesses can cache trained models.
 
+A model has one dtype, ``DTYPE`` (float32), from ``__init__`` on: its
+weights, biases and input scaling, and in ``fit`` its activations,
+gradients and Adam state. ``fit`` takes the input mean and standard
+deviation in float64 and rounds them once, then standardizes one float32
+copy of the training matrix with ``standardize``, so a model is trained
+on the bytes it is served. It lays out every weight and then every bias
+as views of one flat buffer, and its gradients as views of a second, so
+weight decay and Adam run once over each buffer; the arithmetic is
+elementwise, so the parameters are those of a per-parameter update, byte
+for byte.
+
 ``fold`` fixes some input columns at one row of values per stage and
 returns one regressor over the remaining columns: the fixed part of each
 stage moves into one row of a first-layer bias table, and every other
 weight is shared, so a query's stages share one model and are folded
-with one product. ``astype`` casts the weights, and ``predict`` and
-``predict_block`` compute in the weights' dtype. Both inference paths
-use them: one fold per query of a float32 copy made once per loaded suite
-(``repro.model.predictor.TargetModels.float32``), scored with a subQ's
-bias row at compile time (``repro.moo.objectives``) and with a non-scan
-stage's in the runtime plugin (``repro.runtime.optimizer``).
+with one product. ``predict`` and ``predict_block`` compute in the
+weights' dtype. Both inference paths fold the suite's models once per
+query, and score with a subQ's bias row at compile time
+(``repro.moo.objectives``) and with a non-scan stage's in the runtime
+plugin (``repro.runtime.optimizer``).
 
 ``predict`` runs its forward pass over the row ranges ``predict_blocks``
 gives, ``PREDICT_BLOCK`` rows each (a one-row remainder joins the last
@@ -34,6 +44,9 @@ such block.
 from __future__ import annotations
 
 import numpy as np
+
+# The one model dtype: trained, saved and served
+DTYPE = np.float32
 
 # Rows per forward block in ``predict``: (512, 128) float32 activations are
 # 256 KB.
@@ -56,6 +69,16 @@ def predict_blocks(n: int) -> list[tuple[int, int]]:
             for s in range(0, max(n - 1, 1), PREDICT_BLOCK)]
 
 
+def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the flat ``buf``, one per shape, in order."""
+    out, o = [], 0
+    for shape in shapes:
+        n = int(np.prod(shape))
+        out.append(buf[o:o + n].reshape(shape))
+        o += n
+    return out
+
+
 class MLPRegressor:
     """Fully-connected ReLU regressor, log-space target."""
 
@@ -64,11 +87,11 @@ class MLPRegressor:
         self.hidden = tuple(hidden)
         rng = np.random.default_rng(seed)
         dims = [d_in, *hidden, 1]
-        self.W = [rng.normal(0, np.sqrt(2.0 / dims[i]), (dims[i], dims[i + 1]))
+        self.W = [rng.normal(0, np.sqrt(2.0 / dims[i]), (dims[i], dims[i + 1])).astype(DTYPE)
                   for i in range(len(dims) - 1)]
-        self.b = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        self.x_mean = np.zeros(d_in)
-        self.x_std = np.ones(d_in)
+        self.b = [np.zeros(dims[i + 1], DTYPE) for i in range(len(dims) - 1)]
+        self.x_mean = np.zeros(d_in, DTYPE)
+        self.x_std = np.ones(d_in, DTYPE)
         self._seed = seed
 
     # -- forward/backward -----------------------------------------------------
@@ -86,68 +109,75 @@ class MLPRegressor:
     def fit(self, X: np.ndarray, y: np.ndarray, *, epochs: int) -> list[float]:
         """Train; returns the per-epoch training losses."""
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self.x_mean = X.mean(axis=0)
         std = X.std(axis=0)
-        self.x_std = np.where(std > 1e-9, std, 1.0)
-        t = np.log1p(np.maximum(y, 0.0))
+        self.x_mean = X.mean(axis=0).astype(DTYPE)
+        self.x_std = np.where(std > 1e-9, std, 1.0).astype(DTYPE)
+        Xs = self.standardize(X)   # the bytes ``predict`` forwards
+        t = np.log1p(np.maximum(np.asarray(y, dtype=np.float64), 0.0)).astype(DTYPE)
+        # One flat buffer of every weight, then every bias, which W and b
+        # become views of; the gradients are views of a second one.
+        shapes = [p.shape for p in self.W + self.b]
+        P = np.concatenate([p.ravel() for p in self.W + self.b])
+        G = np.empty_like(P)
+        n_layers, n_w = len(self.W), sum(w.size for w in self.W)
+        views = _views(P, shapes)
+        self.W, self.b = views[:n_layers], views[n_layers:]
+        grads = _views(G, shapes)
+        gW, gb = grads[:n_layers], grads[n_layers:]
+        m, v, upd, den = (np.zeros_like(P) for _ in range(4))
         rng = np.random.default_rng(self._seed + 1)
-        mW = [np.zeros_like(w) for w in self.W]
-        vW = [np.zeros_like(w) for w in self.W]
-        mb = [np.zeros_like(bb) for bb in self.b]
-        vb = [np.zeros_like(bb) for bb in self.b]
         b1, b2, eps = 0.9, 0.999, 1e-8
         step = 0
         losses = []
-        n = len(X)
+        n = len(Xs)
         for ep in range(epochs):
             idx = rng.permutation(n)
             ep_loss = 0.0
             for s in range(0, n, BATCH):
                 bi = idx[s:s + BATCH]
-                # Standardized per batch, in place in the gathered copy: no
-                # standardized copy of X is kept.
-                xb = X[bi]
-                xb -= self.x_mean
-                xb /= self.x_std
-                pred, acts = self._forward(xb)
+                pred, acts = self._forward(Xs[bi])
                 err = pred - t[bi]
                 ep_loss += float((err**2).sum())
-                # backward
+                # backward, into the gradient buffer
                 g = (2.0 * err / len(bi))[:, None]
-                gW = [None] * len(self.W)
-                gb = [None] * len(self.W)
-                for i in range(len(self.W) - 1, -1, -1):
-                    gW[i] = acts[i].T @ g
-                    gW[i] += WEIGHT_DECAY * self.W[i]
-                    gb[i] = g.sum(axis=0)
+                for i in range(n_layers - 1, -1, -1):
+                    np.matmul(acts[i].T, g, out=gW[i])
+                    np.sum(g, axis=0, out=gb[i])
                     if i > 0:  # ReLU: acts[i] > 0 exactly where its input is
                         g = g @ self.W[i].T
                         g *= acts[i] > 0
-                # adam, in place: the same arithmetic with fewer temporaries,
-                # which keeps concurrent fits small (experiments.common)
+                np.multiply(P[:n_w], WEIGHT_DECAY, out=upd[:n_w])
+                G[:n_w] += upd[:n_w]
+                # Adam over the whole buffer: elementwise, so each parameter
+                # gets the bytes of its own update, in a few calls rather
+                # than a few per parameter (concurrent fits contend for the
+                # GIL between calls; experiments.common.train_suite)
                 step += 1
                 c1, c2 = 1 - b1**step, 1 - b2**step
-                for p, m, v, gp in zip(self.W + self.b, mW + mb, vW + vb, gW + gb):
-                    m *= b1
-                    m += (1 - b1) * gp
-                    v *= b2
-                    v += (1 - b2) * gp ** 2
-                    upd = m / c1
-                    upd *= LR
-                    den = v / c2
-                    np.sqrt(den, out=den)
-                    den += eps
-                    upd /= den
-                    p -= upd
+                m *= b1
+                np.multiply(G, 1 - b1, out=upd)
+                m += upd
+                v *= b2
+                np.square(G, out=upd)
+                upd *= 1 - b2
+                v += upd
+                np.divide(m, c1, out=upd)
+                upd *= LR
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += eps
+                upd /= den
+                P -= upd
             losses.append(ep_loss / n)
         return losses
 
     def standardize(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Rows ``X`` of input columns ``cols``, standardized in the
-        weights' dtype: a new array, the same bytes ``predict`` forwards,
-        whatever rows or columns are standardized together."""
-        h = np.asarray(X, dtype=self.W[0].dtype) - self.x_mean[cols]
+        weights' dtype: a new array, the same bytes ``predict`` forwards
+        (and ``fit`` trains on), whatever rows or columns are standardized
+        together."""
+        h = np.array(X, dtype=self.W[0].dtype)
+        h -= self.x_mean[cols]
         h /= self.x_std[cols]
         return h
 
@@ -212,12 +242,6 @@ class MLPRegressor:
         b0 = (self.b[0] + prod[:, 0, :]).astype(self.b[0].dtype)
         return self._derive([self.W[0][keep], *self.W[1:]], [b0, *self.b[1:]],
                             self.x_mean[keep], self.x_std[keep])
-
-    def astype(self, dtype) -> "MLPRegressor":
-        """A copy whose weights and input scaling are ``dtype``."""
-        return self._derive([w.astype(dtype) for w in self.W],
-                            [bb.astype(dtype) for bb in self.b],
-                            self.x_mean.astype(dtype), self.x_std.astype(dtype))
 
     # -- persistence -----------------------------------------------------------
     def save(self, path: str) -> None:

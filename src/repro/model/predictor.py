@@ -35,10 +35,10 @@ tables (``repro.moo.objectives``); the runtime plugin the QS columns
 ``qs_fixed`` under ``IDLE_GAMMA`` (at ``QS_FIXED_COLS``: 42 of 59) and
 passes the 17 ``qs_varying`` ones, join one-hot, (θc, θs) and derived
 partitioning. Each folds all of a query's stages with one product per
-model (``TargetModels.fold``) into the float32 copy made once per loaded
-suite (``TargetModels.float32``): one model per target for the query,
-whose first-layer bias table has a row per stage, and a stage's rows
-score with its row. Every path lays out the derived
+model (``TargetModels.fold``) into the suite's own models, which are
+trained, saved and served in one dtype (float32, ``mlp.DTYPE``): one
+model per target for the query, whose first-layer bias table has a row
+per stage, and a stage's rows score with its row. Every path lays out the derived
 partitioning columns with ``StageFeatures.derived``, from the natural-unit
 knob columns the partitioning formulas read (``features.partition_knobs``
 of whole knob rows, or columns the compile-time scorer gathers itself).
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -264,12 +264,6 @@ class TargetModels:
 
     latency: MLPRegressor
     io: MLPRegressor
-
-    @cached_property
-    def float32(self) -> "TargetModels":
-        """A float32 copy of both models, made once per loaded suite: compile
-        time and the runtime plugin fold it."""
-        return TargetModels(self.latency.astype(np.float32), self.io.astype(np.float32))
 
     def fold(self, cols, values: np.ndarray) -> "TargetModels":
         """Both models with columns ``cols`` fixed at one row of the (k,

@@ -13,10 +13,9 @@ formula is ``predictor.to_objectives``.
 
 Each subQ's embedding and α ‖ β ‖ γ are the same in every row, so at
 construction they are folded, for all subQs with one product per model
-(``TargetModels.fold``), into the float32 copy of the subQ latency and IO
-models that the suite makes once (``TargetModels.float32``): one model
-per target for the query, whose first-layer bias table has one row per
-subQ (``models``). A row then carries only the 19 knob columns and the 3
+(``TargetModels.fold``), into the suite's float32 subQ latency and IO
+models: one model per target for the query, whose first-layer bias table
+has one row per subQ (``models``). A row then carries only the 19 knob columns and the 3
 derived partitioning columns.
 
 ``score`` is the one compile-time scorer; HMOOC3 (``repro.moo.hmooc``) and
@@ -76,7 +75,7 @@ class CompileTimeObjectives:
         self._stages = list(P.StageFeatures.of_stages(dag, self.sq_ids, true_stats=False).values())
         fixed = np.stack([st.subq_fixed() for st in self._stages])
         # one fold for the query: bias-table row i is subQ sq_ids[i]
-        self.models = suite.subq.float32.fold(P.SUBQ_FIXED_COLS, fixed)
+        self.models = suite.subq.fold(P.SUBQ_FIXED_COLS, fixed)
 
     @property
     def m(self) -> int:

@@ -15,10 +15,10 @@ trained and evaluated for Table 3 only):
 At construction the plugin builds every non-scan stage's true-statistics
 :class:`~repro.model.predictor.StageFeatures` (``StageFeatures.of_stages``,
 one GTN forward per stage shape) and folds each stage's 42 fixed QS
-columns (embedding, α, β and the idle ``IDLE_GAMMA``) into the float32
-copy of the QS latency and IO models that the suite makes once: all
-stages with one product per model (``TargetModels.fold``), into one model
-per target whose first-layer bias table has a row per stage.
+columns (embedding, α, β and the idle ``IDLE_GAMMA``) into the suite's
+float32 QS latency and IO models: all stages with one product per model
+(``TargetModels.fold``), into one model per target whose first-layer
+bias table has a row per stage.
 
 Both hooks share one scoring path, which starts from a knob matrix: one
 natural-unit 19-knob row per candidate (``FULL_IDS`` order; row 0 is the
@@ -96,7 +96,7 @@ class OnlineOptimizer:
         # folded into one model per target: bias-table row i is the i-th stage
         fixed = np.reshape([st.qs_fixed(P.IDLE_GAMMA) for st in self._stages.values()],
                            (len(self._stages), len(P.QS_FIXED_COLS)))
-        self._models = suite.qs.float32.fold(P.QS_FIXED_COLS, fixed)
+        self._models = suite.qs.fold(P.QS_FIXED_COLS, fixed)
         self._row = {sq: i for i, sq in enumerate(self._stages)}
         self._mem_exec = exec_mem(theta_c)
 

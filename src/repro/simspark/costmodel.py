@@ -225,6 +225,8 @@ def stage_cost(
             cpu += b * costs.cpu_sort * np.log2(r / p + 2.0) / 16.0
         elif op_type in ("limit", "union"):
             cpu += b * 2.0e-10
+        elif op_type != "join":   # a join is priced by the join block below
+            raise ValueError(f"stage_cost does not price operator type {op_type!r}")
 
     broadcast_bytes = 0.0
     k3 = max(conf["k3"], 1.0)

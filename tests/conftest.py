@@ -88,9 +88,6 @@ class FakeRegressor:
     def fold(self, cols, values):
         return FoldedRegressor(self, cols, values)
 
-    def astype(self, dtype) -> "FakeRegressor":
-        return self
-
 
 class FoldedRegressor:
     """``MLPRegressor.fold`` for a duck-typed regressor: the same function
@@ -116,6 +113,20 @@ class FoldedRegressor:
 
     def predict_block(self, H: np.ndarray, out: np.ndarray, *, row: int) -> None:
         out[:] = self.inner.predict(self.full_rows(H, row))
+
+
+def cast(model, dtype):
+    """A copy of the ``MLPRegressor`` ``model`` whose weights and input
+    scaling are ``dtype``: the program trains and serves one dtype
+    (``mlp.DTYPE``), and a test that needs another builds it here."""
+    return model._derive([w.astype(dtype) for w in model.W],
+                         [b.astype(dtype) for b in model.b],
+                         model.x_mean.astype(dtype), model.x_std.astype(dtype))
+
+
+def model_arrays(model) -> list[np.ndarray]:
+    """Every array of an ``MLPRegressor``: weights, biases, input scaling."""
+    return [*model.W, *model.b, model.x_mean, model.x_std]
 
 
 def fold_rows(model, cols, values) -> list:
@@ -177,10 +188,10 @@ def query_fine_oracle(obj, U_big: np.ndarray) -> np.ndarray:
 
 def full_row_objectives(tm, X: np.ndarray, rate, *, clamp_latency: bool) -> np.ndarray:
     """(n, 2) objectives of full model rows ``X`` by the unfolded models of
-    ``tm`` (a ``TargetModels``) in their own dtype, at ``rate`` $ per
-    second held."""
-    return to_objectives(np.column_stack([tm.latency.predict(X), tm.io.predict(X)]), rate,
-                         clamp_latency=clamp_latency)
+    ``tm`` (a ``TargetModels``) cast to float64, at ``rate`` $ per second
+    held: the served function without float32 rounding."""
+    F = np.column_stack([cast(m, np.float64).predict(X) for m in (tm.latency, tm.io)])
+    return to_objectives(F, rate, clamp_latency=clamp_latency)
 
 
 @pytest.fixture

@@ -187,10 +187,19 @@ def test_more_partition_overhead(conf):
     assert many.n_tasks > few.n_tasks
 
 
-def test_sort_stage_costs_more_than_project(conf):
+def test_sort_stage_costs_more_than_filter(conf):
     srt = _cost(conf, op_work=[("sort", 10 * GB, 1e8)])
-    prj = _cost(conf, op_work=[("project", 10 * GB, 1e8)])
-    assert srt.cpu_sec > prj.cpu_sec
+    flt = _cost(conf, op_work=[("filter", 10 * GB, 1e8)])
+    assert srt.cpu_sec > flt.cpu_sec
+
+
+@pytest.mark.parametrize("op_type", ["project", "window"])
+def test_unpriced_operator_type_raises(conf, op_type):
+    """An operator type the pipeline-CPU chain does not price is an error,
+    not a free operator; a join, which the join block prices, is not."""
+    _cost(conf, op_work=[("join", GB, 1e6)], join_alg=cm.SMJ, build_bytes=GB, probe_bytes=GB)
+    with pytest.raises(ValueError, match=op_type):
+        _cost(conf, op_work=[("scan", GB, 1e6), (op_type, GB, 1e6)])
 
 
 def test_bypass_merge_threshold_effect(conf):

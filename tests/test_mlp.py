@@ -4,7 +4,7 @@ import pytest
 
 from repro.model.mlp import (BATCH, LR, PREDICT_BLOCK, WEIGHT_DECAY, MLPRegressor,
                              predict_blocks)
-from tests.conftest import fold_rows, predict_row
+from tests.conftest import cast, fold_rows, model_arrays, predict_row
 
 
 @pytest.fixture(scope="module")
@@ -46,24 +46,21 @@ def test_deterministic_training(toy):
     a.fit(X, y, epochs=5)
     b = MLPRegressor(6, hidden=(32, 32), seed=3)
     b.fit(X, y, epochs=5)
-    for pa, pb in zip(_params(a), _params(b)):
+    for pa, pb in zip(model_arrays(a), model_arrays(b)):
         np.testing.assert_array_equal(pa, pb)
     np.testing.assert_array_equal(a.predict(X[:5]), b.predict(X[:5]))
 
 
-def _params(m):
-    return [*m.W, *m.b, m.x_mean, m.x_std]
-
-
 def reference_fit(m, X, y, *, epochs):
-    """``MLPRegressor.fit`` as it was when it standardized the whole
-    training matrix once, before the epochs."""
+    """``MLPRegressor.fit`` with one Adam update per parameter array: the
+    input mean and std taken in float64 and cast, the whole training
+    matrix cast to float32 and standardized once, before the epochs."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    m.x_mean = X.mean(axis=0)
-    m.x_std = np.where(X.std(axis=0) > 1e-9, X.std(axis=0), 1.0)
-    Xn = (X - m.x_mean) / m.x_std
-    t = np.log1p(np.maximum(y, 0.0))
+    m.x_mean = X.mean(axis=0).astype(np.float32)
+    m.x_std = np.where(X.std(axis=0) > 1e-9, X.std(axis=0), 1.0).astype(np.float32)
+    Xn = (X.astype(np.float32) - m.x_mean) / m.x_std
+    t = np.log1p(np.maximum(y, 0.0)).astype(np.float32)
     rng = np.random.default_rng(m._seed + 1)
     mW = [np.zeros_like(w) for w in m.W]
     vW = [np.zeros_like(w) for w in m.W]
@@ -96,9 +93,9 @@ def reference_fit(m, X, y, *, epochs):
 
 @pytest.mark.parametrize("constant_col", [False, True], ids=["varied", "constant-column"])
 def test_fit_bit_identical_to_full_matrix_standardization(toy, constant_col):
-    """Per-batch standardization is the same elementwise arithmetic as
-    standardizing the whole matrix first: every parameter is equal byte for
-    byte (600 rows, so the last batch of each epoch is partial)."""
+    """Adam over one flat buffer is the same elementwise arithmetic as one
+    update per parameter array: every parameter is equal byte for byte, and
+    float32 (600 rows, so the last batch of each epoch is partial)."""
     X, y = toy
     if constant_col:
         X = X.copy()
@@ -107,7 +104,7 @@ def test_fit_bit_identical_to_full_matrix_standardization(toy, constant_col):
     got.fit(X, y, epochs=6)
     ref = MLPRegressor(6, hidden=(32, 16), seed=7)
     reference_fit(ref, X, y, epochs=6)
-    for a, b in zip(_params(got), _params(ref)):
+    for a, b in zip(model_arrays(got), model_arrays(ref)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -143,21 +140,23 @@ def test_fit_step_follows_finite_difference_gradient():
     """One full-batch Adam step moves every parameter by about ``LR``
     against the sign of the gradient of the log-target MSE plus the
     ``WEIGHT_DECAY`` L2 term on the weights, computed here by central
-    differences through ``_forward``."""
+    differences through ``_forward`` of a float64 copy, where a 1e-6 step
+    is not lost to rounding."""
     rng = np.random.default_rng(4)
     X = rng.random((40, 3))
     assert len(X) <= BATCH   # one epoch is one full-batch step
     y = 5.0 * X[:, 0] + X[:, 1] * X[:, 2]
     m = MLPRegressor(3, hidden=(5, 4), seed=2)
+    m64 = cast(m, np.float64)
     Xn = (X - X.mean(axis=0)) / X.std(axis=0)
     t = np.log1p(y)
 
     def loss():
-        decay = 0.5 * WEIGHT_DECAY * sum(float((W * W).sum()) for W in m.W)
-        return float(((m._forward(Xn)[0] - t) ** 2).mean()) + decay
+        decay = 0.5 * WEIGHT_DECAY * sum(float((W * W).sum()) for W in m64.W)
+        return float(((m64._forward(Xn)[0] - t) ** 2).mean()) + decay
 
-    params = m.W + m.b
-    before = [p.copy() for p in params]
+    params = m64.W + m64.b
+    before = [p.copy() for p in m.W + m.b]
     grads = []
     h = 1e-6
     for p in params:
@@ -197,22 +196,31 @@ def _rest(X, cols):
     return np.delete(X, cols, axis=1)
 
 
-def test_fold_float64_matches_full_rows(wide):
+def test_fold_matches_full_rows(wide):
+    """The fold of a trained (float32) model predicts its own full rows to
+    float32 rounding: the fold sums the fixed columns in float64, the full
+    rows in float32."""
     m, cols, X = wide
     f = m.fold(cols, X[:1, cols])
     assert f.d_in == 12 - len(cols) and f.W[0].shape == (8, 32) and f.b[0].shape == (1, 32)
-    np.testing.assert_allclose(predict_row(f, _rest(X, cols), 0), m.predict(X), rtol=1e-12)
+    assert all(a.dtype == np.float32 for a in model_arrays(f))
+    pred = predict_row(f, _rest(X, cols), 0)
+    assert pred.dtype == np.float64
+    np.testing.assert_allclose(pred, m.predict(X), rtol=1e-5)
 
 
 @pytest.mark.parametrize("cast_first", [True, False], ids=["cast-fold", "fold-cast"])
 def test_fold_float32_matches_full_rows(wide, cast_first):
+    """A float64 model folded and cast to float32, in either order, predicts
+    the float64 model's full rows to float32 rounding."""
     m, cols, X = wide
-    f = (m.astype(np.float32).fold(cols, X[:1, cols]) if cast_first
-         else m.fold(cols, X[:1, cols]).astype(np.float32))
-    assert all(w.dtype == np.float32 for w in f.W + f.b + [f.x_mean, f.x_std])
+    m64 = cast(m, np.float64)
+    f = (cast(m64, np.float32).fold(cols, X[:1, cols]) if cast_first
+         else cast(m64.fold(cols, X[:1, cols]), np.float32))
+    assert all(a.dtype == np.float32 for a in model_arrays(f))
     pred = predict_row(f, _rest(X, cols), 0)
     assert pred.dtype == np.float64
-    np.testing.assert_allclose(pred, m.predict(X), rtol=1e-5)
+    np.testing.assert_allclose(pred, m64.predict(X), rtol=1e-5)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 7, 16, 64])
@@ -229,7 +237,7 @@ def test_2d_fold_is_1d_fold_per_row(k, dtype):
     m = MLPRegressor(59, hidden=(96, 96), seed=k)
     m.b = [rng.normal(0.0, 0.1, b.shape) for b in m.b]
     m.x_mean, m.x_std = rng.normal(0.0, 2.0, 59), rng.uniform(0.5, 3.0, 59)
-    m = m.astype(dtype)
+    m = cast(m, dtype)
     cols = np.r_[0:32, 46:56]
     V = rng.normal(0.0, 3.0, (k, len(cols)))
     fold = m.fold(cols, V)
@@ -275,7 +283,7 @@ def test_standardized_tables_predict_like_predict(n):
     m = MLPRegressor(22, hidden=(64, 64), seed=n)
     m.b = [rng.normal(0.0, 0.1, b.shape) for b in m.b]
     m.x_mean, m.x_std = rng.normal(0.0, 2.0, 22), rng.uniform(0.5, 3.0, 22)
-    f = m.astype(np.float32).fold([0, 1], rng.normal(0.0, 1.0, (3, 2)))
+    f = cast(m, np.float32).fold([0, 1], rng.normal(0.0, 1.0, (3, 2)))
     A, B = rng.random((40, 8)), rng.random((30, 12))
     ia, ib = rng.integers(0, 40, n), rng.integers(0, 30, n)
     As, Bs = f.standardize(A, slice(0, 8)), f.standardize(B, slice(8, 20))
@@ -285,20 +293,20 @@ def test_standardized_tables_predict_like_predict(n):
     assert out[:, 1].tobytes() == want.tobytes()
 
 
-def test_float32_copy_leaves_original_roundtrip_unchanged(tmp_path, wide):
+def test_save_load_keeps_float32_bytes(tmp_path, wide):
+    """``save``/``load`` round-trips every float32 array and the
+    predictions byte for byte; folding the model changes neither."""
     m, cols, X = wide
     before = m.predict(X)
-    predict_row(m.fold(cols, X[:1, cols]).astype(np.float32), _rest(X, cols), 0)
-    m.astype(np.float32).predict(X)
+    predict_row(m.fold(cols, X[:1, cols]), _rest(X, cols), 0)
     path = str(tmp_path / "m.npz")
     m.save(path)
     back = MLPRegressor.load(path)
-    for a, b in zip(m.W + m.b + [m.x_mean, m.x_std],
-                    back.W + back.b + [back.x_mean, back.x_std]):
-        assert a.dtype == b.dtype == np.float64
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(back.predict(X), before)
-    np.testing.assert_array_equal(m.predict(X), before)
+    for a, b in zip(model_arrays(m), model_arrays(back)):
+        assert a.dtype == b.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+    assert back.predict(X).tobytes() == before.tobytes()
+    assert m.predict(X).tobytes() == before.tobytes()
 
 
 def _one_shot(m, X):
@@ -318,7 +326,9 @@ def test_predict_is_one_shot_forward_per_block(wide, n, f32_fold):
     m, cols, _ = wide
     X = np.random.default_rng(n).normal(2.0, 3.0, (n, 12))
     if f32_fold:
-        m, X = m.astype(np.float32).fold(cols, X[:1, cols]), _rest(X, cols)
+        m, X = m.fold(cols, X[:1, cols]), _rest(X, cols)
+    else:
+        m = cast(m, np.float64)
     starts = list(range(0, n, PREDICT_BLOCK))
     if n > 1 and n % PREDICT_BLOCK == 1:
         starts.pop()

@@ -105,7 +105,7 @@ def _assert_float32_close(got, full, rate, tol=1e-5):
 
 def test_folded_float32_matches_full_float64_rows(small_suite):
     """The query's float32 fold, with each subQ's bias row, scores like the
-    trained float64 models on the full 64-column rows."""
+    trained models, cast to float64, on the full 64-column rows."""
     dag = partition_subqs(build_query("tpch", "q9", sf=100.0))
     obj = CompileTimeObjectives(dag, small_suite)
     U = lhs_unit(300, D_FULL, np.random.default_rng(4))
@@ -133,7 +133,7 @@ class ScoreLog(OnlineOptimizer):
 def test_runtime_folded_float32_matches_full_float64_rows(small_suite):
     """The runtime twin: over every served request of the parity queries,
     the scores of the float32 fold with each stage's bias row match the
-    trained float64 QS models on the full 59-column rows."""
+    trained QS models, cast to float64, on the full 59-column rows."""
     served = 0
     for bench, template in QUERIES:
         dag = partition_subqs(build_query(bench, template, sf=SF, variant=VARIANT))

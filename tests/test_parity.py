@@ -46,12 +46,6 @@ class SpyRegressor:
         self.seen.append(np.array(X, copy=True))
         return self.inner.predict(X)
 
-    def astype(self, dtype):
-        """A spy on the cast copy, recording into the same lists."""
-        cast = SpyRegressor(self.inner.astype(dtype))
-        cast.seen, cast.seen_folded = self.seen, self.seen_folded
-        return cast
-
     def fold(self, cols, values):
         return SpyFold(self, self.inner, cols, values)
 

@@ -15,6 +15,7 @@ from repro.model.mlp import MLPRegressor
 from repro.params import default_conf
 from repro.simspark.costmodel import DEFAULT_COSTS
 from repro.simspark.executor import execute
+from tests.conftest import model_arrays
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +201,27 @@ def test_suite_save_load(tmp_path):
     np.testing.assert_allclose(suite.qs.latency.predict(X),
                                loaded.qs.latency.predict(X))
 
+
+
+def test_models_are_float32_trained_and_after_save_load(tmp_path):
+    """A ``train_target`` model holds every array in float32, the dtype both
+    inference paths serve, and a saved and loaded suite keeps them so,
+    byte for byte."""
+    rng = np.random.default_rng(3)
+    X, y = rng.random((300, 5)), rng.random(300) * 10.0
+
+    def fit(seed):
+        return P.train_target(X, y, epochs=2, hidden=(16, 8), seed=seed)
+
+    suite = P.ModelSuite(*(P.TargetModels(fit(2 * i), fit(2 * i + 1)) for i in range(3)))
+    d = str(tmp_path / "models")
+    suite.save(d)
+    loaded = P.ModelSuite.load(d)
+    for g in ("subq", "qs", "lqp"):
+        for t in ("latency", "io"):
+            m, back = getattr(getattr(suite, g), t), getattr(getattr(loaded, g), t)
+            arrays, loaded_arrays = model_arrays(m), model_arrays(back)
+            assert len(arrays) == len(loaded_arrays) == 8
+            for a, b in zip(arrays, loaded_arrays):
+                assert a.dtype == b.dtype == np.float32
+                assert a.tobytes() == b.tobytes()

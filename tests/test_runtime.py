@@ -103,37 +103,29 @@ def test_one_embed_per_non_scan_stage_shape(monkeypatch, fake_suite):
 
 def test_one_fold_per_qs_model(monkeypatch, fake_suite):
     """Construction folds the fixed QS columns of every non-scan stage into
-    the suite's float32 QS models with one ``fold`` product per model, and
-    the suite casts those models once, not once per construction."""
+    the suite's own (float32) QS models with one ``fold`` product per
+    model, and makes no copy of them."""
     calls = []
-    fold, astype = MLPRegressor.fold, MLPRegressor.astype
+    fold = MLPRegressor.fold
 
     def fold_spy(self, cols, values):
         calls.append((self, np.shape(values)))
         return fold(self, cols, values)
 
-    def astype_spy(self, dtype):
-        calls.append(("astype", dtype))
-        return astype(self, dtype)
-
     monkeypatch.setattr(MLPRegressor, "fold", fold_spy)
-    monkeypatch.setattr(MLPRegressor, "astype", astype_spy)
     qs = TargetModels(MLPRegressor(QS_DIM, hidden=(32, 32), seed=1), MLPRegressor(QS_DIM, hidden=(32, 32), seed=2))
     suite = ModelSuite(fake_suite.subq, qs, fake_suite.lqp)
     theta_c, _, _ = split_conf(default_conf())
-    casts = 0
     for bm in ("tpch", "tpcds"):
         for q in benchmark_queries(bm):
             dag = partition_subqs(build_query(bm, q))
             n = sum(s.kind != "scan" for s in dag.subqs.values())
             calls.clear()
-            OnlineOptimizer(dag, suite, theta_c, (0.9, 0.1))
-            casts += calls.count(("astype", np.float32))
-            folds = [c for c in calls if c[0] != "astype"]
+            opt = OnlineOptimizer(dag, suite, theta_c, (0.9, 0.1))
             shape = (n, len(QS_FIXED_COLS))
-            assert folds == [(qs.float32.latency, shape), (qs.float32.io, shape)], (bm, q)
-    assert casts == 2
-    assert qs.float32.latency.W[0].dtype == qs.float32.io.W[0].dtype == np.float32
+            assert calls == [(qs.latency, shape), (qs.io, shape)], (bm, q)
+            assert opt._models.latency.W[1] is qs.latency.W[1], (bm, q)
+    assert qs.latency.W[0].dtype == qs.io.W[0].dtype == np.float32
 
 
 def test_pruning_non_join_collapse(dag, opt):
